@@ -12,6 +12,9 @@ closer than a merge tolerance are identified first, and repeated nodes use
 derivative values f^(j)(x)/j! instead of difference quotients.  This keeps
 the recursion stable when node gaps approach the square root of machine
 epsilon, where the raw quotient loses every significant digit.
+:func:`divided_difference` runs the table for one node tuple;
+:func:`divided_difference_rows` runs it for many tuples at once, column by
+column, and backs the divided-difference tensors of the operator integrals.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ __all__ = [
     "NodeList",
     "AdmissibilityReport",
     "divided_difference",
+    "divided_difference_rows",
     "divided_difference_tensor",
     "classify",
     "merge_tolerance",
@@ -214,13 +218,61 @@ def divided_difference(f: FunctionFamily, nodes, merge_tol: Optional[float] = No
     return complex(col[0])
 
 
+def divided_difference_rows(f: FunctionFamily, rows) -> np.ndarray:
+    """divided_difference(f, row) for every row of an (M, n+1) node array.
+
+    Applies the rules of the scalar routine to all rows at once: each row is
+    sorted, merged under its own :func:`merge_tolerance` into single-linkage
+    blocks replaced by their means, and run through the confluent Hermite
+    table, where equal nodes take f^(j)(z)/j!.  The arithmetic per entry is
+    the scalar routine's, so the two agree to rounding.
+    """
+    z = np.asarray(rows, dtype=float)
+    if z.ndim != 2 or z.shape[1] == 0:
+        raise ParameterError(f"expected an (M, n+1) node array, got shape {z.shape}")
+    z = np.sort(z, axis=1)
+    M, k = z.shape
+    if k - 1 > f.max_order:
+        raise OrderLimitError(
+            f"divided difference of order {k - 1} needs derivatives the family "
+            f"{f.family_id!r} does not provide (max_order={f.max_order})"
+        )
+    f.check_domain(z)
+    # single-linkage blocks of the sorted nodes, each replaced by its mean;
+    # the running sum adds a block's nodes left to right, as np.mean does
+    tol = 1e-7 * (1.0 + np.max(np.abs(z), axis=1))
+    joins = np.diff(z, axis=1) <= tol[:, None]
+    total, count = z.copy(), np.ones(z.shape)
+    for i in range(1, k):
+        r = joins[:, i - 1]
+        total[r, i] += total[r, i - 1]
+        count[r, i] += count[r, i - 1]
+    for i in range(k - 2, -1, -1):
+        r = joins[:, i]
+        total[r, i] = total[r, i + 1]
+        count[r, i] = count[r, i + 1]
+    z = total / count
+    col = np.asarray(f._evaluator(0, z), dtype=complex)
+    for j in range(1, k):
+        gap = z[:, j:] - z[:, :-j]
+        confluent = gap == 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            col = (col[:, 1:] - col[:, :-1]) / gap
+        if confluent.any():
+            deriv = np.asarray(f._evaluator(j, z[:, :-j][confluent]), dtype=complex)
+            fact = math.factorial(j)
+            col.real[confluent] = deriv.real / fact
+            col.imag[confluent] = deriv.imag / fact
+    return col[:, 0]
+
+
 def divided_difference_tensor(
     f: FunctionFamily, order: int, node_lists: Sequence[Sequence[float]]
 ) -> np.ndarray:
     """Entry (i_0,...,i_n) = divided_difference(f, (lists[0][i_0],...,lists[n][i_n])).
 
-    Memoizes over permutation-equivalent node multisets; the cache lives for
-    the duration of one call, so concurrent callers never share state.
+    Evaluated by :func:`divided_difference_rows` over the rows of the
+    Cartesian product of the lists.
     """
     if len(node_lists) != order + 1:
         raise ParameterError(f"expected {order + 1} node lists, got {len(node_lists)}")
@@ -232,18 +284,8 @@ def divided_difference_tensor(
     for l in lists:
         if l.size == 0:
             raise ParameterError("empty node list")
-    shape = tuple(len(l) for l in lists)
-    out = np.empty(shape, dtype=complex)
-    cache: Dict[Tuple[float, ...], complex] = {}
-    for idx in np.ndindex(shape):
-        nodes = tuple(lists[s][idx[s]] for s in range(order + 1))
-        key = tuple(sorted(nodes))
-        val = cache.get(key)
-        if val is None:
-            val = divided_difference(f, nodes)
-            cache[key] = val
-        out[idx] = val
-    return out
+    rows = np.stack(np.meshgrid(*lists, indexing="ij"), axis=-1).reshape(-1, order + 1)
+    return divided_difference_rows(f, rows).reshape([len(l) for l in lists])
 
 
 @dataclass

@@ -7,18 +7,31 @@ evaluated at the cluster representatives:
     T(b_1, ..., b_n) = sum over (i_0..i_n) of
         phi(rep_{i_0}, ..., rep_{i_n}) P_{i_0} b_1 P_{i_1} ... b_n P_{i_n}
 
-The contraction accumulates left partial products recursively in each
-operator's eigenbasis, so the cost is O(K^{n+1} d^2) for K clusters rather
-than d^{n+1} dense products.  The symbol does not factorize in general, so
-no asymptotically better exact contraction exists; clustering is the
-leverage.  Summation order is fixed, making results bit-stable across runs.
+In the eigenbases, with C_k = V_k* b_{k+1} V_{k+1}, this is one tensor
+contraction over eigen-indices (the Daleckii-Krein / Hadamard form):
+
+    inner[i_0, i_n] = sum over i_1..i_{n-1} of
+        Phi[i_0, ..., i_n] C_0[i_0, i_1] ... C_{n-1}[i_{n-1}, i_n]
+
+    T = V_0 inner V_n*
+
+One kernel computes it.  The symbol is evaluated once, as a tensor over the
+per-slot representative vectors (:meth:`Symbol.tensor`); the tensor is
+broadcast to eigen-indices through each slot's cluster (or bin) labels; and
+a single ``einsum`` contracts it with the C_k.  The work is O(d^{n+1}),
+which is the size of Phi itself.  The kernel runs over chunks of i_0 so that
+no chunk holds more than ``_CHUNK_ENTRIES`` complex entries, and an order
+whose single i_0 slice is larger raises :class:`ParameterError` before
+anything is allocated.  Summation order is fixed, making results bit-stable
+across runs.
 """
 
 from __future__ import annotations
 
 import math
+import string
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -28,7 +41,12 @@ from .errors import (
     ToleranceError,
     WindowError,
 )
-from .families import FunctionFamily, divided_difference
+from .families import (
+    FunctionFamily,
+    divided_difference,
+    divided_difference_rows,
+    divided_difference_tensor,
+)
 from .spectral import EigenSystem, TraceModel, apply_callable, eig_hermitian, schatten_norm, trace
 
 __all__ = [
@@ -66,9 +84,18 @@ class Symbol:
     def evaluate(self, nodes: Sequence[float]) -> complex:
         raise NotImplementedError
 
-    def cache_key(self, nodes: Tuple[float, ...]):
-        """Key for per-call memoization; symmetric symbols canonicalize."""
-        return nodes
+    def tensor(self, reps: Sequence[np.ndarray]) -> np.ndarray:
+        """Values at every tuple of per-slot representatives.
+
+        Entry (j_0, ..., j_n) is evaluate((reps[0][j_0], ..., reps[n][j_n])).
+        This generic form calls :meth:`evaluate` once per tuple; symbols with
+        structure override it with a vectorized form.
+        """
+        shape = tuple(len(r) for r in reps)
+        out = np.empty(shape, dtype=complex)
+        for idx in np.ndindex(shape):
+            out[idx] = self.evaluate(tuple(float(reps[s][i]) for s, i in enumerate(idx)))
+        return out
 
 
 class DividedDifferenceSymbol(Symbol):
@@ -86,8 +113,8 @@ class DividedDifferenceSymbol(Symbol):
     def evaluate(self, nodes):
         return divided_difference(self.f, nodes)
 
-    def cache_key(self, nodes):
-        return tuple(sorted(nodes))
+    def tensor(self, reps):
+        return divided_difference_tensor(self.f, self.order, reps)
 
     def __repr__(self):
         return f"DividedDifferenceSymbol({self.f.family_id}, order={self.order})"
@@ -123,6 +150,18 @@ class FactorizedSymbol(Symbol):
             out += prod
         return out
 
+    def tensor(self, reps):
+        """Sum over terms of weight * g_0(reps[0]) x ... x g_n(reps[n]) (outer products)."""
+        out = np.zeros(tuple(len(r) for r in reps), dtype=complex)
+        for term in self.terms:
+            prod = np.asarray(complex(term.weight))
+            for g, r in zip(term.factors, reps):
+                r = np.asarray(r, dtype=float)
+                vals = np.broadcast_to(np.asarray(g(r), dtype=complex), r.shape)
+                prod = np.multiply.outer(prod, vals)
+            out += prod
+        return out
+
     def factorized_bound(self) -> Optional[float]:
         """Sum over terms of |weight| * prod sup|g_i|, when the sups are declared."""
         total = 0.0
@@ -145,8 +184,15 @@ class DiagonalRestrictedSymbol(Symbol):
     def evaluate(self, nodes):
         return self.base.evaluate(tuple(nodes) + (nodes[0],))
 
-    def cache_key(self, nodes):
-        return nodes
+    def tensor(self, reps):
+        if isinstance(self.base, DividedDifferenceSymbol):
+            rows = np.stack(np.meshgrid(*reps, indexing="ij"), axis=-1).reshape(-1, self.arity)
+            rows = np.concatenate([rows, rows[:, :1]], axis=1)
+            return divided_difference_rows(self.base.f, rows).reshape([len(r) for r in reps])
+        if isinstance(self.base, FactorizedSymbol):
+            wrapped = self.base.tensor(list(reps) + [reps[0]])
+            return np.moveaxis(np.diagonal(wrapped, axis1=0, axis2=-1), -1, 0)
+        return super().tensor(reps)
 
 
 class CustomSymbol(Symbol):
@@ -244,76 +290,90 @@ class MOIResult:
 # ---------------------------------------------------------------------------
 
 
-def _slot_blocks_clusters(ops: MOIOperands):
-    blocks = []
+# Complex entries one chunk of the kernel may hold (4 MiB as complex128).  A
+# chunk is a run of i_0 whose slab of Phi, d^n entries per i_0, fits in this
+# bound; the symbol tensor it is broadcast from is no larger.
+_CHUNK_ENTRIES = 1 << 18
+
+
+def _chunk_rows(d: int, n: int) -> int:
+    """Number of i_0 per chunk; raises ParameterError when one i_0 slice is too large."""
+    per_row = d ** n
+    if per_row > _CHUNK_ENTRIES:
+        raise ParameterError(
+            f"an order-{n} operator integral at dimension {d} needs {per_row} complex "
+            f"entries per eigen-index, more than the {_CHUNK_ENTRIES} one chunk may hold"
+        )
+    return _CHUNK_ENTRIES // per_row
+
+
+def _cluster_slots(ops: MOIOperands):
+    """Per slot: (cluster representatives, cluster label of each eigen-index)."""
+    slots = []
     for E in ops.operators:
-        blocks.append([(np.asarray(c, dtype=int), float(r))
-                       for c, r in zip(E.clusters, E.cluster_reps)])
-    return blocks
+        labels = np.empty(E.dim, dtype=np.intp)
+        for b, cluster in enumerate(E.clusters):
+            labels[list(cluster)] = b
+        slots.append((np.asarray(E.cluster_reps, dtype=float), labels))
+    return slots
 
 
-def _slot_blocks_bins(ops: MOIOperands, m: int, N: int):
-    """Group eigen-indices by bin l = floor(lambda * m); representative l/m."""
-    blocks = []
+def _bin_slots(ops: MOIOperands, m: int, N: int):
+    """Per slot: (bin corners l/m, bin label of each eigen-index), l = floor(lambda * m)."""
+    slots = []
     hit = 0
     for E in ops.operators:
-        ls = np.floor(E.eigenvalues * m).astype(np.int64)
-        if np.any(np.abs(ls) > N):
+        scaled = E.eigenvalues * m
+        reach = float(np.max(np.abs(scaled), initial=0.0))
+        if reach > N:
             raise WindowError(
-                f"window [-{N}/{m}, {N}/{m}] misses spectrum; need N >= "
-                f"{int(np.max(np.abs(ls)))}"
+                f"window [-{N}/{m}, {N}/{m}] misses spectrum; need N >= {math.ceil(reach)}"
             )
-        slot = []
-        for l in np.unique(ls):
-            idx = np.nonzero(ls == l)[0]
-            slot.append((idx, float(l) / m))
-        hit += len(slot)
-        blocks.append(slot)
-    return blocks, hit
+        bins, labels = np.unique(np.floor(scaled).astype(np.int64), return_inverse=True)
+        slots.append((bins / m, labels))
+        hit += len(bins)
+    return slots, hit
 
 
-def _contract(symbol: Symbol, ops: MOIOperands, blocks) -> Tuple[np.ndarray, int]:
-    """Sum over block multi-indices of phi(reps) * P b P ... b P."""
-    d = ops.dim
-    n = ops.n_args
-    cache: Dict[tuple, complex] = {}
+def _chain(ops: MOIOperands) -> List[np.ndarray]:
+    """C_k = V_k* b_{k+1} V_{k+1}: the arguments in the eigenbases of their neighbours."""
+    return [
+        ops.operators[k].basis.conj().T @ ops.arguments[k] @ ops.operators[k + 1].basis
+        for k in range(ops.n_args)
+    ]
 
-    def sym(nodes: Tuple[float, ...]) -> complex:
-        key = symbol.cache_key(nodes)
-        val = cache.get(key)
-        if val is None:
-            val = complex(symbol.evaluate(nodes))
-            cache[key] = val
-        return val
 
+def _chain_subscripts(n: int) -> Tuple[str, List[str]]:
+    """einsum letters of i_0..i_n and of C_0..C_{n-1}."""
+    idx = string.ascii_letters[: n + 1]
+    return idx, [idx[k:k + 2] for k in range(n)]
+
+
+def _contract(symbol: Symbol, ops: MOIOperands, slots) -> Tuple[np.ndarray, int]:
+    """V_0 inner V_n* with inner contracted chunk by chunk over i_0.
+
+    Returns the value and the number of symbol values computed.
+    """
+    d, n = ops.dim, ops.n_args
+    step = _chunk_rows(d, n)
+    C = _chain(ops)
+    idx, pairs = _chain_subscripts(n)
+    spec = ",".join([idx] + pairs) + "->" + idx[0] + idx[-1]
+    reps0, labels0 = slots[0]
     inner = np.zeros((d, d), dtype=complex)
-    if n == 0:
-        for idx, rep in blocks[0]:
-            w = sym((rep,))
-            inner[idx, idx] += w
-    else:
-        C = [
-            ops.operators[k].basis.conj().T @ ops.arguments[k] @ ops.operators[k + 1].basis
-            for k in range(n)
-        ]
-
-        def rec(slot: int, rows: np.ndarray, partial: np.ndarray, reps: Tuple[float, ...]):
-            if slot == n:
-                for idx, rep in blocks[n]:
-                    w = sym(reps + (rep,))
-                    inner[np.ix_(rows, idx)] += w * partial[:, idx]
-            else:
-                for idx, rep in blocks[slot]:
-                    sub = partial[:, idx] @ C[slot][idx, :]
-                    rec(slot + 1, rows, sub, reps + (rep,))
-
-        for idx0, rep0 in blocks[0]:
-            rec(1, idx0, C[0][idx0, :], (rep0,))
-
-    V0 = ops.operators[0].basis
-    Vn = ops.operators[-1].basis
-    value = V0 @ inner @ Vn.conj().T
-    return value, len(cache)
+    evaluations = 0
+    for lo in range(0, d, step):
+        rows = np.arange(lo, min(lo + step, d))
+        used, local = np.unique(labels0[rows], return_inverse=True)
+        phi = symbol.tensor([reps0[used]] + [reps for reps, _ in slots[1:]])
+        evaluations += phi.size
+        phi = phi[np.ix_(local, *[labels for _, labels in slots[1:]])]
+        if n == 0:
+            inner[rows, rows] = phi
+        else:
+            inner[rows] = np.einsum(spec, phi, C[0][rows], *C[1:])
+    value = ops.operators[0].basis @ inner @ ops.operators[-1].basis.conj().T
+    return value, evaluations
 
 
 def _check_symbol(symbol: Symbol, ops: MOIOperands) -> None:
@@ -331,12 +391,12 @@ def _check_symbol(symbol: Symbol, ops: MOIOperands) -> None:
 def moi_projection_sum(symbol: Symbol, ops: MOIOperands) -> MOIResult:
     """Projection-sum multiple operator integral at cluster resolution."""
     _check_symbol(symbol, ops)
-    blocks = _slot_blocks_clusters(ops)
-    value, n_evals = _contract(symbol, ops, blocks)
+    slots = _cluster_slots(ops)
+    value, n_evals = _contract(symbol, ops, slots)
     return MOIResult(
         value=value,
         diagnostics={
-            "cluster_counts": [len(b) for b in blocks],
+            "cluster_counts": [len(reps) for reps, _ in slots],
             "symbol_evaluations": n_evals,
         },
     )
@@ -346,18 +406,18 @@ def moi_discretized(symbol: Symbol, ops: MOIOperands, m: int, N: int) -> MOIResu
     """Discretized sum over spectral bins [l/m, (l+1)/m), symbol at bin corners.
 
     Finite spectra make the window limit exact: once [-N/m, N/m] covers every
-    eigenvalue the sum is complete, and a too-small window raises
-    :class:`WindowError` instead of silently truncating.
+    eigenvalue (|lambda * m| <= N) the sum is complete, and a too-small window
+    raises :class:`WindowError` instead of silently truncating.
     """
     _check_symbol(symbol, ops)
     if m < 1:
         raise ParameterError("bin density m must be >= 1")
-    blocks, bins_hit = _slot_blocks_bins(ops, m, N)
-    value, n_evals = _contract(symbol, ops, blocks)
+    slots, bins_hit = _bin_slots(ops, m, N)
+    value, n_evals = _contract(symbol, ops, slots)
     return MOIResult(
         value=value,
         diagnostics={
-            "cluster_counts": [len(b) for b in blocks],
+            "cluster_counts": [len(reps) for reps, _ in slots],
             "symbol_evaluations": n_evals,
             "bins_hit": bins_hit,
             "m": m,
@@ -530,35 +590,27 @@ def projection_trace_weights(
 
     Returns (list of per-slot representative arrays, dict multi-index -> weight).
     """
-    d = ops.dim
-    n = ops.n_args
-    blocks = _slot_blocks_clusters(ops)
-    V0 = ops.operators[0].basis
-    Vn = ops.operators[-1].basis
-    Cwrap = Vn.conj().T @ (np.eye(d) if closing is None else np.asarray(closing, dtype=complex)) @ V0
-    weights: Dict[Tuple[int, ...], complex] = {}
-    reps_per_slot = [np.array([r for _, r in slot]) for slot in blocks]
-
-    if n == 0:
-        for b0, (idx, _) in enumerate(blocks[0]):
-            weights[(b0,)] = complex(np.trace(Cwrap[np.ix_(idx, idx)]))
-        return reps_per_slot, weights
-
-    C = [
-        ops.operators[k].basis.conj().T @ ops.arguments[k] @ ops.operators[k + 1].basis
-        for k in range(n)
-    ]
-
-    def rec(slot, rows, partial, key):
-        if slot == n:
-            for bn, (idx, _) in enumerate(blocks[n]):
-                w = complex(np.einsum("ab,ba->", partial[:, idx], Cwrap[np.ix_(idx, rows)]))
-                weights[key + (bn,)] = w
+    d, n = ops.dim, ops.n_args
+    step = _chunk_rows(d, n)
+    slots = _cluster_slots(ops)
+    closing = np.eye(d) if closing is None else np.asarray(closing, dtype=complex)
+    Cwrap = ops.operators[-1].basis.conj().T @ closing @ ops.operators[0].basis
+    C = _chain(ops)
+    idx, pairs = _chain_subscripts(n)
+    # w[i_0..i_n] = C_0[i_0, i_1] ... C_{n-1}[i_{n-1}, i_n] Cwrap[i_n, i_0]
+    spec = ",".join(pairs + [idx[-1] + idx[0]]) + "->" + idx
+    # one-hot cluster membership per slot, for summing eigen-indices into blocks
+    members = [np.eye(len(reps))[labels].T for reps, labels in slots]
+    W = np.zeros([len(reps) for reps, _ in slots], dtype=complex)
+    for lo in range(0, d, step):
+        rows = np.arange(lo, min(lo + step, d))
+        if n == 0:
+            w = Cwrap[rows, rows]
         else:
-            for bs, (idx, _) in enumerate(blocks[slot]):
-                sub = partial[:, idx] @ C[slot][idx, :]
-                rec(slot + 1, rows, sub, key + (bs,))
-
-    for b0, (idx0, _) in enumerate(blocks[0]):
-        rec(1, idx0, C[0][idx0, :], (b0,))
+            w = np.einsum(spec, C[0][rows], *C[1:], Cwrap[:, rows])
+        for s in range(1, n + 1):
+            w = np.moveaxis(np.tensordot(w, members[s], axes=([s], [1])), -1, s)
+        W += np.tensordot(members[0][:, rows], w, axes=([1], [0]))
+    reps_per_slot = [reps.copy() for reps, _ in slots]
+    weights = dict(zip(np.ndindex(W.shape), W.ravel().tolist()))
     return reps_per_slot, weights

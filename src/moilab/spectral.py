@@ -1,10 +1,11 @@
 """Hermitian matrix algebra: eigensystems, functional calculus, norms, traces.
 
-The eigensolver is a cyclic Jacobi iteration for complex Hermitian matrices.
-Each sweep annihilates every off-diagonal pair with a unitary plane rotation,
-so the accumulated eigenvector matrix is orthonormal by construction and the
-reconstruction residual lands near machine precision for the dimensions this
-package targets (d <= 256).
+Eigendecompositions come from LAPACK through ``np.linalg.eigh``.  Its result
+is not taken on trust: :func:`eig_hermitian` checks the reconstruction
+residual and the unitarity of the eigenvector basis against fixed contracts
+and raises :class:`NumericalError` when either fails.  Schatten norms use the
+singular values from ``np.linalg.svd``, which keeps the condition number of
+X rather than squaring it as an eigensolve of X*X would.
 
 Eigenvalues are clustered by single-linkage merging with a spectral-range
 scaled gap, and the cluster representatives are what downstream operator
@@ -36,11 +37,10 @@ __all__ = [
     "apply_function",
     "apply_callable",
     "schatten_norm",
+    "weighted_diagonal_norm",
     "trace",
     "default_cluster_tol",
 ]
-
-_JACOBI_MAX_SWEEPS = 100
 
 
 def require_hermitian(A, tol: float = 1e-12) -> np.ndarray:
@@ -97,59 +97,6 @@ def _cluster(eigenvalues: np.ndarray, tol: float):
     return clusters, np.asarray(reps)
 
 
-def _jacobi(A: np.ndarray):
-    """Cyclic Jacobi sweeps; returns (diagonal values, accumulated unitary)."""
-    d = A.shape[0]
-    M = A.copy()
-    V = np.eye(d, dtype=complex)
-    if d == 1:
-        return M.real.diagonal().copy(), V
-    norm = np.linalg.norm(A)
-    if norm == 0.0:
-        return np.zeros(d), V
-    stop = 1e-15 * norm
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        off = np.linalg.norm(M - np.diag(np.diagonal(M)))
-        if off <= stop:
-            break
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                apq = M[p, q]
-                r = abs(apq)
-                if r <= 1e-18 * norm:
-                    continue
-                phase = apq / r
-                tau = (M[q, q].real - M[p, p].real) / (2.0 * r)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.hypot(1.0, t)
-                s = t * c
-                # unitary plane rotation J: J[p,p]=c, J[p,q]=s*phase,
-                # J[q,p]=-s*conj(phase), J[q,q]=c; M <- J* M J, V <- V J
-                colp = M[:, p].copy()
-                colq = M[:, q].copy()
-                M[:, p] = c * colp - s * np.conj(phase) * colq
-                M[:, q] = s * phase * colp + c * colq
-                rowp = M[p, :].copy()
-                rowq = M[q, :].copy()
-                M[p, :] = c * rowp - s * phase * rowq
-                M[q, :] = s * np.conj(phase) * rowp + c * rowq
-                M[p, q] = 0.0
-                M[q, p] = 0.0
-                M[p, p] = M[p, p].real
-                M[q, q] = M[q, q].real
-                vp = V[:, p].copy()
-                vq = V[:, q].copy()
-                V[:, p] = c * vp - s * np.conj(phase) * vq
-                V[:, q] = s * phase * vp + c * vq
-    else:
-        off = float(np.linalg.norm(M - np.diag(np.diagonal(M))))
-        raise NumericalError(
-            f"Jacobi iteration did not converge in {_JACOBI_MAX_SWEEPS} sweeps",
-            residual=off,
-        )
-    return np.real(np.diagonal(M)).copy(), V
-
-
 def eig_hermitian(A, eps_cluster: Optional[float] = None) -> EigenSystem:
     """Eigendecomposition of a Hermitian matrix with clustering.
 
@@ -158,14 +105,14 @@ def eig_hermitian(A, eps_cluster: Optional[float] = None) -> EigenSystem:
     DimensionMismatchError
         If the input is not Hermitian.
     NumericalError
-        If the sweep budget is exhausted or the reconstruction residual
-        exceeds its contract.
+        If LAPACK does not converge, or the reconstruction residual or the
+        unitarity of the basis exceeds its contract.
     """
     M = require_hermitian(A)
-    vals, V = _jacobi(M)
-    order = np.argsort(vals, kind="stable")
-    vals = vals[order]
-    V = V[:, order]
+    try:
+        vals, V = np.linalg.eigh(M)  # ascending eigenvalues
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigendecomposition did not converge: {exc}") from exc
     d = M.shape[0]
     residual = float(np.linalg.norm(M - (V * vals) @ V.conj().T))
     scale = max(1.0, float(np.linalg.norm(M)))
@@ -253,11 +200,22 @@ def trace(X, model: Optional[TraceModel] = None) -> complex:
     return complex(np.sum(model.weights * np.diagonal(M)))
 
 
-def _singular_values(X: np.ndarray) -> np.ndarray:
-    gram = X.conj().T @ X
-    gram = (gram + gram.conj().T) / 2.0
-    vals, _ = _jacobi(gram)
-    return np.sqrt(np.clip(np.sort(vals), 0.0, None))
+def weighted_diagonal_norm(diagonal, p: float, model: TraceModel) -> float:
+    """p-norm of diag(diagonal) under a weighted_diagonal trace model.
+
+    (sum_k w_k |x_k|^p)^(1/p), or max |x_k| for p = inf.  Takes the diagonal
+    as a vector, so no d x d matrix is formed.
+    """
+    if not (p >= 1.0):
+        raise ParameterError(f"Schatten exponent must satisfy p >= 1, got {p}")
+    if model.kind != "weighted_diagonal":
+        raise ParameterError("weighted_diagonal_norm needs a weighted_diagonal model")
+    sig = np.abs(np.asarray(diagonal, dtype=complex))
+    if sig.shape != model.weights.shape:
+        raise DimensionMismatchError("diagonal length does not match weights")
+    if math.isinf(p):
+        return float(sig.max()) if len(sig) else 0.0
+    return float(np.sum(model.weights * sig ** p) ** (1.0 / p))
 
 
 def schatten_norm(X, p: float, model: Optional[TraceModel] = None) -> float:
@@ -268,12 +226,9 @@ def schatten_norm(X, p: float, model: Optional[TraceModel] = None) -> float:
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got {M.shape}")
     if model is None or model.kind == "standard":
-        sig = _singular_values(M)
+        sig = np.linalg.svd(M, compute_uv=False)  # descending
         if math.isinf(p):
-            return float(sig[-1]) if len(sig) else 0.0
+            return float(sig[0]) if len(sig) else 0.0
         return float(np.sum(sig ** p) ** (1.0 / p))
     model.check_matrix(M)
-    sig = np.abs(np.diagonal(M))
-    if math.isinf(p):
-        return float(sig.max()) if len(sig) else 0.0
-    return float(np.sum(model.weights * sig ** p) ** (1.0 / p))
+    return weighted_diagonal_norm(np.diagonal(M), p, model)

@@ -27,6 +27,7 @@ from .spectral import (
     eig_hermitian,
     require_hermitian,
     schatten_norm,
+    weighted_diagonal_norm,
 )
 
 __all__ = [
@@ -403,6 +404,6 @@ def lp_counterexample_demo(
             b = (k / d) ** (-1.0 / (1.5 * p)) if heavy else np.ones(d)
             # diagonal algebra commutes: phi'(t) = f'(1 + t b) b entrywise
             quot = (f.eval(1, 1.0 + t * b) * b - f.eval(1, np.ones(d)) * b) / t
-            out.append(schatten_norm(np.diag(quot), p, model))
+            out.append(weighted_diagonal_norm(quot, p, model))
         rows.append(DivergenceRow(dim=int(d), t=t, r_heavy=out[0], r_bounded=out[1]))
     return rows

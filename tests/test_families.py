@@ -202,6 +202,54 @@ def test_tensor_validates_inputs():
         divided_difference_tensor(gaussian(), 1, [[0.0], []])
 
 
+def hermite_rounding_bound(f, nodes):
+    """The confluent table run on absolute values: a forward rounding bound.
+
+    Rounding in f(z) or in a quotient is amplified by the node gaps it is
+    divided by, so two evaluations of the same table can differ by a few eps
+    times this bound, and by nothing more.
+    """
+    z = NodeList(nodes).expanded()
+    col = [abs(f.eval(0, x)) for x in z]
+    for j in range(1, len(z)):
+        col = [
+            abs(f.eval(j, z[i])) / math.factorial(j) if z[i + j] == z[i]
+            else (col[i + 1] + col[i]) / (z[i + j] - z[i])
+            for i in range(len(z) - j)
+        ]
+    return col[0]
+
+
+# node offsets relative to (1 + |base|): exact repeats, gaps around the 1e-8
+# eigenvalue-cluster tolerance and the 1e-7 node-merge tolerance, and clear gaps
+_NEAR_OFFSETS = [0.0, 1e-12, 5e-9, 1e-8, 2e-8, 9e-8, 1e-7, 1.1e-7, 2e-7, 1e-3, 0.3]
+_ALL_FAMILIES = [monomial(3), exponential(), fourier(1.3), gaussian(), bump(), runge(),
+                 recip_plus()]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    fam=st.sampled_from(_ALL_FAMILIES),
+    order=st.integers(0, 3),
+    base=st.floats(-1.5, 1.5),
+    offsets=st.lists(
+        st.lists(st.tuples(st.sampled_from(_NEAR_OFFSETS), st.sampled_from([-1.0, 1.0])),
+                 min_size=1, max_size=3),
+        min_size=4, max_size=4,
+    ),
+)
+def test_vectorized_tensor_matches_scalar_near_tolerances(fam, order, base, offsets):
+    order = min(order, fam.max_order)
+    lists = [[base + o * sign * (1.0 + abs(base)) for o, sign in slot] for slot in offsets]
+    lists = lists[: order + 1]
+    t = divided_difference_tensor(fam, order, lists)
+    eps = np.finfo(float).eps
+    for idx in np.ndindex(t.shape):
+        nodes = [lists[s][i] for s, i in enumerate(idx)]
+        want = divided_difference(fam, nodes)
+        assert abs(t[idx] - want) <= 4 * (order + 1) * eps * hermite_rounding_bound(fam, nodes)
+
+
 @pytest.mark.parametrize("fam,k", [(gaussian(), 3), (runge(), 3), (bump(halfwidth=2.0), 3),
                                    (fourier(1.1), 3), (recip_plus(), 1)])
 def test_derivative_evaluators_match_finite_differences(fam, k):

@@ -1,16 +1,20 @@
 """Cross-form consistency of the multiple operator integral implementations."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moilab.errors import (
     DimensionMismatchError,
     ParameterError,
     WindowError,
 )
-from moilab.families import divided_difference, exponential, gaussian, monomial
+from moilab import moi
+from moilab.families import divided_difference, exponential, gaussian, monomial, runge
 from moilab.moi import (
     CustomSymbol,
     DiagonalRestrictedSymbol,
@@ -169,6 +173,18 @@ def test_discretized_window_error():
     sym = dd_symbol(gaussian(), 1)
     with pytest.raises(WindowError):
         moi_discretized(sym, operands([E, E], [np.eye(2)]), m=4, N=10)
+
+
+def test_discretized_window_is_symmetric():
+    # the window is [-N/m, N/m] on both sides: 2.6 * 4 = 10.4 lies outside N = 10
+    sym = dd_symbol(gaussian(), 1)
+    for lam in ([2.6, -1.0], [-2.6, 1.0]):
+        ops = operands([eig_hermitian(np.diag(lam))] * 2, [np.eye(2)])
+        with pytest.raises(WindowError, match="need N >= 11"):
+            moi_discretized(sym, ops, m=4, N=10)
+        moi_discretized(sym, ops, m=4, N=11)
+    edge = operands([eig_hermitian(np.diag([2.5, -2.5]))] * 2, [np.eye(2)])
+    assert moi_discretized(sym, edge, m=4, N=10).diagnostics["bins_hit"] == 4
 
 
 def test_discretized_self_convergence_seeded():
@@ -355,6 +371,9 @@ def test_diagonal_restriction_matches_definition():
             inner[np.ix_(ii, jj)] += w * CB[np.ix_(ii, jj)]
     want = EA.basis @ inner @ EC.basis.conj().T
     assert np.allclose(got, want, atol=1e-12)
+    # the per-tuple route of a restricted symbol with no vectorized form
+    custom = DiagonalRestrictedSymbol(CustomSymbol(lambda nodes: divided_difference(f, nodes), 3))
+    assert np.allclose(moi_projection_sum(custom, operands([EA, EC], [B])).value, want, atol=1e-12)
 
 
 def test_diagonal_restriction_of_factorized_matches_wrapped_product():
@@ -390,3 +409,114 @@ def test_projection_trace_weights_reproduce_moi_trace():
         total += divided_difference(f, nodes) * w
     direct = trace(moi_projection_sum(dd_symbol(f, 2), ops).value)
     assert total == pytest.approx(direct, rel=1e-10, abs=1e-12)
+
+
+# --- kernel properties ---
+
+
+def _unitary(gen, d):
+    return eig_hermitian(random_hermitian(gen, d)).basis
+
+
+def _assert_matches_brute_force(f, Es, args):
+    got = moi_projection_sum(dd_symbol(f, len(args)), operands(Es, args)).value
+    want = brute_force_moi(f, Es, args)
+    assert np.linalg.norm(got - want) <= 1e-10 * max(1.0, np.linalg.norm(want))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(a=st.floats(-2.0, 2.0), b=st.floats(-2.0, 2.0), n=st.integers(1, 3),
+       f=st.sampled_from([gaussian(), runge(), exponential()]))
+def test_kernel_scalar_case(a, b, n, f):
+    E = eig_hermitian(np.array([[a]]))
+    _assert_matches_brute_force(f, [E] * (n + 1), [np.array([[b]])] * n)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32), d=st.integers(1, 4), n=st.integers(1, 3))
+def test_kernel_zero_argument_gives_zero(seed, d, n):
+    gen = SplitMix64(seed)
+    Es = [eig_hermitian(random_hermitian(gen, d)) for _ in range(n + 1)]
+    args = [gen.complex_normals((d, d)) for _ in range(n)]
+    args[seed % n] = np.zeros((d, d))
+    got = moi_projection_sum(dd_symbol(gaussian(), n), operands(Es, args)).value
+    assert np.array_equal(got, np.zeros((d, d)))
+    _assert_matches_brute_force(gaussian(), Es, args)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32), c=st.floats(-2.0, 2.0), d=st.integers(1, 4),
+       n=st.integers(1, 3))
+def test_kernel_fully_degenerate_operator(seed, c, d, n):
+    # A = cI is one cluster: the integral is f^(n)(c)/n! times the argument product
+    gen = SplitMix64(seed)
+    E = eig_hermitian(c * np.eye(d))
+    assert len(E.clusters) == 1
+    args = [gen.complex_normals((d, d)) for _ in range(n)]
+    _assert_matches_brute_force(runge(), [E] * (n + 1), args)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32), n=st.integers(1, 3),
+       spread=st.sampled_from([0.0, 1e-14, 1e-12, 1e-11]))
+def test_kernel_clustered_spectrum(seed, n, spread):
+    # repeated and sub-tolerance eigenvalues in a random basis, slots mixing
+    # the clustered operator with a generic one
+    gen = SplitMix64(seed)
+    lam = np.array([-0.7, -0.7 + spread, -0.7 - spread, 0.4, 0.4 + spread])
+    U = _unitary(gen, 5)
+    E = eig_hermitian((U * lam) @ U.conj().T)
+    assert len(E.clusters) == 2
+    other = eig_hermitian(random_hermitian(gen, 5))
+    Es = [E, other, E, E][: n + 1]
+    args = [gen.complex_normals((5, 5)) for _ in range(n)]
+    _assert_matches_brute_force(gaussian(), Es, args)
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32), n=st.integers(0, 3), rows=st.integers(1, 5))
+def test_kernel_chunked_and_unchunked_agree(seed, n, rows):
+    gen = SplitMix64(seed)
+    d = 5
+    Es = [eig_hermitian(random_hermitian(gen, d)) for _ in range(n + 1)]
+    args = [gen.complex_normals((d, d)) for _ in range(n)]
+    ops = operands(Es, args)
+    sym = dd_symbol(gaussian(), n)
+    whole = moi_projection_sum(sym, ops)
+    binned = moi_discretized(sym, ops, m=8, N=200)
+    _, weights = projection_trace_weights(ops)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(moi, "_CHUNK_ENTRIES", rows * d ** n)
+        chunked = moi_projection_sum(sym, ops)
+        chunked_binned = moi_discretized(sym, ops, m=8, N=200)
+        _, chunked_weights = projection_trace_weights(ops)
+    for a, b in ((whole, chunked), (binned, chunked_binned)):
+        assert np.linalg.norm(a.value - b.value) <= 1e-13 * max(1.0, np.linalg.norm(a.value))
+    assert whole.diagnostics["cluster_counts"] == chunked.diagnostics["cluster_counts"]
+    assert weights.keys() == chunked_weights.keys()
+    for key, w in weights.items():
+        assert abs(chunked_weights[key] - w) <= 1e-13 * max(1.0, abs(w))
+
+
+def test_kernel_budget_error_before_allocation():
+    # one i_0 slice at d = 64, order 5 is 64^5 complex entries (16 GiB)
+    gen = SplitMix64(80)
+    d, n = 64, 5
+    E = eig_hermitian(random_hermitian(gen, d))
+    ops = operands([E] * (n + 1), [gen.complex_normals((d, d))] * n)
+
+    def never(nodes):
+        raise AssertionError("symbol evaluated before the budget check")
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParameterError, match="one chunk may hold"):
+            moi_projection_sum(CustomSymbol(never, n + 1), ops)
+        with pytest.raises(ParameterError, match="one chunk may hold"):
+            moi_discretized(dd_symbol(gaussian(), n), ops, m=4, N=10 ** 6)
+        with pytest.raises(ParameterError, match="one chunk may hold"):
+            projection_trace_weights(ops)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024  # no d x d matrix (64 KiB) was formed

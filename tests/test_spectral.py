@@ -1,4 +1,6 @@
-"""Jacobi eigensolver, functional calculus, Schatten norms, trace models."""
+"""Eigensolver, functional calculus, Schatten norms, trace models."""
+
+import math
 
 import numpy as np
 import pytest
@@ -23,6 +25,64 @@ from moilab.spectral import (
     trace,
 )
 from conftest import random_hermitian
+
+
+JACOBI_MAX_SWEEPS = 100
+
+
+def jacobi_eigen(A: np.ndarray):
+    """Cyclic Jacobi sweeps; returns (diagonal values, accumulated unitary).
+
+    A pure-Python eigensolver that shares no code with np.linalg.eigh: the
+    oracle for eig_hermitian.  Each sweep annihilates every off-diagonal
+    pair with a unitary plane rotation.
+    """
+    d = A.shape[0]
+    M = A.copy()
+    V = np.eye(d, dtype=complex)
+    if d == 1:
+        return M.real.diagonal().copy(), V
+    norm = np.linalg.norm(A)
+    if norm == 0.0:
+        return np.zeros(d), V
+    stop = 1e-15 * norm
+    for _ in range(JACOBI_MAX_SWEEPS):
+        off = np.linalg.norm(M - np.diag(np.diagonal(M)))
+        if off <= stop:
+            break
+        for p in range(d - 1):
+            for q in range(p + 1, d):
+                apq = M[p, q]
+                r = abs(apq)
+                if r <= 1e-18 * norm:
+                    continue
+                phase = apq / r
+                tau = (M[q, q].real - M[p, p].real) / (2.0 * r)
+                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
+                c = 1.0 / math.hypot(1.0, t)
+                s = t * c
+                # unitary plane rotation J: J[p,p]=c, J[p,q]=s*phase,
+                # J[q,p]=-s*conj(phase), J[q,q]=c; M <- J* M J, V <- V J
+                colp = M[:, p].copy()
+                colq = M[:, q].copy()
+                M[:, p] = c * colp - s * np.conj(phase) * colq
+                M[:, q] = s * phase * colp + c * colq
+                rowp = M[p, :].copy()
+                rowq = M[q, :].copy()
+                M[p, :] = c * rowp - s * phase * rowq
+                M[q, :] = s * np.conj(phase) * rowp + c * rowq
+                M[p, q] = 0.0
+                M[q, p] = 0.0
+                M[p, p] = M[p, p].real
+                M[q, q] = M[q, q].real
+                vp = V[:, p].copy()
+                vq = V[:, q].copy()
+                V[:, p] = c * vp - s * np.conj(phase) * vq
+                V[:, q] = s * phase * vp + c * vq
+    else:
+        off = float(np.linalg.norm(M - np.diag(np.diagonal(M))))
+        raise AssertionError(f"Jacobi oracle did not converge: off-diagonal {off}")
+    return np.real(np.diagonal(M)).copy(), V
 
 
 def expm_taylor(A, terms=30):
@@ -65,6 +125,31 @@ def test_matches_numpy_eigvalsh():
     A = random_hermitian(SplitMix64(7), 12)
     E = eig_hermitian(A)
     assert np.allclose(E.eigenvalues, np.linalg.eigvalsh(A), atol=1e-10)
+
+
+@pytest.mark.parametrize("kind", ["random", "clustered", "scalar"])
+def test_eig_hermitian_matches_jacobi_oracle(kind):
+    gen = SplitMix64(17)
+    d = 6
+    if kind == "random":
+        A = random_hermitian(gen, d)
+    elif kind == "clustered":
+        U = eig_hermitian(random_hermitian(gen, d)).basis
+        lam = np.array([-1.0, -1.0, -1.0 + 1e-12, 0.5, 0.5, 2.0])
+        A = (U * lam) @ U.conj().T
+        A = (A + A.conj().T) / 2.0
+    else:
+        A = 0.7 * np.eye(d, dtype=complex)
+    E = eig_hermitian(A)
+    vals, V = jacobi_eigen(np.asarray(A, dtype=complex))
+    order = np.argsort(vals, kind="stable")
+    vals, V = vals[order], V[:, order]
+    assert np.allclose(E.eigenvalues, vals, rtol=0.0, atol=1e-12 * max(1.0, np.linalg.norm(A)))
+    # eigenvectors are fixed only up to rotations inside a cluster: compare
+    # the spectral projections
+    for b, cluster in enumerate(E.clusters):
+        cols = V[:, list(cluster)]
+        assert np.linalg.norm(E.projection(b) - cols @ cols.conj().T) <= 1e-10
 
 
 def test_non_hermitian_rejected():
