@@ -22,7 +22,7 @@ from .errors import ConfigError, MoiLabError
 from .families import family_from_spec
 from .harness import SUITES, ExperimentConfig, generate_ensemble, run_suite
 from .ssf import FourierParams, higher_ssf_fourier, krein_ssf, save_ssf
-from .taylor import finite_difference_oracle, gateaux_derivative, lp_counterexample_demo
+from .taylor import derivative_moi, finite_difference_oracle, lp_counterexample_demo
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -116,22 +116,15 @@ def _cmd_deriv(args) -> int:
         A, B, _ = generate_ensemble(cfg)
     else:
         raise ConfigError("deriv needs either --matrix-a/--matrix-b or --seed")
-    D = gateaux_derivative(fam, A, B, k=args.k, t=args.t)
+    D = derivative_moi(fam, A, B, k=args.k, t=args.t)
     F = finite_difference_oracle(fam, A, B, k=args.k, t=args.t)
-    rel = float(np.linalg.norm(D - F)) / max(1.0, float(np.linalg.norm(F)))
+    rel = float(np.linalg.norm(D.value - F)) / max(1.0, float(np.linalg.norm(F)))
     if args.out:
-        matrix_io.save_matrix_json(args.out, D)
+        matrix_io.save_matrix_json(args.out, D.value)
         print(f"wrote {args.out}")
-    from .moi import MOIOperands, dd_symbol, moi_projection_sum
-    from .spectral import eig_hermitian
-
-    E = eig_hermitian(np.asarray(A, dtype=complex) + args.t * np.asarray(B, dtype=complex))
-    diag = moi_projection_sum(
-        dd_symbol(fam, args.k), MOIOperands([E] * (args.k + 1), [np.asarray(B, dtype=complex)] * args.k)
-    ).diagnostics
-    print(f"deriv {args.f} k={args.k} t={args.t}: frobenius={np.linalg.norm(D):.6e} "
+    print(f"deriv {args.f} k={args.k} t={args.t}: frobenius={np.linalg.norm(D.value):.6e} "
           f"fd_rel_err={rel:.3e}")
-    print("diagnostics: " + json.dumps(diag, sort_keys=True))
+    print("diagnostics: " + json.dumps(D.diagnostics, sort_keys=True))
     return EXIT_OK
 
 

@@ -225,7 +225,9 @@ def divided_difference_rows(f: FunctionFamily, rows) -> np.ndarray:
     sorted, merged under its own :func:`merge_tolerance` into single-linkage
     blocks replaced by their means, and run through the confluent Hermite
     table, where equal nodes take f^(j)(z)/j!.  The arithmetic per entry is
-    the scalar routine's, so the two agree to rounding.
+    the scalar routine's, so the two agree to rounding.  Trailing axes of the
+    evaluator's values (one function per entry of a parameter vector, such as
+    exp(isx) over an s-grid) carry through.
     """
     z = np.asarray(rows, dtype=float)
     if z.ndim != 2 or z.shape[1] == 0:
@@ -253,11 +255,12 @@ def divided_difference_rows(f: FunctionFamily, rows) -> np.ndarray:
         count[r, i] = count[r, i + 1]
     z = total / count
     col = np.asarray(f._evaluator(0, z), dtype=complex)
+    trailing = (Ellipsis,) + (None,) * (col.ndim - 2)
     for j in range(1, k):
         gap = z[:, j:] - z[:, :-j]
         confluent = gap == 0
         with np.errstate(divide="ignore", invalid="ignore"):
-            col = (col[:, 1:] - col[:, :-1]) / gap
+            col = (col[:, 1:] - col[:, :-1]) / gap[trailing]
         if confluent.any():
             deriv = np.asarray(f._evaluator(j, z[:, :-j][confluent]), dtype=complex)
             fact = math.factorial(j)

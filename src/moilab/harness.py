@@ -59,6 +59,8 @@ from .taylor import (
     lp_counterexample_demo,
     perturbation_first_order,
     perturbation_higher_order,
+    relative_deviation,
+    remainder_two_path,
     telescoping_check,
 )
 
@@ -229,11 +231,6 @@ def _record(name, formula, measured, threshold) -> CheckRecord:
     )
 
 
-def _rel(x: np.ndarray, y: np.ndarray) -> float:
-    nx = float(np.linalg.norm(x - y))
-    return nx / max(1.0, float(np.linalg.norm(x)), float(np.linalg.norm(y)))
-
-
 # ---------------------------------------------------------------------------
 # Checks; each returns a list of CheckRecords
 # ---------------------------------------------------------------------------
@@ -255,7 +252,7 @@ def _checks_derivatives(config: ExperimentConfig) -> List[CheckRecord]:
                 _record(
                     f"derivative_{fam.family_id}_k{k}",
                     "derivative-formula",
-                    _rel(D, F),
+                    relative_deviation(D, F),
                     config.tol("derivative_vs_fd"),
                 )
             )
@@ -322,25 +319,11 @@ def _checks_perturbation(config: ExperimentConfig) -> List[CheckRecord]:
             _record(
                 f"remainder_two_path_{fam.family_id}",
                 "remainder-identity",
-                _remainder_two_path_residual(fam, A, B, min(config.order, fam.max_order - 1)),
+                remainder_two_path(fam, A, B, min(config.order, fam.max_order - 1))[2],
                 config.tol("remainder_two_path"),
             )
         )
     return out
-
-
-def _remainder_two_path_residual(fam, A, B, n) -> float:
-    EA = eig_hermitian(A)
-    EAB = eig_hermitian(A + B)
-    sigma = apply_function(fam, EAB) - apply_function(fam, EA)
-    for k in range(1, n):
-        sigma = sigma - moi_projection_sum(
-            dd_symbol(fam, k), MOIOperands([EA] * (k + 1), [B] * k)
-        ).value
-    closed = moi_projection_sum(
-        dd_symbol(fam, n), MOIOperands([EAB] + [EA] * n, [B] * n)
-    ).value
-    return _rel(sigma, closed)
 
 
 def _brute_force_moi(f, eigsystems, args) -> np.ndarray:
@@ -371,14 +354,14 @@ def _checks_moi(config: ExperimentConfig) -> List[CheckRecord]:
     got = moi_projection_sum(dd_symbol(fam, n), MOIOperands(Es, args)).value
     want = _brute_force_moi(fam, Es, args)
     out.append(
-        _record("moi_vs_brute_force", "projection-sum-definition", _rel(got, want),
+        _record("moi_vs_brute_force", "projection-sum-definition", relative_deviation(got, want),
                 config.tol("moi_brute_force"))
     )
     sym = exponential_symbol(0.9, n + 1)
     a = moi_factorized(sym, MOIOperands(Es, args)).value
     b = moi_projection_sum(sym, MOIOperands(Es, args)).value
     out.append(
-        _record("moi_factorized_cross_form", "factorized-product-form", _rel(a, b),
+        _record("moi_factorized_cross_form", "factorized-product-form", relative_deviation(a, b),
                 config.tol("moi_factorized"))
     )
     # multilinearity in the first argument
@@ -391,7 +374,7 @@ def _checks_moi(config: ExperimentConfig) -> List[CheckRecord]:
         dd_symbol(fam, n), MOIOperands(Es, [extra] + args[1:])
     ).value
     out.append(
-        _record("moi_multilinearity", "multilinearity", _rel(lhs, rhs),
+        _record("moi_multilinearity", "multilinearity", relative_deviation(lhs, rhs),
                 config.tol("moi_multilinear"))
     )
     # palindromic hermiticity

@@ -13,13 +13,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import OrderLimitError, ParameterError, ToleranceError
 from .families import FunctionFamily, recip_plus
-from .moi import MOIOperands, dd_symbol, moi_projection_sum, operands
+from .moi import MOIOperands, MOIResult, dd_symbol, moi_projection_sum, operands
 from .spectral import (
     EigenSystem,
     TraceModel,
@@ -32,8 +32,11 @@ from .spectral import (
 
 __all__ = [
     "gateaux_derivative",
+    "derivative_moi",
     "finite_difference_oracle",
     "taylor_remainder",
+    "remainder_two_path",
+    "relative_deviation",
     "perturbation_first_order",
     "perturbation_higher_order",
     "telescoping_check",
@@ -58,6 +61,11 @@ _STENCILS = {
 # usable window moves up with k.  With three extrapolation levels the
 # smallest step is h/8, which keeps eps/(h/8)^k below 1e-6 at these values.
 _BASE_STEP = {1: 1e-3, 2: 3e-3, 3: 4e-2, 4: 6e-2}
+
+
+def relative_deviation(x: np.ndarray, y: np.ndarray) -> float:
+    """||x - y||_F / max(1, ||x||_F, ||y||_F), the residual of the two-route checks."""
+    return float(np.linalg.norm(x - y) / max(1.0, np.linalg.norm(x), np.linalg.norm(y)))
 
 
 def default_fd_step(k: int, B: np.ndarray) -> float:
@@ -89,6 +97,12 @@ def gateaux_derivative(
     Equals k! times the order-k operator integral with every slot at A + tB
     and every argument equal to B.
     """
+    return derivative_moi(f, A, B, k, t, eps_cluster).value
+
+
+def derivative_moi(f: FunctionFamily, A, B, k: int, t: float = 0.0,
+                   eps_cluster: Optional[float] = None) -> MOIResult:
+    """:func:`gateaux_derivative` with the kernel diagnostics of its one operator integral."""
     if k > f.max_order:
         raise OrderLimitError(f"derivative order {k} exceeds {f.family_id!r} support")
     if k < 1:
@@ -98,7 +112,8 @@ def gateaux_derivative(
     B = require_hermitian(B)
     E = eig_hermitian(A + t * B, eps_cluster)
     ops = operands([E] * (k + 1), [B] * k)
-    return math.factorial(k) * moi_projection_sum(dd_symbol(f, k), ops).value
+    result = moi_projection_sum(dd_symbol(f, k), ops)
+    return MOIResult(math.factorial(k) * result.value, result.diagnostics)
 
 
 def finite_difference_oracle(
@@ -160,6 +175,20 @@ def taylor_remainder(
     and the closed integral form with the leading slot at A + B, asserts they
     agree to check_tol relative, and returns the closed form.
     """
+    sigma, closed, dev = remainder_two_path(f, A, B, n, eps_cluster)
+    if dev > check_tol:
+        raise ToleranceError(
+            "subtraction and closed remainder forms disagree",
+            lhs=sigma,
+            rhs=closed,
+            deviation=dev,
+        )
+    return closed
+
+
+def remainder_two_path(f: FunctionFamily, A, B, n: int, eps_cluster: Optional[float] = None
+                       ) -> Tuple[np.ndarray, np.ndarray, float]:
+    """(subtraction form, closed form, their relative_deviation) of :func:`taylor_remainder`."""
     if n < 1:
         raise ParameterError("remainder order must be >= 1")
     if n > f.max_order:
@@ -175,16 +204,7 @@ def taylor_remainder(
     closed = moi_projection_sum(
         dd_symbol(f, n), operands([EAB] + [EA] * n, [B] * n)
     ).value
-    scale = max(1.0, float(np.linalg.norm(closed)), float(np.linalg.norm(sigma)))
-    dev = float(np.linalg.norm(sigma - closed)) / scale
-    if dev > check_tol:
-        raise ToleranceError(
-            "subtraction and closed remainder forms disagree",
-            lhs=sigma,
-            rhs=closed,
-            deviation=dev,
-        )
-    return closed
+    return sigma, closed, relative_deviation(sigma, closed)
 
 
 def perturbation_first_order(f: FunctionFamily, A, B, tol: float = 1e-9) -> float:
@@ -246,8 +266,7 @@ def perturbation_higher_order(
     rhs_ops = Es[: j - 1] + [EB, EA] + Es[j - 1:]
     rhs_args = xs[: j - 1] + [B - A] + xs[j - 1:]
     rhs = moi_projection_sum(sym_k1, MOIOperands(rhs_ops, rhs_args)).value
-    scale = max(1.0, float(np.linalg.norm(lhs)), float(np.linalg.norm(rhs)))
-    res = float(np.linalg.norm(lhs - rhs)) / scale
+    res = relative_deviation(lhs, rhs)
     if res > tol:
         raise ToleranceError("slot-replacement identity failed",
                              lhs=lhs, rhs=rhs, deviation=res)
@@ -283,8 +302,7 @@ def telescoping_check(
             sym_hi, MOIOperands([Et] * l + [EA] * (n + 1 - l), [B] * n)
         ).value
     rhs = t * rhs
-    scale = max(1.0, float(np.linalg.norm(lhs)), float(np.linalg.norm(rhs)))
-    res = float(np.linalg.norm(lhs - rhs)) / scale
+    res = relative_deviation(lhs, rhs)
     if res > tol:
         raise ToleranceError("telescoping identity failed", lhs=lhs, rhs=rhs, deviation=res)
     return res

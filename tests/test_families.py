@@ -1,5 +1,6 @@
 """Divided differences, confluent limits, and family metadata."""
 
+import itertools
 import math
 
 import numpy as np
@@ -9,10 +10,12 @@ from hypothesis import strategies as st
 
 from moilab.errors import DomainError, OrderLimitError, ParameterError
 from moilab.families import (
+    FunctionFamily,
     NodeList,
     bump,
     classify,
     divided_difference,
+    divided_difference_rows,
     divided_difference_tensor,
     exponential,
     family_from_spec,
@@ -248,6 +251,22 @@ def test_vectorized_tensor_matches_scalar_near_tolerances(fam, order, base, offs
         nodes = [lists[s][i] for s, i in enumerate(idx)]
         want = divided_difference(fam, nodes)
         assert abs(t[idx] - want) <= 4 * (order + 1) * eps * hermite_rounding_bound(fam, nodes)
+
+
+def test_rows_carry_the_trailing_axes_of_a_vector_family():
+    # one family per entry of s, evaluated at once, against one fourier(s) each
+    s = np.array([0.3, 1.3, 40.0])
+    vec = FunctionFamily(
+        "fourier_vec", 3,
+        lambda j, x: (1j * s) ** j * np.exp(1j * np.multiply.outer(x, s)),
+        bounded_deriv={}, vanishes_at_inf={}, real_valued=False,
+    )
+    offsets = [0.0, 1e-12, 5e-8, 1.1e-7, 0.3]
+    rows = 0.4 + 1.4 * np.array(list(itertools.product(offsets, repeat=4)))
+    got = divided_difference_rows(vec, rows)
+    assert got.shape == (len(rows), len(s))
+    for j, sj in enumerate(s):
+        np.testing.assert_array_equal(got[:, j], divided_difference_rows(fourier(sj), rows))
 
 
 @pytest.mark.parametrize("fam,k", [(gaussian(), 3), (runge(), 3), (bump(halfwidth=2.0), 3),

@@ -190,6 +190,30 @@ def test_cli_ssf_and_deriv(tmp_path):
     assert "fd_rel_err" in res2.stdout
 
 
+def test_cli_deriv_runs_one_projection_sum(monkeypatch, capsys):
+    # the printed diagnostics come from the operator integral the derivative
+    # is built from, not from a second one
+    import moilab.moi
+    import moilab.taylor
+    from moilab import cli
+
+    calls = []
+    real = moilab.moi.moi_projection_sum
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(moilab.moi, "moi_projection_sum", counting)
+    monkeypatch.setattr(moilab.taylor, "moi_projection_sum", counting)
+    code = cli.main(["deriv", "--f", "gaussian", "--k", "2", "--t", "0.1",
+                     "--seed", "5", "--dim", "3"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert len(calls) == 1
+    assert 'diagnostics: {"cluster_counts": [3, 3, 3], "symbol_evaluations": 27}' in out
+
+
 def test_cli_run_reports_cross_process_identical(tmp_path):
     # two separate processes, same config and output directory: the report is
     # byte identical once the wall-time line is blanked

@@ -1,13 +1,19 @@
 """Counting and Fourier shift functions and their trace formulas."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from moilab import ssf as ssf_module
 from moilab.errors import ParameterError
-from moilab.families import bump, exponential, gaussian, runge
+from moilab.families import bump, exponential, fourier, gaussian, runge
 from moilab.rng import SplitMix64
-from moilab.spectral import trace
+from moilab.spectral import eig_hermitian, trace
 from moilab.ssf import (
+    MAX_NUM_S,
     FourierParams,
     counting_pairing,
     diagonal_symbol_trace,
@@ -234,3 +240,128 @@ def test_serialization_roundtrip_and_determinism(tmp_path):
     assert np.array_equal(loaded.t_grid, grid.t_grid)
     assert np.array_equal(loaded.values, grid.values)
     assert loaded.method == "fourier"
+
+
+# ---------------------------------------------------------------------------
+# The reduced-arity Fourier sweep against the remainder oracle
+# ---------------------------------------------------------------------------
+
+# Bound on |F_sweep - F_oracle|, in units of d (1 + s ||B||)^(n-1), the size of
+# the terms the sweep subtracts: C_ROUND * eps for rounding, plus
+# C_MERGE * (s g)^2 where the divided-difference table merges eigenvalues a
+# gap g apart (the sweep and the oracle merge different node tuples, each
+# exact to second order in g).  Measured on 4000 draws of the strategy below
+# (1000 per spectrum kind): the rounding ratio is at most 3.0e3 (repeated
+# spectrum, n = 1, at s_max); the excess over 5e3 eps per (s g)^2 is at most
+# 6.8e-3 (n = 3, g = 9e-8) in all draws but one.  That one is the oracle's:
+# there its closed form is 5e-12 off its own subtraction form, which the
+# sweep matches to 16 digits, and it stays inside the combined bound.  The
+# constants round the maxima up by 3x and 7x; 6000 draws (the two measured
+# sets and a fresh one) all pass.
+C_ROUND = 1e4
+C_MERGE = 0.05
+
+
+def _spectrum_pair(seed, d, kind, gap, b_norm):
+    """(A, B, g): A = Q diag(lam) Q* with a spectrum of the given kind, B
+    Hermitian of norm b_norm, and g the eigenvalue gap placed below the
+    divided-difference merge tolerance (0 when there is none)."""
+    rng = np.random.default_rng(seed)
+    lam = rng.uniform(-2.0, 2.0, d)
+    merged = 0.0
+    if kind == "scalar":
+        lam[:] = lam[0]
+    elif kind == "repeated":
+        lam = rng.choice(lam[:2], d)
+    elif kind == "gap" and d > 1:
+        merged = gap * (1.0 + abs(lam[0]))
+        lam[1] = lam[0] + merged
+    Q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    A = (Q * lam) @ Q.conj().T
+    A = (A + A.conj().T) / 2
+    X = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    B = (X + X.conj().T) / 2
+    B = B * (b_norm / np.linalg.norm(B, 2))
+    return A, B, merged
+
+
+def _sweep_and_oracle(A, B, n):
+    """F on the first s past the exclusion zone, a middle s and s_max, by both routes.
+
+    The oracle is the closed remainder form run at eigenvalue resolution, as
+    the sweep is: at the default clustering its two forms disagree for gaps
+    below the cluster tolerance.
+    """
+    p = FourierParams.auto(A, B, n)
+    s = np.linspace(-p.s_max, p.s_max, p.num_s + 1)
+    s_pos = s[s > 0]
+    s_vals = np.array([s_pos[s_pos >= p.s_min_exclusion][0], s_pos[len(s_pos) // 7], s_pos[-1]])
+    EA, EAB = eig_hermitian(A, 0.0), eig_hermitian(A + B, 0.0)
+    got = ssf_module._remainder_trace_exponential(EA, EAB, B, n, s_vals, len(s_vals))
+    want = np.array([
+        complex(trace(taylor_remainder(fourier(x), A, B, n, eps_cluster=0.0))) for x in s_vals
+    ])
+    return s_vals, got, want
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2 ** 32 - 1),
+    d=st.integers(1, 4),
+    n=st.integers(1, 3),
+    kind=st.sampled_from(["generic", "scalar", "repeated", "gap"]),
+    gap=st.sampled_from([5e-9, 1e-8, 2e-8, 5e-8, 9e-8]),
+    b_norm=st.sampled_from([0.0, 0.3, 1.0, 2.0]),
+)
+def test_sweep_matches_remainder_oracle(seed, d, n, kind, gap, b_norm):
+    # d = 1, B = 0, A = cI, exact repeats and gaps around the 1e-8 cluster and
+    # 1e-7 merge tolerances.  Gaps just above 1e-7 are left out: there the
+    # oracle's own order-n divided differences lose their digits.
+    A, B, merged = _spectrum_pair(seed, d, kind, gap, b_norm)
+    s, got, want = _sweep_and_oracle(A, B, n)
+    scale = d * (1.0 + s * b_norm) ** (n - 1)
+    bound = scale * (C_ROUND * np.finfo(float).eps + C_MERGE * (s * merged) ** 2)
+    assert np.all(np.abs(got - want) <= bound), (np.abs(got - want) / bound).max()
+
+
+def test_sweep_chunked_and_unchunked_agree():
+    A, B = pair(21, 5)
+    s = np.linspace(0.01, 40.0, 301)
+    EA, EAB = eig_hermitian(A, 0.0), eig_hermitian(A + B, 0.0)
+    whole = ssf_module._remainder_trace_exponential(EA, EAB, B, 3, s, len(s))
+    chunked = ssf_module._remainder_trace_exponential(EA, EAB, B, 3, s, 7)
+    np.testing.assert_allclose(chunked, whole, rtol=0, atol=1e-13 * np.abs(whole).max())
+
+
+def test_fourier_budget_errors_before_allocation():
+    A, B = pair(22, 8)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParameterError, match="cap"):
+            higher_ssf_fourier(A, B, 2, params=FourierParams(
+                s_max=10.0, num_s=2 ** 40, s_min_exclusion=0.1))
+        with pytest.raises(ParameterError, match="per s-point"):
+            higher_ssf_fourier(A, B, 8)  # 7 * 8^7 entries per s-point
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024, peak
+
+
+def test_auto_num_s_is_capped_by_the_shared_constant():
+    # far from the origin the Nyquist target exceeds the cap
+    A = np.diag([1e4, 1e4 + 1.0])
+    p = FourierParams.auto(A, np.diag([0.5, -0.5]), 2)
+    assert p.num_s == MAX_NUM_S
+
+
+def test_fourier_d32_order3_memory_regression():
+    A, B = pair(23, 32)
+    tracemalloc.start()
+    try:
+        grid = higher_ssf_fourier(A, B, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(grid.values))
+    assert peak < 32 * 2 ** 20, peak / 2 ** 20

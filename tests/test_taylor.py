@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from moilab.errors import OrderLimitError, ParameterError
+from moilab.errors import OrderLimitError, ParameterError, ToleranceError
 from moilab.families import bump, exponential, gaussian, monomial, recip_plus, runge
 from moilab.rng import SplitMix64
 from moilab.taylor import (
@@ -15,6 +15,7 @@ from moilab.taylor import (
     lp_counterexample_demo,
     perturbation_first_order,
     perturbation_higher_order,
+    remainder_two_path,
     taylor_remainder,
     telescoping_check,
 )
@@ -147,6 +148,17 @@ def test_remainder_two_paths_agree(n):
     # the contract itself asserts agreement at 1e-8; just exercise it
     R = taylor_remainder(fam, A, B, n=n)
     assert np.all(np.isfinite(R))
+
+
+def test_remainder_two_path_backs_taylor_remainder():
+    fam = gaussian()
+    A, B = pair(12, 4)
+    sigma, closed, dev = remainder_two_path(fam, A, B, 3)
+    assert dev == float(np.linalg.norm(sigma - closed)) / max(
+        1.0, float(np.linalg.norm(sigma)), float(np.linalg.norm(closed)))
+    assert np.array_equal(taylor_remainder(fam, A, B, n=3), closed)
+    with pytest.raises(ToleranceError):
+        taylor_remainder(fam, A, B, n=3, check_tol=dev / 2)
 
 
 def test_remainder_rejects_out_of_range_order():
