@@ -9,6 +9,16 @@ model provides the commutative setting where the bounded-perturbation
 hypotheses demonstrably cannot be dropped.
 """
 
+import os
+
+# One BLAS thread unless the caller set one: the matrices here are small, and
+# a second OpenBLAS thread costs CPU without saving time.  OpenBLAS reads these
+# variables when numpy first loads it, so they are set before any submodule
+# imports numpy; a numpy imported earlier keeps the threads it started with.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+del _var
+
 from .errors import (
     ConfigError,
     ConsistencyError,

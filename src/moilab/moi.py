@@ -588,7 +588,8 @@ def projection_trace_weights(
     trace of the operator integral against C is then
     sum over multi-indices of phi(reps) * W.
 
-    Returns (list of per-slot representative arrays, dict multi-index -> weight).
+    Returns (list of per-slot representative arrays, complex array W whose
+    axis s runs over the representatives of slot s).
     """
     d, n = ops.dim, ops.n_args
     step = _chunk_rows(d, n)
@@ -611,6 +612,4 @@ def projection_trace_weights(
         for s in range(1, n + 1):
             w = np.moveaxis(np.tensordot(w, members[s], axes=([s], [1])), -1, s)
         W += np.tensordot(members[0][:, rows], w, axes=([1], [0]))
-    reps_per_slot = [reps.copy() for reps, _ in slots]
-    weights = dict(zip(np.ndindex(W.shape), W.ravel().tolist()))
-    return reps_per_slot, weights
+    return [reps.copy() for reps, _ in slots], W

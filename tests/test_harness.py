@@ -141,16 +141,39 @@ def test_report_json_deterministic(tmp_path):
     assert json.dumps(j1, sort_keys=True) == json.dumps(j2, sort_keys=True)
 
 
-def _run_cli(args, cwd):
+def _child_env():
     # the child imports the same moilab as this process: a relative PYTHONPATH
     # entry such as "src" does not resolve from cwd, so prefix the absolute one
     env = dict(os.environ)
     pkg_root = str(Path(moilab.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (pkg_root, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def _run_cli(args, cwd):
     return subprocess.run(
         [sys.executable, "-m", "moilab.cli", *args],
-        capture_output=True, text=True, cwd=cwd, env=env,
+        capture_output=True, text=True, cwd=cwd, env=_child_env(),
     )
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("preset", [None, "2"])
+def test_import_defaults_to_one_blas_thread(tmp_path, preset):
+    # importing moilab sets each BLAS thread variable the caller left unset to
+    # "1"; a value the caller set is kept
+    env = _child_env()
+    for var in BLAS_THREAD_VARS:
+        env.pop(var, None)
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    show = "import os, moilab; print(*(os.environ[v] for v in %r))" % (BLAS_THREAD_VARS,)
+    res = subprocess.run([sys.executable, "-c", show], capture_output=True, text=True,
+                         cwd=tmp_path, env=env)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == [preset or "1", "1", "1"]
 
 
 def test_cli_counterexample_and_exit_codes(tmp_path):

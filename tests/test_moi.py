@@ -403,8 +403,9 @@ def test_projection_trace_weights_reproduce_moi_trace():
     ops = operands([EAB, EA, EA], [B, B])
     f = gaussian()
     reps, weights = projection_trace_weights(ops)
+    assert weights.shape == tuple(len(r) for r in reps)
     total = 0.0 + 0.0j
-    for key, w in weights.items():
+    for key, w in np.ndenumerate(weights):
         nodes = tuple(reps[s][key[s]] for s in range(3))
         total += divided_difference(f, nodes) * w
     direct = trace(moi_projection_sum(dd_symbol(f, 2), ops).value)
@@ -493,9 +494,8 @@ def test_kernel_chunked_and_unchunked_agree(seed, n, rows):
     for a, b in ((whole, chunked), (binned, chunked_binned)):
         assert np.linalg.norm(a.value - b.value) <= 1e-13 * max(1.0, np.linalg.norm(a.value))
     assert whole.diagnostics["cluster_counts"] == chunked.diagnostics["cluster_counts"]
-    assert weights.keys() == chunked_weights.keys()
-    for key, w in weights.items():
-        assert abs(chunked_weights[key] - w) <= 1e-13 * max(1.0, abs(w))
+    assert weights.shape == chunked_weights.shape
+    assert np.all(np.abs(chunked_weights - weights) <= 1e-13 * np.maximum(1.0, np.abs(weights)))
 
 
 def test_kernel_budget_error_before_allocation():
