@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import matrix_io
-from .errors import ConfigError, MoiLabError
+from .errors import ConfigError, MoiLabError, ParameterError
 from .families import family_from_spec
 from .harness import SUITES, ExperimentConfig, generate_ensemble, run_suite
 from .ssf import FourierParams, higher_ssf_fourier, krein_ssf, save_ssf
@@ -107,7 +107,10 @@ def _cmd_ssf(args) -> int:
 
 
 def _cmd_deriv(args) -> int:
-    fam = family_from_spec({"id": args.f, **json.loads(args.params)})
+    try:  # ValueError: invalid JSON; TypeError: JSON that is not an object
+        fam = family_from_spec({"id": args.f, **json.loads(args.params)})
+    except (ValueError, TypeError, ParameterError) as exc:
+        raise ConfigError(f"--f {args.f!r} --params {args.params!r}: {exc}") from None
     if args.matrix_a and args.matrix_b:
         A = matrix_io.load_matrix(args.matrix_a)
         B = matrix_io.load_matrix(args.matrix_b)
@@ -129,7 +132,10 @@ def _cmd_deriv(args) -> int:
 
 
 def _cmd_counterexample(args) -> int:
-    dims = [int(x) for x in args.dims.split(",") if x]
+    try:
+        dims = [int(x) for x in args.dims.split(",") if x]
+    except ValueError:
+        raise ConfigError(f"--dims must be comma separated integers, got {args.dims!r}") from None
     rows = lp_counterexample_demo(args.p, dims, t0=args.t0)
     lines = ["d,t,r_heavy,r_bounded"]
     print("    d            t        r_heavy     r_bounded")

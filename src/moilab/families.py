@@ -543,7 +543,9 @@ BUILTIN_FAMILIES = {
 
 
 def family_from_spec(spec: dict) -> FunctionFamily:
-    """Build a family from {"id": ..., <params>}; used by configuration and CLI."""
+    """Build a family from {"id": ..., <params>}; a malformed spec raises ParameterError."""
+    if not isinstance(spec, dict):
+        raise ParameterError(f"function spec must be an object, got {spec!r}")
     spec = dict(spec)
     try:
         fid = spec.pop("id")
@@ -551,8 +553,11 @@ def family_from_spec(spec: dict) -> FunctionFamily:
         raise ParameterError("function spec needs an 'id' field") from None
     try:
         factory = BUILTIN_FAMILIES[fid]
-    except KeyError:
+    except (KeyError, TypeError):
         raise ParameterError(
             f"unknown family id {fid!r}; known: {sorted(BUILTIN_FAMILIES)}"
         ) from None
-    return factory(**spec)
+    try:
+        return factory(**spec)
+    except TypeError as exc:
+        raise ParameterError(f"family {fid!r}: {exc}") from None

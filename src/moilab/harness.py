@@ -3,9 +3,8 @@
 Every ensemble is a pure function of the 64-bit config seed through the
 SplitMix64 generator (see :mod:`moilab.rng`), and every check is a pure
 function of the ensemble, so a (config, code) pair pins the report bytes
-except for the wall-time field.  Independent checks may run on a small
-thread pool capped by the MOI_LAB_THREADS environment variable; records are
-assembled in declaration order either way.
+except for the wall-time field.  The check groups run one after another in
+report order.
 """
 
 from __future__ import annotations
@@ -13,9 +12,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
@@ -23,7 +20,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from . import matrix_io
-from .errors import ConfigError, MoiLabError
+from .errors import ConfigError, MoiLabError, ParameterError
 from .families import (
     FunctionFamily,
     bump,
@@ -109,7 +106,6 @@ class ExperimentConfig:
     ensemble: str = "gue_like"
     functions: List[dict] = field(default_factory=lambda: [{"id": "gaussian"}, {"id": "runge"}])
     tolerances: Dict[str, float] = field(default_factory=dict)
-    trace_model: str = "standard"
     p: float = 2.0
     dims: List[int] = field(default_factory=lambda: [16, 64, 256, 1024, 4096])
     matrix_a: Optional[str] = None
@@ -128,8 +124,10 @@ class ExperimentConfig:
             raise ConfigError(f"unknown ensemble {self.ensemble!r}; known: {_ENSEMBLES}")
         if any(v <= 0 for v in self.tolerances.values()):
             raise ConfigError("tolerances must be positive")
-        if self.trace_model not in ("standard", "weighted_diagonal"):
-            raise ConfigError(f"unknown trace model {self.trace_model!r}")
+        try:
+            self._families = [family_from_spec(spec) for spec in self.functions]
+        except ParameterError as exc:
+            raise ConfigError(f"functions: {exc}") from None
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
@@ -154,7 +152,7 @@ class ExperimentConfig:
         return self.tolerances.get(name, DEFAULT_TOLERANCES[name])
 
     def family_list(self) -> List[FunctionFamily]:
-        return [family_from_spec(spec) for spec in self.functions]
+        return list(self._families)
 
     def echo(self) -> dict:
         return asdict(self)
@@ -232,8 +230,10 @@ def _record(name, formula, measured, threshold) -> CheckRecord:
 
 
 # ---------------------------------------------------------------------------
-# Checks; each returns a list of CheckRecords
+# Check groups; each returns its records and the paths of the files it wrote
 # ---------------------------------------------------------------------------
+
+_GroupResult = Tuple[List[CheckRecord], List[str]]
 
 
 def _smooth_families(config: ExperimentConfig) -> List[FunctionFamily]:
@@ -241,7 +241,7 @@ def _smooth_families(config: ExperimentConfig) -> List[FunctionFamily]:
     return fams or [gaussian(), runge()]
 
 
-def _checks_derivatives(config: ExperimentConfig) -> List[CheckRecord]:
+def _checks_derivatives(config: ExperimentConfig) -> _GroupResult:
     A, B, _ = generate_ensemble(config)
     out = []
     for fam in _smooth_families(config):
@@ -274,10 +274,10 @@ def _checks_derivatives(config: ExperimentConfig) -> List[CheckRecord]:
                 config.tol("fd_slope_halfwidth"),
             )
         )
-    return out
+    return out, []
 
 
-def _checks_perturbation(config: ExperimentConfig) -> List[CheckRecord]:
+def _checks_perturbation(config: ExperimentConfig) -> _GroupResult:
     A, B, _ = generate_ensemble(config)
     gen = SplitMix64(config.seed ^ 0x9E3779B97F4A7C15)
     d = config.dimension
@@ -323,7 +323,7 @@ def _checks_perturbation(config: ExperimentConfig) -> List[CheckRecord]:
                 config.tol("remainder_two_path"),
             )
         )
-    return out
+    return out, []
 
 
 def _brute_force_moi(f, eigsystems, args) -> np.ndarray:
@@ -342,7 +342,7 @@ def _brute_force_moi(f, eigsystems, args) -> np.ndarray:
     return out
 
 
-def _checks_moi(config: ExperimentConfig) -> List[CheckRecord]:
+def _checks_moi(config: ExperimentConfig) -> _GroupResult:
     gen = SplitMix64(config.seed ^ 0xD1B54A32D192ED03)
     d = min(config.dimension, 4)
     n = min(config.order, 3)
@@ -421,10 +421,10 @@ def _checks_moi(config: ExperimentConfig) -> List[CheckRecord]:
     ops_norm = operands([Es[0]] * 3, [args[0], args[0]], exponents=[4.0, 4.0])
     ratio = moi_norm_report(dd_symbol(fam, 2), ops_norm, p=2.0).ratio
     out.append(_record("moi_norm_ratio", "norm-bound-monitor", ratio, math.inf))
-    return out
+    return out, []
 
 
-def _checks_ssf(config: ExperimentConfig) -> List[CheckRecord]:
+def _checks_ssf(config: ExperimentConfig) -> _GroupResult:
     A, B, _ = generate_ensemble(config)
     n = max(2, min(config.order, 3))
     out = []
@@ -487,10 +487,10 @@ def _checks_ssf(config: ExperimentConfig) -> List[CheckRecord]:
     )
     l1rep = ssf_l1_report(A, B, n, grid)
     out.append(_record("ssf_l1_ratio", "l1-bound-monitor", l1rep["ratio"], math.inf))
-    return out
+    return out, []
 
 
-def _checks_counterexample(config: ExperimentConfig) -> Tuple[List[CheckRecord], List[str]]:
+def _checks_counterexample(config: ExperimentConfig) -> _GroupResult:
     rows = lp_counterexample_demo(config.p, config.dims)
     heavy = [r.r_heavy for r in rows]
     control = [r.r_bounded for r in rows]
@@ -513,60 +513,39 @@ def _checks_counterexample(config: ExperimentConfig) -> Tuple[List[CheckRecord],
     return records, artifacts
 
 
-SUITES = ("derivatives", "perturbation", "moi_consistency", "ssf", "counterexample", "all")
+# report order
+_GROUPS: Dict[str, Callable[[ExperimentConfig], _GroupResult]] = {
+    "derivatives": _checks_derivatives,
+    "perturbation": _checks_perturbation,
+    "moi_consistency": _checks_moi,
+    "ssf": _checks_ssf,
+    "counterexample": _checks_counterexample,
+}
 
-
-def _max_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("MOI_LAB_THREADS", "1")))
-    except ValueError:
-        return 1
+SUITES = tuple(_GROUPS) + ("all",)
 
 
 def run_suite(config: ExperimentConfig, suite: str) -> Report:
-    """Execute the named checks; a hard error fails that check only."""
+    """Run one check group, or every group for "all", in report order.
+
+    A group that raises a MoiLabError yields one failed "execution" record
+    named after the group in place of its records; the other groups still run.
+    """
     if suite not in SUITES:
         raise ConfigError(f"unknown suite {suite!r}; known: {SUITES}")
     t0 = time.time()
     if config.out_dir:
         Path(config.out_dir).mkdir(parents=True, exist_ok=True)
-    groups: List[Tuple[str, Callable]] = []
-    if suite in ("derivatives", "all"):
-        groups.append(("derivatives", _checks_derivatives))
-    if suite in ("perturbation", "all"):
-        groups.append(("perturbation", _checks_perturbation))
-    if suite in ("moi_consistency", "all"):
-        groups.append(("moi_consistency", _checks_moi))
-    if suite in ("ssf", "all"):
-        groups.append(("ssf", _checks_ssf))
-
-    def run_group(fn):
-        try:
-            return fn(config)
-        except MoiLabError as exc:
-            return [CheckRecord(name=fn.__name__, formula="execution", measured=math.inf,
-                                threshold=0.0, passed=False, error=str(exc))]
-
     records: List[CheckRecord] = []
     artifacts: List[str] = []
-    workers = _max_workers()
-    if workers > 1 and len(groups) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(run_group, fn) for _, fn in groups]
-            for fut in futures:  # declaration order, not completion order
-                records.extend(fut.result())
-    else:
-        for _, fn in groups:
-            records.extend(run_group(fn))
-    if suite in ("counterexample", "all"):
+    for name in _GROUPS if suite == "all" else (suite,):
         try:
-            recs, arts = _checks_counterexample(config)
-            records.extend(recs)
-            artifacts.extend(arts)
+            recs, arts = _GROUPS[name](config)
         except MoiLabError as exc:
-            records.append(CheckRecord(name="counterexample", formula="execution",
-                                       measured=math.inf, threshold=0.0,
-                                       passed=False, error=str(exc)))
+            recs, arts = [CheckRecord(name=name, formula="execution", measured=math.inf,
+                                      threshold=0.0, passed=False, error=str(exc))], []
+        records.extend(recs)
+        artifacts.extend(arts)
     report = Report(
         config=config.echo(),
         suite=suite,

@@ -74,13 +74,14 @@ def default_fd_step(k: int, B: np.ndarray) -> float:
 
 
 def _warn_missing_flags(f: FunctionFamily, k: int) -> None:
+    # called from _derivative_moi only: level 3 is the public entry point, 4 its caller
     missing = [j for j in range(1, k + 1) if not f.bounded_deriv.get(j, False)]
     if missing:
         warnings.warn(
             f"family {f.family_id!r} lacks bounded-derivative flags for orders "
             f"{missing}; the derivative exists at finite dimension but carries "
             f"no operator-norm guarantee",
-            stacklevel=3,
+            stacklevel=4,
         )
 
 
@@ -97,12 +98,17 @@ def gateaux_derivative(
     Equals k! times the order-k operator integral with every slot at A + tB
     and every argument equal to B.
     """
-    return derivative_moi(f, A, B, k, t, eps_cluster).value
+    return _derivative_moi(f, A, B, k, t, eps_cluster).value
 
 
 def derivative_moi(f: FunctionFamily, A, B, k: int, t: float = 0.0,
                    eps_cluster: Optional[float] = None) -> MOIResult:
     """:func:`gateaux_derivative` with the kernel diagnostics of its one operator integral."""
+    return _derivative_moi(f, A, B, k, t, eps_cluster)
+
+
+def _derivative_moi(f: FunctionFamily, A, B, k: int, t: float,
+                    eps_cluster: Optional[float]) -> MOIResult:
     if k > f.max_order:
         raise OrderLimitError(f"derivative order {k} exceeds {f.family_id!r} support")
     if k < 1:

@@ -333,3 +333,9 @@ def test_family_from_spec_roundtrip():
         family_from_spec({"id": "no-such-family"})
     with pytest.raises(ParameterError):
         family_from_spec({})
+    with pytest.raises(ParameterError, match="foo"):
+        family_from_spec({"id": "gaussian", "foo": 1})
+    with pytest.raises(ParameterError):
+        family_from_spec({"id": "fourier"})
+    with pytest.raises(ParameterError):
+        family_from_spec("gaussian")

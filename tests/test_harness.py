@@ -1,6 +1,7 @@
 """Configuration, ensembles, suites, reports, and the CLI surface."""
 
 import json
+import math
 import os
 import re
 import subprocess
@@ -11,9 +12,11 @@ import numpy as np
 import pytest
 
 import moilab
-from moilab.errors import ConfigError
+from moilab import harness
+from moilab.errors import ConfigError, ParameterError
 from moilab.harness import (
     DEFAULT_TOLERANCES,
+    CheckRecord,
     ExperimentConfig,
     generate_ensemble,
     run_suite,
@@ -41,6 +44,10 @@ def test_config_requires_seed_and_validates():
         ExperimentConfig(seed=1, ensemble="bogus")
     with pytest.raises(ConfigError):
         ExperimentConfig(seed=1, tolerances={"derivative_vs_fd": -1.0})
+    with pytest.raises(ConfigError, match="nosuch"):
+        ExperimentConfig(seed=1, functions=[{"id": "nosuch"}])
+    with pytest.raises(ConfigError, match="foo"):
+        ExperimentConfig(seed=1, functions=[{"id": "gaussian", "foo": 1}])
 
 
 def test_config_from_json(tmp_path):
@@ -184,11 +191,29 @@ def test_cli_counterexample_and_exit_codes(tmp_path):
 
 
 def test_cli_config_error_exit_code(tmp_path):
-    missing = tmp_path / "nope.json"
-    res = _run_cli(["run", "--config", str(missing), "--suite", "counterexample",
-                    "--out", str(tmp_path)], cwd=tmp_path)
-    assert res.returncode == 2, res.stderr
-    assert "configuration error" in res.stderr
+    # every malformed input exits 2 with a message, never with a traceback
+    configs = {
+        "unknown_id.json": {"seed": 1, "functions": [{"id": "nosuch"}]},
+        "unknown_param.json": {"seed": 1, "functions": [{"id": "gaussian", "foo": 1}]},
+    }
+    for name, payload in configs.items():
+        (tmp_path / name).write_text(json.dumps(payload))
+    deriv = ["deriv", "--k", "1", "--seed", "5"]
+    cases = [
+        ["run", "--config", "nope.json", "--suite", "counterexample", "--out", "o"],
+        ["run", "--config", "unknown_id.json", "--suite", "derivatives", "--out", "o"],
+        ["run", "--config", "unknown_param.json", "--suite", "derivatives", "--out", "o"],
+        ["counterexample", "--p", "2.0", "--dims", "16,abc"],
+        [*deriv, "--f", "gaussian", "--params", "{bad"],
+        [*deriv, "--f", "gaussian", "--params", "[1]"],
+        [*deriv, "--f", "gaussian", "--params", '{"foo": 1}'],
+        [*deriv, "--f", "nosuch"],
+    ]
+    for argv in cases:
+        res = _run_cli(argv, cwd=tmp_path)
+        assert res.returncode == 2, (argv, res.stderr)
+        assert "configuration error" in res.stderr, (argv, res.stderr)
+        assert "Traceback" not in res.stderr, (argv, res.stderr)
 
 
 def test_cli_ssf_and_deriv(tmp_path):
@@ -260,17 +285,37 @@ def test_cli_run_reports_cross_process_identical(tmp_path):
     assert captured[0][1] == captured[1][1]
 
 
-def test_threads_env_var_respected(tmp_path, monkeypatch):
-    monkeypatch.setenv("MOI_LAB_THREADS", "2")
-    cfg = ExperimentConfig(seed=11, dimension=3, order=2)
-    r1 = run_suite(cfg, "perturbation")
-    monkeypatch.setenv("MOI_LAB_THREADS", "1")
-    r2 = run_suite(cfg, "perturbation")
-    a = json.loads(r1.to_json())
-    b = json.loads(r2.to_json())
-    a.pop("wall_time_s")
-    b.pop("wall_time_s")
-    assert a == b
+def test_failed_group_is_one_record_and_the_rest_still_run(monkeypatch, tmp_path):
+    # a group that raises is reported as one failed "execution" record named
+    # after it, in its place; the groups before and after it run as usual
+    def broken(config):
+        raise ParameterError("injected failure")
+
+    monkeypatch.setitem(harness._GROUPS, "moi_consistency", broken)
+    cfg = ExperimentConfig(seed=7, dimension=3, order=2, dims=[16, 64], out_dir=str(tmp_path))
+    report = run_suite(cfg, "all")
+
+    def records_of(*groups):
+        return [r for g in groups for r in run_suite(cfg, g).records]
+
+    before = records_of("derivatives", "perturbation")
+    after = records_of("ssf", "counterexample")
+    failed = CheckRecord(name="moi_consistency", formula="execution", measured=math.inf,
+                         threshold=0.0, passed=False, error="injected failure")
+    assert report.records == before + [failed] + after
+    assert all(r.passed for r in before + after)
+    assert not report.all_passed
+    assert report.artifacts == [str(tmp_path / "counterexample.csv")]
+
+
+DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
+def test_demo_runs(demo, tmp_path):
+    res = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True,
+                         cwd=tmp_path, env=_child_env())
+    assert res.returncode == 0, res.stderr
 
 
 def test_default_tolerances_complete():

@@ -10,6 +10,7 @@ from moilab.families import bump, exponential, gaussian, monomial, recip_plus, r
 from moilab.rng import SplitMix64
 from moilab.taylor import (
     continuity_probe,
+    derivative_moi,
     finite_difference_oracle,
     gateaux_derivative,
     lp_counterexample_demo,
@@ -31,9 +32,13 @@ def pair(seed, d, scale=1.0):
 
 def test_first_derivative_of_square_is_anticommutator():
     A, B = pair(1, 4)
-    with pytest.warns(UserWarning, match="bounded-derivative"):
+    # both entry points file the missing-flags warning under the caller's line
+    with pytest.warns(UserWarning, match="bounded-derivative") as caught:
         got = gateaux_derivative(monomial(2), A, B, k=1)
+        via_moi = derivative_moi(monomial(2), A, B, k=1).value
     assert np.allclose(got, A @ B + B @ A, atol=1e-10)
+    assert np.array_equal(via_moi, got)
+    assert [w.filename for w in caught] == [__file__, __file__]
 
 
 @pytest.mark.parametrize("n", [2, 3])
