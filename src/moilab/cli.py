@@ -136,7 +136,10 @@ def _cmd_counterexample(args) -> int:
         dims = [int(x) for x in args.dims.split(",") if x]
     except ValueError:
         raise ConfigError(f"--dims must be comma separated integers, got {args.dims!r}") from None
-    rows = lp_counterexample_demo(args.p, dims, t0=args.t0)
+    try:
+        rows = lp_counterexample_demo(args.p, dims, t0=args.t0)
+    except ParameterError as exc:
+        raise ConfigError(f"counterexample: {exc}") from None
     lines = ["d,t,r_heavy,r_bounded"]
     print("    d            t        r_heavy     r_bounded")
     for r in rows:

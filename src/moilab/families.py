@@ -218,12 +218,36 @@ def divided_difference(f: FunctionFamily, nodes, merge_tol: Optional[float] = No
     return complex(col[0])
 
 
+def _single_linkage(z: np.ndarray, tol: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Single-linkage blocks of the sorted rows of z, with tolerance tol[m] in row m.
+
+    Adjacent nodes with gap <= tol join a block.  Returns the mean of its block
+    at every node, and every node's block label, counted from 0 in each row.
+    A block is summed left to right, which below 8 nodes is what np.mean does.
+    """
+    joins = np.diff(z, axis=1) <= tol[:, None]
+    labels = np.zeros(z.shape, dtype=np.intp)
+    np.cumsum(~joins, axis=1, out=labels[:, 1:])
+    total, count = z.copy(), np.ones(z.shape)
+    cols = joins.any(axis=0).nonzero()[0]  # only columns with a join cost a pass
+    for i in cols:
+        r = joins[:, i]
+        total[r, i + 1] += total[r, i]
+        count[r, i + 1] += count[r, i]
+    for i in cols[::-1]:
+        r = joins[:, i]
+        total[r, i] = total[r, i + 1]
+        count[r, i] = count[r, i + 1]
+    return total / count, labels
+
+
 def divided_difference_rows(f: FunctionFamily, rows) -> np.ndarray:
     """divided_difference(f, row) for every row of an (M, n+1) node array.
 
     Applies the rules of the scalar routine to all rows at once: each row is
     sorted, merged under its own :func:`merge_tolerance` into single-linkage
-    blocks replaced by their means, and run through the confluent Hermite
+    blocks replaced by their means (:func:`_single_linkage`, the routine that
+    also clusters eigenvalues), and run through the confluent Hermite
     table, where equal nodes take f^(j)(z)/j!.  The arithmetic per entry is
     the scalar routine's, so the two agree to rounding.  Trailing axes of the
     evaluator's values (one function per entry of a parameter vector, such as
@@ -233,27 +257,14 @@ def divided_difference_rows(f: FunctionFamily, rows) -> np.ndarray:
     if z.ndim != 2 or z.shape[1] == 0:
         raise ParameterError(f"expected an (M, n+1) node array, got shape {z.shape}")
     z = np.sort(z, axis=1)
-    M, k = z.shape
+    k = z.shape[1]
     if k - 1 > f.max_order:
         raise OrderLimitError(
             f"divided difference of order {k - 1} needs derivatives the family "
             f"{f.family_id!r} does not provide (max_order={f.max_order})"
         )
     f.check_domain(z)
-    # single-linkage blocks of the sorted nodes, each replaced by its mean;
-    # the running sum adds a block's nodes left to right, as np.mean does
-    tol = 1e-7 * (1.0 + np.max(np.abs(z), axis=1))
-    joins = np.diff(z, axis=1) <= tol[:, None]
-    total, count = z.copy(), np.ones(z.shape)
-    for i in range(1, k):
-        r = joins[:, i - 1]
-        total[r, i] += total[r, i - 1]
-        count[r, i] += count[r, i - 1]
-    for i in range(k - 2, -1, -1):
-        r = joins[:, i]
-        total[r, i] = total[r, i + 1]
-        count[r, i] = count[r, i + 1]
-    z = total / count
+    z, _ = _single_linkage(z, 1e-7 * (1.0 + np.max(np.abs(z), axis=1)))
     col = np.asarray(f._evaluator(0, z), dtype=complex)
     trailing = (Ellipsis,) + (None,) * (col.ndim - 2)
     for j in range(1, k):

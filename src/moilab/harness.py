@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -98,6 +99,10 @@ DEFAULT_TOLERANCES: Dict[str, float] = {
 _ENSEMBLES = ("gue_like", "diagonal_heavy_tail", "fixed_matrix_file")
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
 @dataclass
 class ExperimentConfig:
     seed: int
@@ -116,14 +121,23 @@ class ExperimentConfig:
         if self.seed is None:
             raise ConfigError("seed is required; there is no entropy default")
         self.seed = int(self.seed)
-        if self.dimension < 1:
-            raise ConfigError("dimension must be >= 1")
-        if self.order < 1:
-            raise ConfigError("order must be >= 1")
+        if not (_is_int(self.dimension) and self.dimension >= 1):
+            raise ConfigError(f"dimension must be an integer >= 1, got {self.dimension!r}")
+        if not (_is_int(self.order) and self.order >= 1):
+            raise ConfigError(f"order must be an integer >= 1, got {self.order!r}")
         if self.ensemble not in _ENSEMBLES:
             raise ConfigError(f"unknown ensemble {self.ensemble!r}; known: {_ENSEMBLES}")
+        unknown = sorted(set(self.tolerances) - set(DEFAULT_TOLERANCES))
+        if unknown:
+            raise ConfigError(f"unknown tolerances {unknown}; known: {sorted(DEFAULT_TOLERANCES)}")
         if any(v <= 0 for v in self.tolerances.values()):
             raise ConfigError("tolerances must be positive")
+        dims = self.dims
+        if not (isinstance(dims, (list, tuple)) and len(dims) >= 2 and all(map(_is_int, dims))
+                and dims[0] >= 1 and all(a < b for a, b in zip(dims, dims[1:]))):
+            raise ConfigError(
+                f"dims must be at least 2 strictly increasing positive integers, got {dims!r}"
+            )
         try:
             self._families = [family_from_spec(spec) for spec in self.functions]
         except ParameterError as exc:

@@ -43,7 +43,6 @@ from .errors import (
 )
 from .families import (
     FunctionFamily,
-    divided_difference,
     divided_difference_rows,
     divided_difference_tensor,
 )
@@ -77,25 +76,20 @@ __all__ = [
 
 
 class Symbol:
-    """A function R^{arity} -> C driving a multiple operator integral."""
+    """A function R^{arity} -> C driving a multiple operator integral.
+
+    A symbol is defined by :meth:`tensor`, its values on a grid: the kernel
+    never asks for a single tuple.
+    """
 
     arity: int
-
-    def evaluate(self, nodes: Sequence[float]) -> complex:
-        raise NotImplementedError
 
     def tensor(self, reps: Sequence[np.ndarray]) -> np.ndarray:
         """Values at every tuple of per-slot representatives.
 
-        Entry (j_0, ..., j_n) is evaluate((reps[0][j_0], ..., reps[n][j_n])).
-        This generic form calls :meth:`evaluate` once per tuple; symbols with
-        structure override it with a vectorized form.
+        Entry (j_0, ..., j_n) is phi(reps[0][j_0], ..., reps[n][j_n]).
         """
-        shape = tuple(len(r) for r in reps)
-        out = np.empty(shape, dtype=complex)
-        for idx in np.ndindex(shape):
-            out[idx] = self.evaluate(tuple(float(reps[s][i]) for s, i in enumerate(idx)))
-        return out
+        raise NotImplementedError
 
 
 class DividedDifferenceSymbol(Symbol):
@@ -109,9 +103,6 @@ class DividedDifferenceSymbol(Symbol):
         self.f = f
         self.order = int(order)
         self.arity = self.order + 1
-
-    def evaluate(self, nodes):
-        return divided_difference(self.f, nodes)
 
     def tensor(self, reps):
         return divided_difference_tensor(self.f, self.order, reps)
@@ -140,15 +131,6 @@ class FactorizedSymbol(Symbol):
             raise ParameterError("all factorized terms must share one arity")
         self.terms = list(terms)
         self.arity = arities.pop()
-
-    def evaluate(self, nodes):
-        out = 0.0 + 0.0j
-        for term in self.terms:
-            prod = complex(term.weight)
-            for g, x in zip(term.factors, nodes):
-                prod *= complex(np.asarray(g(np.asarray(float(x)))))
-            out += prod
-        return out
 
     def tensor(self, reps):
         """Sum over terms of weight * g_0(reps[0]) x ... x g_n(reps[n]) (outer products)."""
@@ -181,27 +163,28 @@ class DiagonalRestrictedSymbol(Symbol):
         self.base = base
         self.arity = base.arity - 1
 
-    def evaluate(self, nodes):
-        return self.base.evaluate(tuple(nodes) + (nodes[0],))
-
     def tensor(self, reps):
         if isinstance(self.base, DividedDifferenceSymbol):
             rows = np.stack(np.meshgrid(*reps, indexing="ij"), axis=-1).reshape(-1, self.arity)
             rows = np.concatenate([rows, rows[:, :1]], axis=1)
             return divided_difference_rows(self.base.f, rows).reshape([len(r) for r in reps])
-        if isinstance(self.base, FactorizedSymbol):
-            wrapped = self.base.tensor(list(reps) + [reps[0]])
-            return np.moveaxis(np.diagonal(wrapped, axis1=0, axis2=-1), -1, 0)
-        return super().tensor(reps)
+        wrapped = self.base.tensor(list(reps) + [reps[0]])
+        return np.moveaxis(np.diagonal(wrapped, axis1=0, axis2=-1), -1, 0)
 
 
 class CustomSymbol(Symbol):
+    """A symbol given by a scalar function of one node tuple, called once per tuple."""
+
     def __init__(self, fn: Callable[[Sequence[float]], complex], arity: int):
         self.fn = fn
         self.arity = int(arity)
 
-    def evaluate(self, nodes):
-        return complex(self.fn(nodes))
+    def tensor(self, reps):
+        shape = tuple(len(r) for r in reps)
+        out = np.empty(shape, dtype=complex)
+        for idx in np.ndindex(shape):
+            out[idx] = complex(self.fn(tuple(float(reps[s][i]) for s, i in enumerate(idx))))
+        return out
 
 
 def dd_symbol(f: FunctionFamily, order: int) -> DividedDifferenceSymbol:
@@ -309,13 +292,7 @@ def _chunk_rows(d: int, n: int) -> int:
 
 def _cluster_slots(ops: MOIOperands):
     """Per slot: (cluster representatives, cluster label of each eigen-index)."""
-    slots = []
-    for E in ops.operators:
-        labels = np.empty(E.dim, dtype=np.intp)
-        for b, cluster in enumerate(E.clusters):
-            labels[list(cluster)] = b
-        slots.append((np.asarray(E.cluster_reps, dtype=float), labels))
-    return slots
+    return [(E.cluster_reps, E.cluster_labels) for E in ops.operators]
 
 
 def _bin_slots(ops: MOIOperands, m: int, N: int):

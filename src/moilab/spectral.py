@@ -7,18 +7,19 @@ and raises :class:`NumericalError` when either fails.  Schatten norms use the
 singular values from ``np.linalg.svd``, which keeps the condition number of
 X rather than squaring it as an eigensolve of X*X would.
 
-Eigenvalues are clustered by single-linkage merging with a spectral-range
-scaled gap, and the cluster representatives are what downstream operator
-integrals feed to divided differences; the clustering tolerance is aligned
-with the node-merge tolerance in :mod:`moilab.families` so the symbols never
-see sub-tolerance gaps.
+Eigenvalues are clustered by single-linkage merging at gaps up to
+``1e-8 * max(1, spread of the spectrum)``, and each cluster is represented by
+its mean.  Operator integrals feed these representatives to divided
+differences, which merge each node tuple again at gaps up to
+``1e-7 * (1 + max |node|)``.  Either tolerance can be the larger; both merges
+run one routine, ``moilab.families._single_linkage``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -27,6 +28,7 @@ from .errors import (
     NumericalError,
     ParameterError,
 )
+from .families import _single_linkage
 
 __all__ = [
     "EigenSystem",
@@ -63,14 +65,17 @@ def default_cluster_tol(eigenvalues: np.ndarray) -> float:
 
 @dataclass
 class EigenSystem:
-    """Eigendecomposition with tolerance-based eigenvalue clustering."""
+    """Eigendecomposition with tolerance-based eigenvalue clustering.
+
+    Eigen-index i lies in cluster ``cluster_labels[i]`` (0, 1, ... in
+    ascending order), whose mean eigenvalue is ``cluster_reps[cluster_labels[i]]``.
+    """
 
     eigenvalues: np.ndarray          # ascending, real
     basis: np.ndarray                # unitary, columns are eigenvectors
     residual: float                  # ||A - V diag V*||_F
-    clusters: List[Tuple[int, ...]]  # index blocks into eigenvalues
-    cluster_reps: np.ndarray         # one representative value per block
-    cluster_tol: float
+    cluster_reps: np.ndarray         # one representative value per cluster
+    cluster_labels: np.ndarray       # cluster of each eigenvalue
 
     @property
     def dim(self) -> int:
@@ -78,23 +83,11 @@ class EigenSystem:
 
     def projection(self, block: int) -> np.ndarray:
         """Spectral projection onto the given cluster block."""
-        cols = self.basis[:, list(self.clusters[block])]
+        cols = self.basis[:, self.cluster_labels == block]
         return cols @ cols.conj().T
 
     def hull(self) -> Tuple[float, float]:
         return float(self.eigenvalues[0]), float(self.eigenvalues[-1])
-
-
-def _cluster(eigenvalues: np.ndarray, tol: float):
-    clusters: List[Tuple[int, ...]] = []
-    reps: List[float] = []
-    start = 0
-    for i in range(1, len(eigenvalues) + 1):
-        if i == len(eigenvalues) or eigenvalues[i] - eigenvalues[i - 1] > tol:
-            clusters.append(tuple(range(start, i)))
-            reps.append(float(np.mean(eigenvalues[start:i])))
-            start = i
-    return clusters, np.asarray(reps)
 
 
 def eig_hermitian(A, eps_cluster: Optional[float] = None) -> EigenSystem:
@@ -123,14 +116,15 @@ def eig_hermitian(A, eps_cluster: Optional[float] = None) -> EigenSystem:
         raise NumericalError("eigenvector basis lost unitarity", residual=unit)
     if eps_cluster is None:
         eps_cluster = default_cluster_tol(vals)
-    clusters, reps = _cluster(vals, eps_cluster)
+    means, labels = _single_linkage(vals[None, :], np.array([eps_cluster]))
+    reps = np.empty(labels.max(initial=-1) + 1)
+    reps[labels[0]] = means[0]
     return EigenSystem(
         eigenvalues=vals,
         basis=V,
         residual=residual,
-        clusters=clusters,
         cluster_reps=reps,
-        cluster_tol=float(eps_cluster),
+        cluster_labels=labels[0],
     )
 
 

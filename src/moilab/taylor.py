@@ -414,8 +414,8 @@ def lp_counterexample_demo(
     """
     if not 1.0 < p < math.inf:
         raise ParameterError("demo needs 1 < p < inf")
-    if list(dims) != sorted(set(int(d) for d in dims)):
-        raise ParameterError("dims must be strictly increasing")
+    if list(dims) != sorted(set(int(d) for d in dims)) or any(d < 1 for d in dims):
+        raise ParameterError(f"dims must be strictly increasing and positive, got {list(dims)}")
     if f is None:
         f = recip_plus()
     rows: List[DivergenceRow] = []

@@ -12,6 +12,7 @@ from moilab.errors import DomainError, OrderLimitError, ParameterError
 from moilab.families import (
     FunctionFamily,
     NodeList,
+    _single_linkage,
     bump,
     classify,
     divided_difference,
@@ -25,6 +26,7 @@ from moilab.families import (
     recip_plus,
     runge,
 )
+from moilab.spectral import default_cluster_tol, eig_hermitian
 
 # dd of exp(-x^2) on nodes (0.1, 0.2, 0.3), computed with the mpmath table
 # recursion at 60 significant digits (see oracle below); frozen here.
@@ -251,6 +253,70 @@ def test_vectorized_tensor_matches_scalar_near_tolerances(fam, order, base, offs
         nodes = [lists[s][i] for s, i in enumerate(idx)]
         want = divided_difference(fam, nodes)
         assert abs(t[idx] - want) <= 4 * (order + 1) * eps * hermite_rounding_bound(fam, nodes)
+
+
+def gap_rule_blocks(row, tol):
+    """Block labels and left-to-right block means of one sorted row, by a plain loop."""
+    labels = [0]
+    for a, b in zip(row, row[1:]):
+        labels.append(labels[-1] + int(b - a > tol))
+    means = []
+    for block in range(labels[-1] + 1):
+        members = [x for x, lab in zip(row, labels) if lab == block]
+        total = members[0]
+        for x in members[1:]:
+            total += x
+        means += [total / len(members)] * len(members)
+    return labels, means
+
+
+def assert_matches_gap_rule(means, labels, row, tol):
+    want_labels, want_means = gap_rule_blocks(list(row), tol)
+    assert labels.tolist() == want_labels
+    assert means.tolist() == want_means
+    # np.mean sums blocks of 8 or more nodes pairwise, not left to right
+    oracle = NodeList(row).expanded(tol)
+    sizes = np.bincount(labels)[labels]
+    small = sizes < 8
+    assert np.array_equal(means[small], oracle[small])
+    assert np.all(np.abs(means - oracle) <= 2 * np.spacing(np.abs(oracle)))
+
+
+# gaps in units of the row's tolerance: exact ties, gaps just below, at and
+# just above the tolerance, and clear gaps
+_GAP_UNITS = [0.0, 0.0, 0.3, 0.999, 1.0, 1.001, 1.5, 1e4]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    k=st.integers(1, 9),
+    rows=st.lists(
+        st.tuples(st.floats(-3.0, 3.0), st.lists(st.sampled_from(_GAP_UNITS), min_size=8,
+                                                  max_size=8)),
+        min_size=1, max_size=4,
+    ),
+    tie=st.none() | st.integers(0, 7),
+)
+def test_single_linkage_matches_gap_rule_and_nodelist(k, rows, tie):
+    z = np.array([base + np.cumsum([0.0] + gaps[: k - 1]) * 1e-7 * (1.0 + abs(base))
+                  for base, gaps in rows])
+    tol = 1e-7 * (1.0 + np.max(np.abs(z), axis=1))
+    if tie is not None and k > 1:
+        # a tolerance equal to one of the row's gaps: that gap joins
+        tol = np.diff(z, axis=1)[:, tie % (k - 1)]
+    means, labels = _single_linkage(z, tol)
+    assert means.shape == labels.shape == z.shape
+    for m in range(len(z)):
+        assert_matches_gap_rule(means[m], labels[m], z[m], tol[m])
+
+
+def test_eigenvalue_clusters_of_1_to_12_near_equal_values():
+    rng = np.random.default_rng(12)
+    v = np.concatenate([0.37 * m - 2.0 + rng.uniform(0.0, 1e-9, m) for m in range(1, 13)])
+    E = eig_hermitian(np.diag(v))
+    assert len(E.cluster_reps) == 12
+    assert_matches_gap_rule(E.cluster_reps[E.cluster_labels], E.cluster_labels,
+                            E.eigenvalues, default_cluster_tol(E.eigenvalues))
 
 
 def test_rows_carry_the_trailing_axes_of_a_vector_family():

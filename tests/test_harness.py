@@ -48,6 +48,14 @@ def test_config_requires_seed_and_validates():
         ExperimentConfig(seed=1, functions=[{"id": "nosuch"}])
     with pytest.raises(ConfigError, match="foo"):
         ExperimentConfig(seed=1, functions=[{"id": "gaussian", "foo": 1}])
+    with pytest.raises(ConfigError, match="derivative_vs_fdd"):
+        ExperimentConfig(seed=1, tolerances={"derivative_vs_fdd": 1e-30})
+    for bad in ({"dimension": 2.5}, {"dimension": True}, {"order": 2.5}, {"order": True}):
+        with pytest.raises(ConfigError):
+            ExperimentConfig(seed=1, **bad)
+    for dims in ([], [16], [16, "x"], [0, 16], [64, 16], [16, 16], [16.0, 64], [True, 16]):
+        with pytest.raises(ConfigError, match="dims"):
+            ExperimentConfig(seed=1, dims=dims)
 
 
 def test_config_from_json(tmp_path):
@@ -148,6 +156,17 @@ def test_report_json_deterministic(tmp_path):
     assert json.dumps(j1, sort_keys=True) == json.dumps(j2, sort_keys=True)
 
 
+def test_clustered_ensemble_passes_every_group_and_is_deterministic():
+    # diagonal_heavy_tail has A = I, one d-fold eigenvalue cluster, so every
+    # group runs the clustered eigen path
+    cfg = ExperimentConfig(seed=7, dimension=6, order=3, ensemble="diagonal_heavy_tail")
+    r1 = run_suite(cfg, "all")
+    assert r1.all_passed, [(r.name, r.measured, r.error) for r in r1.records if not r.passed]
+    r2 = run_suite(cfg, "all")
+    r1.wall_time_s = r2.wall_time_s = 0.0
+    assert r1.to_json() == r2.to_json()
+
+
 def _child_env():
     # the child imports the same moilab as this process: a relative PYTHONPATH
     # entry such as "src" does not resolve from cwd, so prefix the absolute one
@@ -195,6 +214,13 @@ def test_cli_config_error_exit_code(tmp_path):
     configs = {
         "unknown_id.json": {"seed": 1, "functions": [{"id": "nosuch"}]},
         "unknown_param.json": {"seed": 1, "functions": [{"id": "gaussian", "foo": 1}]},
+        "dims_not_int.json": {"seed": 1, "dims": [16, "x"]},
+        "dims_empty.json": {"seed": 1, "dims": []},
+        "dims_single.json": {"seed": 1, "dims": [16]},
+        "unknown_tolerance.json": {"seed": 1, "tolerances": {"derivative_vs_fdd": 1e-30}},
+        "dimension_float.json": {"seed": 1, "dimension": 2.5},
+        "dimension_bool.json": {"seed": 1, "dimension": True},
+        "order_float.json": {"seed": 1, "order": 2.5},
     }
     for name, payload in configs.items():
         (tmp_path / name).write_text(json.dumps(payload))
@@ -204,6 +230,9 @@ def test_cli_config_error_exit_code(tmp_path):
         ["run", "--config", "unknown_id.json", "--suite", "derivatives", "--out", "o"],
         ["run", "--config", "unknown_param.json", "--suite", "derivatives", "--out", "o"],
         ["counterexample", "--p", "2.0", "--dims", "16,abc"],
+        ["counterexample", "--p", "2", "--dims", "0,16"],
+        *(["run", "--config", name, "--suite", "counterexample", "--out", "o"]
+          for name in list(configs)[2:]),
         [*deriv, "--f", "gaussian", "--params", "{bad"],
         [*deriv, "--f", "gaussian", "--params", "[1]"],
         [*deriv, "--f", "gaussian", "--params", '{"foo": 1}'],

@@ -286,3 +286,5 @@ def test_counterexample_validates_input():
         lp_counterexample_demo(p=1.0, dims=[2, 4])
     with pytest.raises(ParameterError):
         lp_counterexample_demo(p=2.0, dims=[4, 2])
+    with pytest.raises(ParameterError, match="positive"):
+        lp_counterexample_demo(p=2.0, dims=[0, 16])
