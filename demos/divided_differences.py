@@ -39,7 +39,7 @@ for gap in (1e-2, 1e-4, 1e-6, 1e-9, 0.0):
     val = divided_difference(g, (lam, lam + gap, lam - gap)).real
     print(f"  gap {gap:8.0e} -> {val:.12f}  (err {abs(val - target):.2e})")
 
-# Batch evaluation over node grids memoizes permutation-equivalent tuples.
+# Batch evaluation runs one table over every tuple of the node grids.
 t = divided_difference_tensor(g, 2, [[-1.0, 0.0], [0.0, 1.0], [1.0]])
 print("\ntensor over 2 x 2 x 1 node grids:\n", np.round(t.real, 6))
 

@@ -1,6 +1,6 @@
 """One multilinear object, four ways to compute it.
 
-The projection-sum form is the workhorse; the unclustered brute force, the
+The projection-sum form is the workhorse; the brute force over eigen-index tuples, the
 factorized product form, and the spectral-bin discretization must all agree
 with it on their common ground.
 
@@ -37,7 +37,7 @@ f = gaussian()
 value = moi_projection_sum(dd_symbol(f, n), MOIOperands(Es, args))
 print("projection sum diagnostics:", value.diagnostics)
 
-# Brute force: every eigen-index triple, rank-one projections, no clustering.
+# Brute force: every eigen-index triple, rank-one projections.
 brute = np.zeros((d, d), dtype=complex)
 for idx in itertools.product(range(d), repeat=n + 1):
     nodes = tuple(Es[s].eigenvalues[idx[s]] for s in range(n + 1))

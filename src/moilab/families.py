@@ -7,14 +7,12 @@ The flags are metadata, not computed facts: they gate which operator-level
 results a family is allowed to certify, and :func:`classify` turns them into
 a report.
 
-Divided differences are evaluated with a confluent (Hermite) table: nodes
-closer than a merge tolerance are identified first, and repeated nodes use
-derivative values f^(j)(x)/j! instead of difference quotients.  This keeps
-the recursion stable when node gaps approach the square root of machine
-epsilon, where the raw quotient loses every significant digit.
-:func:`divided_difference` runs the table for one node tuple;
-:func:`divided_difference_rows` runs it for many tuples at once, column by
-column, and backs the divided-difference tensors of the operator integrals.
+Divided differences come from a confluent (Hermite) table.
+:func:`divided_difference_rows` runs it for many node tuples at once and backs
+the operator integrals; it merges no nodes, and is accurate at any node gap
+(its docstring states the rule and the bound).  :func:`divided_difference`
+runs it for one tuple after merging nodes closer than :func:`merge_tolerance`;
+it is the tests' independent oracle, accurate away from that tolerance.
 """
 
 from __future__ import annotations
@@ -80,6 +78,10 @@ class FunctionFamily:
     deriv_sup:
         Optional map k -> sup |f^(k)| over the domain, for orders where it
         is known in closed form.
+    scale:
+        The length over which f changes by O(1); it sets the span below which
+        :func:`divided_difference_rows` uses Taylor series.  A family whose
+        values carry a trailing parameter axis may give one length per entry.
     """
 
     def __init__(
@@ -96,6 +98,7 @@ class FunctionFamily:
         domain: Tuple[float, float] = (-math.inf, math.inf),
         deriv_sup: Optional[Dict[int, float]] = None,
         params: Optional[dict] = None,
+        scale=1.0,
     ):
         if max_order < 0:
             raise ParameterError("max_order must be nonnegative")
@@ -110,6 +113,7 @@ class FunctionFamily:
         self.domain = (float(domain[0]), float(domain[1]))
         self._deriv_sup = dict(deriv_sup or {})
         self.params = dict(params or {})
+        self.scale = np.asarray(scale, dtype=float)
 
     def __repr__(self):
         return f"FunctionFamily({self.family_id!r}, max_order={self.max_order})"
@@ -218,40 +222,24 @@ def divided_difference(f: FunctionFamily, nodes, merge_tol: Optional[float] = No
     return complex(col[0])
 
 
-def _single_linkage(z: np.ndarray, tol: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Single-linkage blocks of the sorted rows of z, with tolerance tol[m] in row m.
-
-    Adjacent nodes with gap <= tol join a block.  Returns the mean of its block
-    at every node, and every node's block label, counted from 0 in each row.
-    A block is summed left to right, which below 8 nodes is what np.mean does.
-    """
-    joins = np.diff(z, axis=1) <= tol[:, None]
-    labels = np.zeros(z.shape, dtype=np.intp)
-    np.cumsum(~joins, axis=1, out=labels[:, 1:])
-    total, count = z.copy(), np.ones(z.shape)
-    cols = joins.any(axis=0).nonzero()[0]  # only columns with a join cost a pass
-    for i in cols:
-        r = joins[:, i]
-        total[r, i + 1] += total[r, i]
-        count[r, i + 1] += count[r, i]
-    for i in cols[::-1]:
-        r = joins[:, i]
-        total[r, i] = total[r, i + 1]
-        count[r, i] = count[r, i + 1]
-    return total / count, labels
-
-
 def divided_difference_rows(f: FunctionFamily, rows) -> np.ndarray:
     """divided_difference(f, row) for every row of an (M, n+1) node array.
 
-    Applies the rules of the scalar routine to all rows at once: each row is
-    sorted, merged under its own :func:`merge_tolerance` into single-linkage
-    blocks replaced by their means (:func:`_single_linkage`, the routine that
-    also clusters eigenvalues), and run through the confluent Hermite
-    table, where equal nodes take f^(j)(z)/j!.  The arithmetic per entry is
-    the scalar routine's, so the two agree to rounding.  Trailing axes of the
-    evaluator's values (one function per entry of a parameter vector, such as
-    exp(isx) over an s-grid) carry through.
+    Each row is sorted and run through the Hermite table column by column,
+    with no node merged.  The level-j entry over z_i <= ... <= z_{i+j} has
+    span h = z_{i+j} - z_i, and with M = f.max_order and
+    tau = eps^(1/(M+1)) * f.scale it is
+
+    - f^(j)(z_i)/j! where h = 0;
+    - the Taylor series about z_i where 0 < h < tau (:func:`_taylor_entries`);
+    - the difference quotient of two level-(j-1) entries where h >= tau.
+
+    Truncation leaves about (h/scale)^(M+1-j) of the entry, and a quotient
+    divides by a span of at least tau, so an order-k value is good to about
+    (eps + eps^(1-k/(M+1))) times the scale of f's order-k Taylor coefficients,
+    sup|f^(k)|/k!.  Trailing axes of the evaluator's values (one function per
+    entry of a parameter vector, such as exp(isx) over an s-grid) carry
+    through, and f.scale may hold one length per entry of them.
     """
     z = np.asarray(rows, dtype=float)
     if z.ndim != 2 or z.shape[1] == 0:
@@ -264,7 +252,7 @@ def divided_difference_rows(f: FunctionFamily, rows) -> np.ndarray:
             f"{f.family_id!r} does not provide (max_order={f.max_order})"
         )
     f.check_domain(z)
-    z, _ = _single_linkage(z, 1e-7 * (1.0 + np.max(np.abs(z), axis=1)))
+    tau = np.finfo(float).eps ** (1.0 / (f.max_order + 1)) * f.scale
     col = np.asarray(f._evaluator(0, z), dtype=complex)
     trailing = (Ellipsis,) + (None,) * (col.ndim - 2)
     for j in range(1, k):
@@ -277,7 +265,39 @@ def divided_difference_rows(f: FunctionFamily, rows) -> np.ndarray:
             fact = math.factorial(j)
             col.real[confluent] = deriv.real / fact
             col.imag[confluent] = deriv.imag / fact
+        # spans below the largest tau; rows with none keep the quotients
+        r, i = ((gap > 0) & (gap < tau.max())).nonzero()
+        if len(r):
+            _taylor_entries(f, z, j, r, i, col, tau, trailing)
     return col[:, 0]
+
+
+def _taylor_entries(f: FunctionFamily, z, j, r, i, col, tau, trailing) -> None:
+    """Overwrite the level-j entries (r, i) of the table by their Taylor series.
+
+    About the left node c = z_i (McCurdy, Ng & Parlett, Math. Comp. 43, 1984):
+
+        f[z_i..z_{i+j}] = sum_{m <= M-j} f^(j+m)(c)/(j+m)! h_m(z_i-c, .., z_{i+j}-c)
+
+    where h_m is the complete homogeneous symmetric polynomial of degree m.
+    The offsets are nonnegative, so h_m involves no cancellation.  Where tau
+    varies along the trailing axes, an entry takes the series only where its
+    span is below that tau.
+    """
+    nodes = z[r[:, None], i[:, None] + np.arange(j + 1)]
+    c = nodes[:, 0]
+    terms = f.max_order - j + 1
+    h = np.zeros((terms, len(c)))
+    h[0] = 1.0
+    for x in (nodes[:, 1:] - c[:, None]).T:
+        for m in range(1, terms):
+            h[m] += x * h[m - 1]
+    val = 0.0
+    for m in reversed(range(terms)):  # the smallest terms first
+        val = val + f._evaluator(j + m, c) * (h[m] / math.factorial(j + m))[trailing]
+    if tau.ndim:
+        val = np.where((nodes[:, -1] - c)[trailing] < tau, val, col[r, i])
+    col[r, i] = val
 
 
 def divided_difference_tensor(
@@ -409,6 +429,7 @@ def fourier(s: float, max_order: int = 8) -> FunctionFamily:
         dd_kernel={j: KERNEL_CONTINUOUS for j in range(1, max_order + 1)},
         deriv_sup={j: abs(s) ** j for j in range(0, max_order + 1)},
         params={"s": s},
+        scale=1.0 / abs(s) if s else math.inf,
     )
 
 
@@ -480,6 +501,7 @@ def bump(center: float = 0.0, halfwidth: float = 1.0, max_order: int = 6) -> Fun
         compact_support=True,
         dd_kernel={j: KERNEL_CONTINUOUS for j in range(1, max_order + 1)},
         params={"center": c, "halfwidth": w},
+        scale=0.3 * w,  # the derivatives grow fast towards the edges
     )
     return fam
 

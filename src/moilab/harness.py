@@ -98,6 +98,10 @@ DEFAULT_TOLERANCES: Dict[str, float] = {
 
 _ENSEMBLES = ("gue_like", "diagonal_heavy_tail", "fixed_matrix_file")
 
+# Memory a dimension may ask of an ensemble draw: the 4 d^2 normals of the two
+# gue_like matrices, at 8 bytes each, must fit.  d = 2896 is the largest.
+_DRAW_BUDGET_BYTES = 256 << 20
+
 
 def _is_int(x) -> bool:
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
@@ -120,9 +124,16 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.seed is None:
             raise ConfigError("seed is required; there is no entropy default")
+        if not (_is_int(self.seed) and 0 <= self.seed < 1 << 64):
+            raise ConfigError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
         self.seed = int(self.seed)
         if not (_is_int(self.dimension) and self.dimension >= 1):
             raise ConfigError(f"dimension must be an integer >= 1, got {self.dimension!r}")
+        if 4 * self.dimension ** 2 * 8 > _DRAW_BUDGET_BYTES:
+            raise ConfigError(
+                f"dimension {self.dimension} needs {4 * self.dimension ** 2} normals, more "
+                f"than the {_DRAW_BUDGET_BYTES >> 20} MiB draw budget holds"
+            )
         if not (_is_int(self.order) and self.order >= 1):
             raise ConfigError(f"order must be an integer >= 1, got {self.order!r}")
         if self.ensemble not in _ENSEMBLES:
@@ -132,6 +143,9 @@ class ExperimentConfig:
             raise ConfigError(f"unknown tolerances {unknown}; known: {sorted(DEFAULT_TOLERANCES)}")
         if any(v <= 0 for v in self.tolerances.values()):
             raise ConfigError("tolerances must be positive")
+        if not (isinstance(self.p, numbers.Real) and not isinstance(self.p, bool)
+                and 1.0 < self.p < math.inf):
+            raise ConfigError(f"p must be a finite real number > 1, got {self.p!r}")
         dims = self.dims
         if not (isinstance(dims, (list, tuple)) and len(dims) >= 2 and all(map(_is_int, dims))
                 and dims[0] >= 1 and all(a < b for a, b in zip(dims, dims[1:]))):
@@ -544,6 +558,8 @@ def run_suite(config: ExperimentConfig, suite: str) -> Report:
 
     A group that raises a MoiLabError yields one failed "execution" record
     named after the group in place of its records; the other groups still run.
+    A ConfigError, such as an unreadable matrix file, is not a check result:
+    it propagates.
     """
     if suite not in SUITES:
         raise ConfigError(f"unknown suite {suite!r}; known: {SUITES}")
@@ -555,6 +571,8 @@ def run_suite(config: ExperimentConfig, suite: str) -> Report:
     for name in _GROUPS if suite == "all" else (suite,):
         try:
             recs, arts = _GROUPS[name](config)
+        except ConfigError:
+            raise
         except MoiLabError as exc:
             recs, arts = [CheckRecord(name=name, formula="execution", measured=math.inf,
                                       threshold=0.0, passed=False, error=str(exc))], []

@@ -80,10 +80,12 @@ def load_matrix_csv(path) -> np.ndarray:
 
 
 def load_matrix(path) -> np.ndarray:
-    """Dispatch on file extension (.json or .csv)."""
+    """Dispatch on file extension (.json or .csv); a file that cannot be read is a ConfigError."""
     suffix = Path(path).suffix.lower()
-    if suffix == ".json":
-        return load_matrix_json(path)
-    if suffix == ".csv":
-        return load_matrix_csv(path)
-    raise ConfigError(f"{path}: unsupported matrix format {suffix!r}")
+    loader = {".json": load_matrix_json, ".csv": load_matrix_csv}.get(suffix)
+    if loader is None:
+        raise ConfigError(f"{path}: unsupported matrix format {suffix!r}")
+    try:
+        return loader(path)
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read matrix file: {exc.strerror or exc}") from None

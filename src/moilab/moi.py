@@ -1,11 +1,15 @@
 """Multiple operator integrals in projection-sum, discretized, and factorized form.
 
-The projection-sum form inserts the argument matrices between spectral
-projections of the operator tuple and weights each multi-index by the symbol
-evaluated at the cluster representatives:
+The projection-sum form inserts the argument matrices between the rank-one
+eigenprojections of the operator tuple and weights each multi-index by the
+symbol evaluated at the eigenvalues, with no clustering:
 
     T(b_1, ..., b_n) = sum over (i_0..i_n) of
-        phi(rep_{i_0}, ..., rep_{i_n}) P_{i_0} b_1 P_{i_1} ... b_n P_{i_n}
+        phi(lambda_{i_0}, ..., lambda_{i_n}) P_{i_0} b_1 P_{i_1} ... b_n P_{i_n}
+
+Close eigenvalues need no merging: the divided-difference table is accurate
+on near-confluent nodes, so the sum does not depend on how the eigensolver
+splits a near-degenerate eigenspace.
 
 In the eigenbases, with C_k = V_k* b_{k+1} V_{k+1}, this is one tensor
 contraction over eigen-indices (the Daleckii-Krein / Hadamard form):
@@ -16,10 +20,10 @@ contraction over eigen-indices (the Daleckii-Krein / Hadamard form):
     T = V_0 inner V_n*
 
 One kernel computes it.  The symbol is evaluated once, as a tensor over the
-per-slot representative vectors (:meth:`Symbol.tensor`); the tensor is
-broadcast to eigen-indices through each slot's cluster (or bin) labels; and
-a single ``einsum`` contracts it with the C_k.  The work is O(d^{n+1}),
-which is the size of Phi itself.  The kernel runs over chunks of i_0 so that
+per-slot node vectors (:meth:`Symbol.tensor`): the eigenvalues, or the bin
+corners of the discretized form, whose tensor is broadcast to eigen-indices
+through each slot's bin labels; and a single ``einsum`` contracts it with the
+C_k.  The work is O(d^{n+1}), which is the size of Phi itself.  The kernel runs over chunks of i_0 so that
 no chunk holds more than ``_CHUNK_ENTRIES`` complex entries, and an order
 whose single i_0 slice is larger raises :class:`ParameterError` before
 anything is allocated.  Summation order is fixed, making results bit-stable
@@ -251,13 +255,9 @@ def operands(
     operators: Sequence[Union[EigenSystem, np.ndarray]],
     arguments: Sequence[np.ndarray],
     exponents: Optional[Sequence[float]] = None,
-    eps_cluster: Optional[float] = None,
 ) -> MOIOperands:
     """Build operands, eigendecomposing any raw Hermitian matrices."""
-    ops = [
-        E if isinstance(E, EigenSystem) else eig_hermitian(E, eps_cluster)
-        for E in operators
-    ]
+    ops = [E if isinstance(E, EigenSystem) else eig_hermitian(E) for E in operators]
     args = [np.asarray(M, dtype=complex) for M in arguments]
     return MOIOperands(ops, args, list(exponents) if exponents is not None else None)
 
@@ -288,11 +288,6 @@ def _chunk_rows(d: int, n: int) -> int:
             f"entries per eigen-index, more than the {_CHUNK_ENTRIES} one chunk may hold"
         )
     return _CHUNK_ENTRIES // per_row
-
-
-def _cluster_slots(ops: MOIOperands):
-    """Per slot: (cluster representatives, cluster label of each eigen-index)."""
-    return [(E.cluster_reps, E.cluster_labels) for E in ops.operators]
 
 
 def _bin_slots(ops: MOIOperands, m: int, N: int):
@@ -366,14 +361,14 @@ def _check_symbol(symbol: Symbol, ops: MOIOperands) -> None:
 
 
 def moi_projection_sum(symbol: Symbol, ops: MOIOperands) -> MOIResult:
-    """Projection-sum multiple operator integral at cluster resolution."""
+    """Projection-sum multiple operator integral over every eigen-index tuple."""
     _check_symbol(symbol, ops)
-    slots = _cluster_slots(ops)
+    slots = [(E.eigenvalues, np.arange(E.dim)) for E in ops.operators]
     value, n_evals = _contract(symbol, ops, slots)
     return MOIResult(
         value=value,
         diagnostics={
-            "cluster_counts": [len(reps) for reps, _ in slots],
+            "cluster_counts": [len(reps) for reps, _ in slots],  # nodes per slot
             "symbol_evaluations": n_evals,
         },
     )
@@ -563,30 +558,24 @@ def projection_trace_weights(
     Separating these weights from the symbol lets a caller sweep a symbol
     family over the same operator tuple at the cost of one contraction: the
     trace of the operator integral against C is then
-    sum over multi-indices of phi(reps) * W.
+    sum over multi-indices of phi(eigenvalues) * W.
 
-    Returns (list of per-slot representative arrays, complex array W whose
-    axis s runs over the representatives of slot s).
+    Returns (list of per-slot eigenvalue arrays, complex array W whose axis s
+    runs over the eigen-indices of slot s).
     """
     d, n = ops.dim, ops.n_args
     step = _chunk_rows(d, n)
-    slots = _cluster_slots(ops)
     closing = np.eye(d) if closing is None else np.asarray(closing, dtype=complex)
     Cwrap = ops.operators[-1].basis.conj().T @ closing @ ops.operators[0].basis
     C = _chain(ops)
     idx, pairs = _chain_subscripts(n)
     # w[i_0..i_n] = C_0[i_0, i_1] ... C_{n-1}[i_{n-1}, i_n] Cwrap[i_n, i_0]
     spec = ",".join(pairs + [idx[-1] + idx[0]]) + "->" + idx
-    # one-hot cluster membership per slot, for summing eigen-indices into blocks
-    members = [np.eye(len(reps))[labels].T for reps, labels in slots]
-    W = np.zeros([len(reps) for reps, _ in slots], dtype=complex)
+    W = np.empty((d,) * (n + 1), dtype=complex)
     for lo in range(0, d, step):
         rows = np.arange(lo, min(lo + step, d))
         if n == 0:
-            w = Cwrap[rows, rows]
+            W[rows] = Cwrap[rows, rows]
         else:
-            w = np.einsum(spec, C[0][rows], *C[1:], Cwrap[:, rows])
-        for s in range(1, n + 1):
-            w = np.moveaxis(np.tensordot(w, members[s], axes=([s], [1])), -1, s)
-        W += np.tensordot(members[0][:, rows], w, axes=([1], [0]))
-    return [reps.copy() for reps, _ in slots], W
+            W[rows] = np.einsum(spec, C[0][rows], *C[1:], Cwrap[:, rows])
+    return [E.eigenvalues.copy() for E in ops.operators], W

@@ -6,13 +6,6 @@ residual and the unitarity of the eigenvector basis against fixed contracts
 and raises :class:`NumericalError` when either fails.  Schatten norms use the
 singular values from ``np.linalg.svd``, which keeps the condition number of
 X rather than squaring it as an eigensolve of X*X would.
-
-Eigenvalues are clustered by single-linkage merging at gaps up to
-``1e-8 * max(1, spread of the spectrum)``, and each cluster is represented by
-its mean.  Operator integrals feed these representatives to divided
-differences, which merge each node tuple again at gaps up to
-``1e-7 * (1 + max |node|)``.  Either tolerance can be the larger; both merges
-run one routine, ``moilab.families._single_linkage``.
 """
 
 from __future__ import annotations
@@ -28,7 +21,6 @@ from .errors import (
     NumericalError,
     ParameterError,
 )
-from .families import _single_linkage
 
 __all__ = [
     "EigenSystem",
@@ -41,7 +33,6 @@ __all__ = [
     "schatten_norm",
     "weighted_diagonal_norm",
     "trace",
-    "default_cluster_tol",
 ]
 
 
@@ -58,40 +49,29 @@ def require_hermitian(A, tol: float = 1e-12) -> np.ndarray:
     return M.copy()
 
 
-def default_cluster_tol(eigenvalues: np.ndarray) -> float:
-    spread = float(eigenvalues.max() - eigenvalues.min()) if len(eigenvalues) else 0.0
-    return 1e-8 * max(1.0, spread)
-
-
 @dataclass
 class EigenSystem:
-    """Eigendecomposition with tolerance-based eigenvalue clustering.
+    """Eigendecomposition A = V diag(eigenvalues) V*, with no clustering.
 
-    Eigen-index i lies in cluster ``cluster_labels[i]`` (0, 1, ... in
-    ascending order), whose mean eigenvalue is ``cluster_reps[cluster_labels[i]]``.
+    Close eigenvalues are used as computed: the divided-difference table of
+    the operator integrals is accurate on near-confluent nodes, so their values
+    do not depend, beyond that accuracy, on how V splits such an eigenspace.
     """
 
     eigenvalues: np.ndarray          # ascending, real
     basis: np.ndarray                # unitary, columns are eigenvectors
     residual: float                  # ||A - V diag V*||_F
-    cluster_reps: np.ndarray         # one representative value per cluster
-    cluster_labels: np.ndarray       # cluster of each eigenvalue
 
     @property
     def dim(self) -> int:
         return len(self.eigenvalues)
 
-    def projection(self, block: int) -> np.ndarray:
-        """Spectral projection onto the given cluster block."""
-        cols = self.basis[:, self.cluster_labels == block]
-        return cols @ cols.conj().T
-
     def hull(self) -> Tuple[float, float]:
         return float(self.eigenvalues[0]), float(self.eigenvalues[-1])
 
 
-def eig_hermitian(A, eps_cluster: Optional[float] = None) -> EigenSystem:
-    """Eigendecomposition of a Hermitian matrix with clustering.
+def eig_hermitian(A) -> EigenSystem:
+    """Eigendecomposition of a Hermitian matrix.
 
     Raises
     ------
@@ -114,18 +94,7 @@ def eig_hermitian(A, eps_cluster: Optional[float] = None) -> EigenSystem:
     unit = float(np.linalg.norm(V.conj().T @ V - np.eye(d)))
     if unit > 1e-12 * math.sqrt(d):
         raise NumericalError("eigenvector basis lost unitarity", residual=unit)
-    if eps_cluster is None:
-        eps_cluster = default_cluster_tol(vals)
-    means, labels = _single_linkage(vals[None, :], np.array([eps_cluster]))
-    reps = np.empty(labels.max(initial=-1) + 1)
-    reps[labels[0]] = means[0]
-    return EigenSystem(
-        eigenvalues=vals,
-        basis=V,
-        residual=residual,
-        cluster_reps=reps,
-        cluster_labels=labels[0],
-    )
+    return EigenSystem(eigenvalues=vals, basis=V, residual=residual)
 
 
 def apply_callable(g, E: EigenSystem) -> np.ndarray:

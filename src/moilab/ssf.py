@@ -224,15 +224,15 @@ def _remainder_trace_exponential(
         F(s) = sum e^{is mu} - sum e^{is lambda}
                - sum_{k<n} (is/k) sum f_s^{[k-1]}(lambda_{i_0..i_{k-1}}) W_k.
 
-    Exact up to rounding and second-order node merging for unclustered
-    eigensystems; O(d^{n-1}) work per s-point, in chunks of ``step`` s-points.
+    O(d^{n-1}) work per s-point, in chunks of ``step`` s-points.  The table
+    of f_s (:func:`divided_difference_rows`, M = 16, scale 1/s) takes the
+    Taylor series where its nodes span less than eps^(1/17)/s, so an order-k
+    value is good to about (eps + eps^(1-k/17)) s^k/k! at any eigenvalue gap.
 
     The tables hold 2d + sum_{k<n} k d^k nodes per s-point (90 at n = 3,
-    d = 6) but at most 2d distinct ones, the eigenvalues of A and of A + B.
-    So each chunk computes exp(isx) once per distinct node, and the
-    exponential family gathers its values from those rows; a block mean made
-    by the node merging gets its own exp.  Every value is bit for bit the one
-    a direct exp gives.
+    d = 6) but at most 2d distinct ones, the eigenvalues of A and of A + B,
+    and evaluate f_s only there.  So each chunk computes exp(isx) once per
+    distinct node and gathers from those rows, bit for bit a direct exp.
 
     Near s = 0 the rounding of the O(d) terms (eigenvalues of A + B included)
     is divided by s^n, so etahat loses accuracy as (s ||B||)^{-n}: 7e-10 at
@@ -244,8 +244,7 @@ def _remainder_trace_exponential(
         reps, W = projection_trace_weights(MOIOperands([EA] * k, [B] * (k - 1)), closing=B)
         rows = np.stack(np.meshgrid(*reps, indexing="ij"), axis=-1).reshape(-1, k)
         terms.append((k, rows, W.ravel()))
-    # the distinct nodes of all tables; the node merging of
-    # divided_difference_rows may add block means, exponentiated on their own
+    # the distinct nodes of all tables
     nodes = np.unique(np.concatenate([rows.ravel() for _, rows, _ in terms]))
     out = np.empty(len(s), dtype=complex)
     for lo in range(0, len(s), step):
@@ -254,17 +253,17 @@ def _remainder_trace_exponential(
 
         def phase(j, x):
             # (is)^j exp(isx) for every s of the chunk, as a trailing s axis,
-            # gathered from the exp rows of the distinct nodes.  (is)^j has an
-            # exact zero part, so each product is one rounding in any order.
-            at = np.minimum(np.searchsorted(nodes, x), len(nodes) - 1)
-            e = e_nodes[at]
-            new = nodes[at] != x
-            e[new] = np.exp(1j * np.multiply.outer(x[new], sc))
+            # gathered from the exp rows of the nodes, x among them, and scaled
+            # in place.  (is)^j has an exact zero part, so each product is one
+            # rounding in any order.
+            e = e_nodes[np.searchsorted(nodes, x)]
             e *= (1j * sc) ** j
             return e
 
-        f_s = FunctionFamily("fourier_grid", max(n - 2, 0), phase,
-                             bounded_deriv={}, vanishes_at_inf={}, real_valued=False)
+        # exp(isx) has every derivative; 16 put tau at eps^(1/17)/s = 0.12/s,
+        # where neither the series nor a quotient loses more than rounding
+        f_s = FunctionFamily("fourier_grid", max(n - 2, 16), phase, bounded_deriv={},
+                             vanishes_at_inf={}, real_valued=False, scale=1.0 / sc)
         out[lo:lo + step] = sum(
             (1.0 if k == 0 else -1j * sc / k) * (w @ divided_difference_rows(f_s, rows))
             for k, rows, w in terms
@@ -275,7 +274,13 @@ def _remainder_trace_exponential(
 def higher_ssf_fourier(
     A, B, n: int, params: Optional[FourierParams] = None, seed: Optional[int] = None
 ) -> SSFGrid:
-    """Order-n shift density recovered from the exponential pairing."""
+    """Order-n shift density recovered from the exponential pairing.
+
+    F(s) = tr R_n(e^{is.}) uses the eigenvalues of A and A + B as computed,
+    close ones included: divided differences of e^{isx} take the Taylor series
+    below the span tau = eps^(1/17)/s, quotients above it, so F is good to a
+    few eps times d (1 + s ||B||)^(n-1) against a block-triangular expm.
+    """
     if n < 1:
         raise ParameterError("order must be >= 1")
     A = require_hermitian(A)
@@ -287,9 +292,8 @@ def higher_ssf_fourier(
                              f"per s-point, more than the {_CHUNK_ENTRIES} of one chunk")
     if params is None:
         params = FourierParams.auto(A, B, n)
-    # unclustered: cluster means would put a first-order error into the sweep
-    EA = eig_hermitian(A, 0.0)
-    EAB = eig_hermitian(A + B, 0.0)
+    EA = eig_hermitian(A)
+    EAB = eig_hermitian(A + B)
     lo, hi = _spectra_hull(EA, EAB)
     span = max(hi - lo, 1e-6)
     pad = params.t_pad_frac * max(span, 1.0)

@@ -91,24 +91,21 @@ def gateaux_derivative(
     B,
     k: int,
     t: float = 0.0,
-    eps_cluster: Optional[float] = None,
 ) -> np.ndarray:
     """k-th derivative of t -> f(A + tB), via the operator-integral formula.
 
     Equals k! times the order-k operator integral with every slot at A + tB
     and every argument equal to B.
     """
-    return _derivative_moi(f, A, B, k, t, eps_cluster).value
+    return _derivative_moi(f, A, B, k, t).value
 
 
-def derivative_moi(f: FunctionFamily, A, B, k: int, t: float = 0.0,
-                   eps_cluster: Optional[float] = None) -> MOIResult:
+def derivative_moi(f: FunctionFamily, A, B, k: int, t: float = 0.0) -> MOIResult:
     """:func:`gateaux_derivative` with the kernel diagnostics of its one operator integral."""
-    return _derivative_moi(f, A, B, k, t, eps_cluster)
+    return _derivative_moi(f, A, B, k, t)
 
 
-def _derivative_moi(f: FunctionFamily, A, B, k: int, t: float,
-                    eps_cluster: Optional[float]) -> MOIResult:
+def _derivative_moi(f: FunctionFamily, A, B, k: int, t: float) -> MOIResult:
     if k > f.max_order:
         raise OrderLimitError(f"derivative order {k} exceeds {f.family_id!r} support")
     if k < 1:
@@ -116,7 +113,7 @@ def _derivative_moi(f: FunctionFamily, A, B, k: int, t: float,
     _warn_missing_flags(f, k)
     A = require_hermitian(A)
     B = require_hermitian(B)
-    E = eig_hermitian(A + t * B, eps_cluster)
+    E = eig_hermitian(A + t * B)
     ops = operands([E] * (k + 1), [B] * k)
     result = moi_projection_sum(dd_symbol(f, k), ops)
     return MOIResult(math.factorial(k) * result.value, result.diagnostics)
@@ -169,7 +166,6 @@ def taylor_remainder(
     A,
     B,
     n: int,
-    eps_cluster: Optional[float] = None,
     check_tol: float = 1e-8,
 ) -> np.ndarray:
     """Operator Taylor remainder of order n at base point A in direction B.
@@ -181,7 +177,7 @@ def taylor_remainder(
     and the closed integral form with the leading slot at A + B, asserts they
     agree to check_tol relative, and returns the closed form.
     """
-    sigma, closed, dev = remainder_two_path(f, A, B, n, eps_cluster)
+    sigma, closed, dev = remainder_two_path(f, A, B, n)
     if dev > check_tol:
         raise ToleranceError(
             "subtraction and closed remainder forms disagree",
@@ -192,8 +188,7 @@ def taylor_remainder(
     return closed
 
 
-def remainder_two_path(f: FunctionFamily, A, B, n: int, eps_cluster: Optional[float] = None
-                       ) -> Tuple[np.ndarray, np.ndarray, float]:
+def remainder_two_path(f: FunctionFamily, A, B, n: int) -> Tuple[np.ndarray, np.ndarray, float]:
     """(subtraction form, closed form, their relative_deviation) of :func:`taylor_remainder`."""
     if n < 1:
         raise ParameterError("remainder order must be >= 1")
@@ -201,8 +196,8 @@ def remainder_two_path(f: FunctionFamily, A, B, n: int, eps_cluster: Optional[fl
         raise OrderLimitError(f"remainder order {n} exceeds {f.family_id!r} support")
     A = require_hermitian(A)
     B = require_hermitian(B)
-    EA = eig_hermitian(A, eps_cluster)
-    EAB = eig_hermitian(A + B, eps_cluster)
+    EA = eig_hermitian(A)
+    EAB = eig_hermitian(A + B)
     sigma = apply_function(f, EAB) - apply_function(f, EA)
     for k in range(1, n):
         ops = operands([EA] * (k + 1), [B] * k)

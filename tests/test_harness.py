@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -56,6 +57,18 @@ def test_config_requires_seed_and_validates():
     for dims in ([], [16], [16, "x"], [0, 16], [64, 16], [16, 16], [16.0, 64], [True, 16]):
         with pytest.raises(ConfigError, match="dims"):
             ExperimentConfig(seed=1, dims=dims)
+    for seed in ("abc", 1.5, True, -1, 2 ** 64, 2 ** 70):
+        with pytest.raises(ConfigError, match="seed"):
+            ExperimentConfig(seed=seed)
+    assert ExperimentConfig(seed=2 ** 64 - 1).seed == 2 ** 64 - 1
+    for p in ("x", 1.0, 0.5, True, math.inf, math.nan, None):
+        with pytest.raises(ConfigError, match="p must"):
+            ExperimentConfig(seed=1, p=p)
+    # 4 d^2 normals of 8 bytes: d = 2896 fits 256 MiB, d = 2897 does not
+    assert ExperimentConfig(seed=1, dimension=2896).dimension == 2896
+    for dimension in (2897, 10 ** 6):
+        with pytest.raises(ConfigError, match="budget"):
+            ExperimentConfig(seed=1, dimension=dimension)
 
 
 def test_config_from_json(tmp_path):
@@ -179,7 +192,7 @@ def _child_env():
 def _run_cli(args, cwd):
     return subprocess.run(
         [sys.executable, "-m", "moilab.cli", *args],
-        capture_output=True, text=True, cwd=cwd, env=_child_env(),
+        capture_output=True, text=True, cwd=cwd, env=_child_env(), timeout=120,
     )
 
 
@@ -221,10 +234,21 @@ def test_cli_config_error_exit_code(tmp_path):
         "dimension_float.json": {"seed": 1, "dimension": 2.5},
         "dimension_bool.json": {"seed": 1, "dimension": True},
         "order_float.json": {"seed": 1, "order": 2.5},
+        "seed_str.json": {"seed": "abc"},
+        "seed_float.json": {"seed": 1.5},
+        "seed_bool.json": {"seed": True},
+        "seed_huge.json": {"seed": 2 ** 70},
+        "p_str.json": {"seed": 1, "p": "x"},
+        "p_one.json": {"seed": 1, "p": 1.0},
+        "p_inf.json": {"seed": 1, "p": math.inf},
+        "dimension_huge.json": {"seed": 1, "dimension": 10 ** 6},  # 4e12 normals
+        "missing_matrix.json": {"seed": 1, "ensemble": "fixed_matrix_file",
+                                "matrix_a": "nope_a.json", "matrix_b": "nope_b.csv"},
     }
     for name, payload in configs.items():
         (tmp_path / name).write_text(json.dumps(payload))
     deriv = ["deriv", "--k", "1", "--seed", "5"]
+    missing = ["--matrix-a", "nope_a.json", "--matrix-b", "nope_b.csv"]
     cases = [
         ["run", "--config", "nope.json", "--suite", "counterexample", "--out", "o"],
         ["run", "--config", "unknown_id.json", "--suite", "derivatives", "--out", "o"],
@@ -232,17 +256,26 @@ def test_cli_config_error_exit_code(tmp_path):
         ["counterexample", "--p", "2.0", "--dims", "16,abc"],
         ["counterexample", "--p", "2", "--dims", "0,16"],
         *(["run", "--config", name, "--suite", "counterexample", "--out", "o"]
-          for name in list(configs)[2:]),
+          for name in list(configs)[2:-1]),
+        ["run", "--config", "missing_matrix.json", "--suite", "derivatives", "--out", "o"],
+        ["ssf", *missing, "--order", "2", "--out", "eta.csv"],
+        ["deriv", "--k", "1", "--f", "gaussian", *missing],
         [*deriv, "--f", "gaussian", "--params", "{bad"],
         [*deriv, "--f", "gaussian", "--params", "[1]"],
         [*deriv, "--f", "gaussian", "--params", '{"foo": 1}'],
         [*deriv, "--f", "nosuch"],
     ]
     for argv in cases:
+        before = resource.getrusage(resource.RUSAGE_CHILDREN)
         res = _run_cli(argv, cwd=tmp_path)
+        after = resource.getrusage(resource.RUSAGE_CHILDREN)
         assert res.returncode == 2, (argv, res.stderr)
         assert "configuration error" in res.stderr, (argv, res.stderr)
         assert "Traceback" not in res.stderr, (argv, res.stderr)
+        # rejected before anything large is drawn or read: CPU, not wall
+        # time, so that a loaded machine does not fail it
+        cpu = after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime
+        assert cpu < 1.0, (argv, cpu)
 
 
 def test_cli_ssf_and_deriv(tmp_path):

@@ -145,11 +145,13 @@ def test_eig_hermitian_matches_jacobi_oracle(kind):
     order = np.argsort(vals, kind="stable")
     vals, V = vals[order], V[:, order]
     assert np.allclose(E.eigenvalues, vals, rtol=0.0, atol=1e-12 * max(1.0, np.linalg.norm(A)))
-    # eigenvectors are fixed only up to rotations inside a cluster: compare
-    # the spectral projections
-    for b in range(len(E.cluster_reps)):
-        cols = V[:, E.cluster_labels == b]
-        assert np.linalg.norm(E.projection(b) - cols @ cols.conj().T) <= 1e-10
+    # eigenvectors are fixed only up to rotations inside an eigenspace: compare
+    # the spectral projections onto the oracle's distinct eigenvalues
+    for lam in np.unique(vals.round(9)):
+        ours = E.basis[:, np.abs(E.eigenvalues - lam) < 1e-9]
+        cols = V[:, np.abs(vals - lam) < 1e-9]
+        assert ours.shape == cols.shape
+        assert np.linalg.norm(ours @ ours.conj().T - cols @ cols.conj().T) <= 1e-10
 
 
 def test_non_hermitian_rejected():
@@ -157,25 +159,6 @@ def test_non_hermitian_rejected():
         eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(DimensionMismatchError):
         require_hermitian(np.ones((2, 3)))
-
-
-def test_clustering_merges_degenerate_eigenvalues():
-    A = np.diag([1.0, 1.0 + 1e-12, 2.0])
-    E = eig_hermitian(A)
-    assert len(E.cluster_reps) == 2
-    assert E.cluster_labels.tolist() == [0, 0, 1]
-    P = E.projection(0)
-    assert np.allclose(P, np.diag([1.0, 1.0, 0.0]), atol=1e-10)
-
-
-def test_cluster_monotonicity_under_shrinking_tolerance():
-    vals = np.diag([0.0, 0.5, 0.50001, 1.0])
-    coarse = eig_hermitian(vals, eps_cluster=1e-3)
-    fine = eig_hermitian(vals, eps_cluster=1e-7)
-    # every fine cluster is contained in some coarse cluster
-    for b in range(len(fine.cluster_reps)):
-        assert len(set(coarse.cluster_labels[fine.cluster_labels == b])) == 1
-    assert len(fine.cluster_reps) >= len(coarse.cluster_reps)
 
 
 def test_apply_identity_function_recovers_matrix():

@@ -246,61 +246,44 @@ def test_serialization_roundtrip_and_determinism(tmp_path):
 # The reduced-arity Fourier sweep against the remainder oracle
 # ---------------------------------------------------------------------------
 
-# Bound on |F_sweep - F_oracle|, in units of d (1 + s ||B||)^(n-1), the size of
-# the terms the sweep subtracts: C_ROUND * eps for rounding, plus
-# C_MERGE * (s g)^2 where the divided-difference table merges eigenvalues a
-# gap g apart (the sweep and the oracle merge different node tuples, each
-# exact to second order in g).  Measured on 4000 draws of the strategy below
-# (1000 per spectrum kind): the rounding ratio is at most 3.0e3 (repeated
-# spectrum, n = 1, at s_max); the excess over 5e3 eps per (s g)^2 is at most
-# 6.8e-3 (n = 3, g = 9e-8) in all draws but one.  That one is the oracle's:
-# there its closed form is 5e-12 off its own subtraction form, which the
-# sweep matches to 16 digits, and it stays inside the combined bound.  The
-# constants round the maxima up by 3x and 7x; 6000 draws (the two measured
-# sets and a fresh one) all pass.
+# Bound on |F_sweep - F_oracle|: C_ROUND * eps in units of d (1 + s ||B||)^(n-1),
+# the size of the terms the sweep subtracts.  Measured on 4000 draws of the
+# strategy below (1000 per spectrum kind) with the merging table this bound
+# was set for: the rounding ratio was at most 3.0e3 (repeated spectrum, n = 1,
+# at s_max), and the constant rounds it up by 3x.  With the merge-free table
+# and gaps up to 1e-2: at most 32 on the draws below, 111 on 400 random ones.
 C_ROUND = 1e4
-C_MERGE = 0.05
 
 
 def _spectrum_pair(seed, d, kind, gap, b_norm):
-    """(A, B, g): A = Q diag(lam) Q* with a spectrum of the given kind, B
-    Hermitian of norm b_norm, and g the eigenvalue gap placed below the
-    divided-difference merge tolerance (0 when there is none)."""
+    """(A, B): A = Q diag(lam) Q* with a spectrum of the given kind, B
+    Hermitian of norm b_norm.  The "gap" kind puts two eigenvalues
+    gap (1 + |lam|) apart."""
     rng = np.random.default_rng(seed)
     lam = rng.uniform(-2.0, 2.0, d)
-    merged = 0.0
     if kind == "scalar":
         lam[:] = lam[0]
     elif kind == "repeated":
         lam = rng.choice(lam[:2], d)
     elif kind == "gap" and d > 1:
-        merged = gap * (1.0 + abs(lam[0]))
-        lam[1] = lam[0] + merged
+        lam[1] = lam[0] + gap * (1.0 + abs(lam[0]))
     Q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
     A = (Q * lam) @ Q.conj().T
     A = (A + A.conj().T) / 2
     X = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     B = (X + X.conj().T) / 2
-    B = B * (b_norm / np.linalg.norm(B, 2))
-    return A, B, merged
+    return A, B * (b_norm / np.linalg.norm(B, 2))
 
 
 def _sweep_and_oracle(A, B, n):
-    """F on the first s past the exclusion zone, a middle s and s_max, by both routes.
-
-    The oracle is the closed remainder form run at eigenvalue resolution, as
-    the sweep is: at the default clustering its two forms disagree for gaps
-    below the cluster tolerance.
-    """
+    """F on the first s past the exclusion zone, a middle s and s_max, by both routes."""
     p = FourierParams.auto(A, B, n)
     s = np.linspace(-p.s_max, p.s_max, p.num_s + 1)
     s_pos = s[s > 0]
     s_vals = np.array([s_pos[s_pos >= p.s_min_exclusion][0], s_pos[len(s_pos) // 7], s_pos[-1]])
-    EA, EAB = eig_hermitian(A, 0.0), eig_hermitian(A + B, 0.0)
+    EA, EAB = eig_hermitian(A), eig_hermitian(A + B)
     got = ssf_module._remainder_trace_exponential(EA, EAB, B, n, s_vals, len(s_vals))
-    want = np.array([
-        complex(trace(taylor_remainder(fourier(x), A, B, n, eps_cluster=0.0))) for x in s_vals
-    ])
+    want = np.array([complex(trace(taylor_remainder(fourier(x), A, B, n))) for x in s_vals])
     return s_vals, got, want
 
 
@@ -310,24 +293,23 @@ def _sweep_and_oracle(A, B, n):
     d=st.integers(1, 4),
     n=st.integers(1, 3),
     kind=st.sampled_from(["generic", "scalar", "repeated", "gap"]),
-    gap=st.sampled_from([5e-9, 1e-8, 2e-8, 5e-8, 9e-8]),
+    gap=st.sampled_from([5e-9, 1e-8, 2e-8, 5e-8, 9e-8, 1.5e-7, 1e-6, 1e-5, 1e-4, 1e-3,
+                         1e-2]),
     b_norm=st.sampled_from([0.0, 0.3, 1.0, 2.0]),
 )
 def test_sweep_matches_remainder_oracle(seed, d, n, kind, gap, b_norm):
-    # d = 1, B = 0, A = cI, exact repeats and gaps around the 1e-8 cluster and
-    # 1e-7 merge tolerances.  Gaps just above 1e-7 are left out: there the
-    # oracle's own order-n divided differences lose their digits.
-    A, B, merged = _spectrum_pair(seed, d, kind, gap, b_norm)
+    # d = 1, B = 0, A = cI, exact repeats, and near-confluent gaps from 5e-9
+    # to 1e-2, across the tolerances the library used to merge at
+    A, B = _spectrum_pair(seed, d, kind, gap, b_norm)
     s, got, want = _sweep_and_oracle(A, B, n)
-    scale = d * (1.0 + s * b_norm) ** (n - 1)
-    bound = scale * (C_ROUND * np.finfo(float).eps + C_MERGE * (s * merged) ** 2)
+    bound = C_ROUND * np.finfo(float).eps * d * (1.0 + s * b_norm) ** (n - 1)
     assert np.all(np.abs(got - want) <= bound), (np.abs(got - want) / bound).max()
 
 
 def test_sweep_chunked_and_unchunked_agree():
     A, B = pair(21, 5)
     s = np.linspace(0.01, 40.0, 301)
-    EA, EAB = eig_hermitian(A, 0.0), eig_hermitian(A + B, 0.0)
+    EA, EAB = eig_hermitian(A), eig_hermitian(A + B)
     whole = ssf_module._remainder_trace_exponential(EA, EAB, B, 3, s, len(s))
     chunked = ssf_module._remainder_trace_exponential(EA, EAB, B, 3, s, 7)
     np.testing.assert_allclose(chunked, whole, rtol=0, atol=1e-13 * np.abs(whole).max())
@@ -371,17 +353,14 @@ def test_fourier_d32_order3_memory_regression():
 # The Fourier sweep against the block-triangular expm oracle
 # ---------------------------------------------------------------------------
 
-# Bound on |F_sweep - F_expm|: C_EXPM * eps in units of
-# d (1 + s ||B||)^(n-1) max(1, 1/(s g))^(n-2), where g is the smallest gap
-# between distinct eigenvalues of A.  The first factor is the size of the terms
-# the sweep subtracts, as in the oracle test above.  The second is the known
-# loss of the sweep's order-(n-2) divided differences of exp(isx) on close
-# nodes, about eps / g^(n-2) (the near-confluent defect of the Hermite table);
-# it is 1 at n = 2 and for exactly repeated or single eigenvalues.  The expm
-# side is good to 5 eps against a 40-digit mpmath expm.  Measured on 12000
-# draws of the strategy below (36000 s-points, three seed sets): the ratio is
-# at most 9.8 (n = 2), and at most 3.5, 2.4 and 1.3 at n = 3, 4, 5, where
-# errors reach 1e6 eps at gaps of 3e-3.  The constant rounds 9.8 up by 3.3x.
+# Bound on |F_sweep - F_expm|: C_EXPM * eps in units of d (1 + s ||B||)^(n-1),
+# the size of the terms the sweep subtracts, as in the oracle test above.  The
+# expm side is good to 5 eps against a 40-digit mpmath expm.  Measured on
+# 12000 draws of the strategy below (36000 s-points, three seed sets) with the
+# merging table, in units that also allowed its loss of eps / (s g)^(n-2) at
+# eigenvalue gaps g: the ratio was at most 9.8, and the constant rounds it up
+# by 3.3x.  The merge-free table needs no such allowance: at most 6.4 on the
+# draws below, 10.1 on 600 random ones.
 C_EXPM = 32
 
 
@@ -422,17 +401,14 @@ def _oracle_pair(seed, d, kind, b_norm):
 
 
 def _sweep_vs_expm(A, B, n, s_vals):
-    EA, EAB = eig_hermitian(A, 0.0), eig_hermitian(A + B, 0.0)
+    EA, EAB = eig_hermitian(A), eig_hermitian(A + B)
     got = ssf_module._remainder_trace_exponential(EA, EAB, B, n, s_vals, len(s_vals))
     want = np.array([_expm_remainder_trace(A, B, n, s) for s in s_vals])
     return np.abs(got - want)
 
 
 def _expm_bound(lam, b_norm, n, s_vals):
-    distinct = np.unique(lam)
-    g = np.diff(distinct).min() if len(distinct) > 1 else np.inf
-    gap = np.maximum(1.0, 1.0 / (s_vals * g)) ** (n - 2)
-    return C_EXPM * np.finfo(float).eps * len(lam) * (1.0 + s_vals * b_norm) ** (n - 1) * gap
+    return C_EXPM * np.finfo(float).eps * len(lam) * (1.0 + s_vals * b_norm) ** (n - 1)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

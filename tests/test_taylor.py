@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from moilab.errors import OrderLimitError, ParameterError, ToleranceError
-from moilab.families import bump, exponential, gaussian, monomial, recip_plus, runge
+from moilab.families import bump, exponential, fourier, gaussian, monomial, recip_plus, runge
 from moilab.rng import SplitMix64
 from moilab.taylor import (
     continuity_probe,
@@ -67,6 +67,56 @@ def test_derivative_matches_oracle_across_families(fam, k):
     want = finite_difference_oracle(fam, A, B, k=k, t=0.1)
     scale = max(1.0, np.linalg.norm(want))
     assert np.linalg.norm(got - want) / scale <= 1e-5
+
+
+def expm_derivative(A, B, k, s):
+    """D^k e^{isx}(A)[B, ..., B] from scipy's expm alone.
+
+    The top-right block of exp of the (k+1)-block upper bidiagonal matrix with
+    isA on the diagonal and isB above it is the k-th Taylor coefficient of
+    t -> e^{is(A + tB)}: no eigensolve, divided difference or step size.
+    """
+    import scipy.linalg  # oracle only
+
+    d = len(A)
+    M = np.kron(np.eye(k + 1), 1j * s * A) + np.kron(np.eye(k + 1, k=1), 1j * s * B)
+    return math.factorial(k) * scipy.linalg.expm(M)[:d, k * d:]
+
+
+# Bound on ||D - D_expm||_F: C_DERIV (1 + s max|lambda|) (eps + eps^(1-k/(M+1))) s^k,
+# with M = 8 the max_order of fourier(s) and s^k = k! sup|f^(k)|/k!.  The
+# second factor is the divided-difference table's derived error; the first is
+# the rounding of s lambda in each e^{is lambda}, which the table's quotients
+# amplify like any other rounding.  Measured on the grid below: at most 0.115
+# (k = 1); on 6 random bases and 71 gaps at most 0.25 (k = 4, gap 4e-3, just
+# above tau = eps^(1/9)/s).  The constant rounds 0.115 up by 3.5x.
+C_DERIV = 0.4
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_derivative_matches_expm_on_near_confluent_spectra(k):
+    # {-0.7, 0.2, 0.2, 0.9} and 25 times it (spreads 1.6 and 40), the third
+    # eigenvalue moved by g from 1e-9 to 1e-2, across the former merge
+    # tolerances and tau
+    rng = np.random.default_rng(0)
+    Q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    X = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    B = (X + X.conj().T) / 2
+    B /= np.linalg.norm(B, 2)
+    eps = np.finfo(float).eps
+    worst = 0.0
+    for spread in (1.0, 25.0):
+        for g in np.geomspace(1e-9, 1e-2, 29):
+            lam = spread * np.array([-0.7, 0.2, 0.2, 0.9]) + np.array([0.0, 0.0, g, 0.0])
+            A = (Q * lam) @ Q.conj().T
+            A = (A + A.conj().T) / 2
+            for s in (1.0, 5.0):
+                f = fourier(s)
+                err = np.linalg.norm(gateaux_derivative(f, A, B, k) - expm_derivative(A, B, k, s))
+                table = eps + eps ** (1 - k / (f.max_order + 1))
+                unit = (1 + s * np.abs(lam).max()) * table * s ** k
+                worst = max(worst, err / unit)
+    assert worst <= C_DERIV, worst
 
 
 def test_real_family_derivative_is_hermitian():
