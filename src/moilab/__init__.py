@@ -4,9 +4,10 @@ The package realizes, for Hermitian matrices, the calculus of higher-order
 directional derivatives of t -> f(A + tB): divided differences of scalar
 function families, multiple operator integrals in several equivalent forms,
 operator Taylor remainders and their perturbation identities, and spectral
-shift densities with verified trace formulas.  A weighted diagonal trace
-model provides the commutative setting where the bounded-perturbation
-hypotheses demonstrably cannot be dropped.
+shift densities with verified trace formulas.  The trace is the matrix
+trace; a weighted diagonal norm on point masses provides the commutative
+setting where the bounded-perturbation hypotheses demonstrably cannot be
+dropped.
 """
 
 import os
@@ -71,7 +72,6 @@ from .moi import (
 from .rng import SplitMix64
 from .spectral import (
     EigenSystem,
-    TraceModel,
     apply_function,
     eig_hermitian,
     schatten_norm,

@@ -95,10 +95,7 @@ def _cmd_ssf(args) -> int:
             base = FourierParams.auto(A, B, args.order)
             s_max = args.s_max if args.s_max is not None else base.s_max
             num_s = args.num_s if args.num_s is not None else base.num_s
-            params = FourierParams(
-                s_max=s_max, num_s=num_s,
-                s_min_exclusion=2.0 * (2.0 * s_max / num_s),
-            )
+            params = FourierParams(s_max=s_max, num_s=num_s)
         grid = higher_ssf_fourier(A, B, n=args.order, params=params, seed=args.seed)
     sidecar = args.sidecar or (args.out + ".json")
     save_ssf(grid, args.out, sidecar)
@@ -116,7 +113,7 @@ def _cmd_deriv(args) -> int:
         B = matrix_io.load_matrix(args.matrix_b)
     elif args.seed is not None:
         cfg = ExperimentConfig(seed=args.seed, dimension=args.dim)
-        A, B, _ = generate_ensemble(cfg)
+        A, B = generate_ensemble(cfg)
     else:
         raise ConfigError("deriv needs either --matrix-a/--matrix-b or --seed")
     D = derivative_moi(fam, A, B, k=args.k, t=args.t)

@@ -18,6 +18,7 @@ it is the tests' independent oracle, accurate away from that tolerance.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
@@ -377,9 +378,9 @@ def classify(f: FunctionFamily, n: int) -> AdmissibilityReport:
 
 def monomial(k: int, max_order: int = 8) -> FunctionFamily:
     """f(x) = x**k."""
+    if not isinstance(k, numbers.Integral) or isinstance(k, bool) or k < 0:
+        raise ParameterError(f"monomial exponent must be an integer >= 0, got {k!r}")
     k = int(k)
-    if k < 0:
-        raise ParameterError("monomial exponent must be nonnegative")
     max_order = max(max_order, k)
 
     def ev(j, x):
@@ -412,8 +413,11 @@ def exponential(max_order: int = 8) -> FunctionFamily:
     )
 
 
-def fourier(s: float, max_order: int = 8) -> FunctionFamily:
-    """f(x) = exp(i s x), the bounded complex exponential with frequency s."""
+def fourier(s: float, max_order: int = 16) -> FunctionFamily:
+    """f(x) = exp(i s x), the bounded complex exponential with frequency s.
+
+    max_order 16 puts tau at eps^(1/17)/|s|, as in the Fourier sweep's family.
+    """
     s = float(s)
 
     def ev(j, x):
@@ -592,5 +596,5 @@ def family_from_spec(spec: dict) -> FunctionFamily:
         ) from None
     try:
         return factory(**spec)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ParameterError(f"family {fid!r}: {exc}") from None

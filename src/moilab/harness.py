@@ -42,7 +42,7 @@ from .moi import (
     operands,
 )
 from .rng import SplitMix64
-from .spectral import TraceModel, apply_function, eig_hermitian, trace
+from .spectral import apply_function, eig_hermitian, trace
 from .ssf import (
     counting_pairing,
     diagonal_symbol_trace,
@@ -107,6 +107,13 @@ def _is_int(x) -> bool:
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
+def _is_finite_real(x) -> bool:
+    try:
+        return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
 @dataclass
 class ExperimentConfig:
     seed: int
@@ -138,13 +145,15 @@ class ExperimentConfig:
             raise ConfigError(f"order must be an integer >= 1, got {self.order!r}")
         if self.ensemble not in _ENSEMBLES:
             raise ConfigError(f"unknown ensemble {self.ensemble!r}; known: {_ENSEMBLES}")
+        if not isinstance(self.tolerances, dict):
+            raise ConfigError(f"tolerances must be an object, got {self.tolerances!r}")
         unknown = sorted(set(self.tolerances) - set(DEFAULT_TOLERANCES))
         if unknown:
             raise ConfigError(f"unknown tolerances {unknown}; known: {sorted(DEFAULT_TOLERANCES)}")
-        if any(v <= 0 for v in self.tolerances.values()):
-            raise ConfigError("tolerances must be positive")
-        if not (isinstance(self.p, numbers.Real) and not isinstance(self.p, bool)
-                and 1.0 < self.p < math.inf):
+        for name, v in self.tolerances.items():
+            if not (_is_finite_real(v) and v > 0):
+                raise ConfigError(f"tolerance {name} must be a finite real > 0, got {v!r}")
+        if not (_is_finite_real(self.p) and self.p > 1.0):
             raise ConfigError(f"p must be a finite real number > 1, got {self.p!r}")
         dims = self.dims
         if not (isinstance(dims, (list, tuple)) and len(dims) >= 2 and all(map(_is_int, dims))
@@ -152,6 +161,11 @@ class ExperimentConfig:
             raise ConfigError(
                 f"dims must be at least 2 strictly increasing positive integers, got {dims!r}"
             )
+        for name in ("matrix_a", "matrix_b", "out_dir"):
+            if not isinstance(getattr(self, name), (str, type(None))):
+                raise ConfigError(f"{name} must be a path string, got {getattr(self, name)!r}")
+        if not isinstance(self.functions, (list, tuple)):
+            raise ConfigError(f"functions must be a list, got {self.functions!r}")
         try:
             self._families = [family_from_spec(spec) for spec in self.functions]
         except ParameterError as exc:
@@ -165,6 +179,10 @@ class ExperimentConfig:
             raise ConfigError(f"config file not found: {path}") from None
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+        except ValueError as exc:  # an integer literal past Python's digit limit
+            raise ConfigError(f"{path}: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise ConfigError(f"{path}: the config must be a JSON object, got {raw!r}")
         known = set(cls.__dataclass_fields__)
         unknown = set(raw) - known
         if unknown:
@@ -192,7 +210,7 @@ def _hermitian_from(gen: SplitMix64, d: int) -> np.ndarray:
 
 
 def generate_ensemble(config: ExperimentConfig):
-    """Deterministic (A, B, trace model) triple from the config."""
+    """Deterministic (A, B) pair from the config."""
     d = config.dimension
     if config.ensemble == "gue_like":
         gen = SplitMix64(config.seed)
@@ -201,18 +219,17 @@ def generate_ensemble(config: ExperimentConfig):
         bnorm = float(np.linalg.norm(B, 2))
         if bnorm > 0:
             B = B / bnorm
-        return A, B, TraceModel()
+        return A, B
     if config.ensemble == "diagonal_heavy_tail":
         k = np.arange(1, d + 1, dtype=float)
         b = (k / d) ** (-1.0 / (1.5 * config.p))
-        model = TraceModel("weighted_diagonal", np.full(d, 1.0 / d))
-        return np.eye(d), np.diag(b), model
+        return np.eye(d), np.diag(b)
     # fixed_matrix_file
     if not config.matrix_a or not config.matrix_b:
         raise ConfigError("fixed_matrix_file ensemble needs matrix_a and matrix_b paths")
     A = matrix_io.load_matrix(config.matrix_a)
     B = matrix_io.load_matrix(config.matrix_b)
-    return A, B, TraceModel()
+    return A, B
 
 
 @dataclass
@@ -270,7 +287,7 @@ def _smooth_families(config: ExperimentConfig) -> List[FunctionFamily]:
 
 
 def _checks_derivatives(config: ExperimentConfig) -> _GroupResult:
-    A, B, _ = generate_ensemble(config)
+    A, B = generate_ensemble(config)
     out = []
     for fam in _smooth_families(config):
         for k in range(1, min(config.order, 3) + 1):
@@ -306,7 +323,7 @@ def _checks_derivatives(config: ExperimentConfig) -> _GroupResult:
 
 
 def _checks_perturbation(config: ExperimentConfig) -> _GroupResult:
-    A, B, _ = generate_ensemble(config)
+    A, B = generate_ensemble(config)
     gen = SplitMix64(config.seed ^ 0x9E3779B97F4A7C15)
     d = config.dimension
     out = []
@@ -315,7 +332,7 @@ def _checks_perturbation(config: ExperimentConfig) -> _GroupResult:
             _record(
                 f"perturbation_first_{fam.family_id}",
                 "first-order-increment",
-                perturbation_first_order(fam, A, B, tol=math.inf),
+                perturbation_first_order(fam, A, B),
                 config.tol("perturbation_first"),
             )
         )
@@ -323,7 +340,7 @@ def _checks_perturbation(config: ExperimentConfig) -> _GroupResult:
         ops_aux = [_hermitian_from(gen, d) for _ in range(n)]
         args_aux = [gen.complex_normals((d, d)) for _ in range(n)]
         worst = max(
-            perturbation_higher_order(fam, A, B, ops_aux, args_aux, k=n, j=j, tol=math.inf)
+            perturbation_higher_order(fam, A, B, ops_aux, args_aux, k=n, j=j)
             for j in range(1, n + 2)
         )
         out.append(
@@ -339,7 +356,7 @@ def _checks_perturbation(config: ExperimentConfig) -> _GroupResult:
             _record(
                 f"telescoping_{fam.family_id}_n{nt}",
                 "telescoped-difference",
-                telescoping_check(fam, A, B, n=nt, t=0.7, j=max(1, nt - 1), tol=math.inf),
+                telescoping_check(fam, A, B, n=nt, t=0.7, j=max(1, nt - 1)),
                 config.tol("telescoping"),
             )
         )
@@ -453,7 +470,7 @@ def _checks_moi(config: ExperimentConfig) -> _GroupResult:
 
 
 def _checks_ssf(config: ExperimentConfig) -> _GroupResult:
-    A, B, _ = generate_ensemble(config)
+    A, B = generate_ensemble(config)
     n = max(2, min(config.order, 3))
     out = []
     counting = krein_ssf(A, B)
@@ -472,7 +489,7 @@ def _checks_ssf(config: ExperimentConfig) -> _GroupResult:
     d_small = min(config.dimension, 4)
     cfg_small = ExperimentConfig(seed=config.seed, dimension=d_small, order=1,
                                  ensemble="gue_like")
-    A1, B1, _ = generate_ensemble(cfg_small)
+    A1, B1 = generate_ensemble(cfg_small)
     four1 = higher_ssf_fourier(A1, B1, n=1)
     count1 = krein_ssf(A1, B1)
     lam = np.asarray(count1.params["spectrum_base"])
@@ -504,7 +521,7 @@ def _checks_ssf(config: ExperimentConfig) -> _GroupResult:
         _record(f"moment_identities_n{n}", "moment-identities",
                 rep.max_moment_error(), config.tol("moment_rel"))
     )
-    chain = diagonal_symbol_trace(A, B, n=n, f=gaussian(), ssf=grid, chain_tol=math.inf)
+    chain = diagonal_symbol_trace(A, B, n=n, f=gaussian(), ssf=grid)
     out.append(
         _record(f"identity_chain_n{n}", "restricted-symbol-chain",
                 chain.chain_deviation, config.tol("chain_rel"))

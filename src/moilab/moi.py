@@ -20,10 +20,10 @@ contraction over eigen-indices (the Daleckii-Krein / Hadamard form):
     T = V_0 inner V_n*
 
 One kernel computes it.  The symbol is evaluated once, as a tensor over the
-per-slot node vectors (:meth:`Symbol.tensor`): the eigenvalues, or the bin
-corners of the discretized form, whose tensor is broadcast to eigen-indices
-through each slot's bin labels; and a single ``einsum`` contracts it with the
-C_k.  The work is O(d^{n+1}), which is the size of Phi itself.  The kernel runs over chunks of i_0 so that
+per-slot node vectors (:meth:`Symbol.tensor`), one node per eigen-index: the
+eigenvalue, or in the discretized form the corner of its spectral bin; and a
+single ``einsum`` contracts it with the C_k.  The work is O(d^{n+1}), which is
+the size of Phi itself.  The kernel runs over chunks of i_0 so that
 no chunk holds more than ``_CHUNK_ENTRIES`` complex entries, and an order
 whose single i_0 slice is larger raises :class:`ParameterError` before
 anything is allocated.  Summation order is fixed, making results bit-stable
@@ -50,7 +50,7 @@ from .families import (
     divided_difference_rows,
     divided_difference_tensor,
 )
-from .spectral import EigenSystem, TraceModel, apply_callable, eig_hermitian, schatten_norm, trace
+from .spectral import EigenSystem, apply_callable, eig_hermitian, schatten_norm, trace
 
 __all__ = [
     "Symbol",
@@ -290,9 +290,9 @@ def _chunk_rows(d: int, n: int) -> int:
     return _CHUNK_ENTRIES // per_row
 
 
-def _bin_slots(ops: MOIOperands, m: int, N: int):
-    """Per slot: (bin corners l/m, bin label of each eigen-index), l = floor(lambda * m)."""
-    slots = []
+def _binned(ops: MOIOperands, m: int, N: int) -> Tuple[List[np.ndarray], int]:
+    """Per slot, the bin corner floor(lambda * m)/m of each eigen-index; and the bins hit."""
+    corners = []
     hit = 0
     for E in ops.operators:
         scaled = E.eigenvalues * m
@@ -301,10 +301,10 @@ def _bin_slots(ops: MOIOperands, m: int, N: int):
             raise WindowError(
                 f"window [-{N}/{m}, {N}/{m}] misses spectrum; need N >= {math.ceil(reach)}"
             )
-        bins, labels = np.unique(np.floor(scaled).astype(np.int64), return_inverse=True)
-        slots.append((bins / m, labels))
-        hit += len(bins)
-    return slots, hit
+        bins = np.floor(scaled)
+        corners.append(bins / m)
+        hit += len(np.unique(bins))
+    return corners, hit
 
 
 def _chain(ops: MOIOperands) -> List[np.ndarray]:
@@ -321,25 +321,23 @@ def _chain_subscripts(n: int) -> Tuple[str, List[str]]:
     return idx, [idx[k:k + 2] for k in range(n)]
 
 
-def _contract(symbol: Symbol, ops: MOIOperands, slots) -> Tuple[np.ndarray, int]:
+def _contract(symbol: Symbol, ops: MOIOperands, nodes) -> Tuple[np.ndarray, int]:
     """V_0 inner V_n* with inner contracted chunk by chunk over i_0.
 
-    Returns the value and the number of symbol values computed.
+    ``nodes[k][i]`` is the node of eigen-index i in slot k.  Returns the value
+    and the number of symbol values computed.
     """
     d, n = ops.dim, ops.n_args
     step = _chunk_rows(d, n)
     C = _chain(ops)
     idx, pairs = _chain_subscripts(n)
     spec = ",".join([idx] + pairs) + "->" + idx[0] + idx[-1]
-    reps0, labels0 = slots[0]
     inner = np.zeros((d, d), dtype=complex)
     evaluations = 0
     for lo in range(0, d, step):
         rows = np.arange(lo, min(lo + step, d))
-        used, local = np.unique(labels0[rows], return_inverse=True)
-        phi = symbol.tensor([reps0[used]] + [reps for reps, _ in slots[1:]])
+        phi = symbol.tensor([nodes[0][rows], *nodes[1:]])
         evaluations += phi.size
-        phi = phi[np.ix_(local, *[labels for _, labels in slots[1:]])]
         if n == 0:
             inner[rows, rows] = phi
         else:
@@ -363,12 +361,11 @@ def _check_symbol(symbol: Symbol, ops: MOIOperands) -> None:
 def moi_projection_sum(symbol: Symbol, ops: MOIOperands) -> MOIResult:
     """Projection-sum multiple operator integral over every eigen-index tuple."""
     _check_symbol(symbol, ops)
-    slots = [(E.eigenvalues, np.arange(E.dim)) for E in ops.operators]
-    value, n_evals = _contract(symbol, ops, slots)
+    value, n_evals = _contract(symbol, ops, [E.eigenvalues for E in ops.operators])
     return MOIResult(
         value=value,
         diagnostics={
-            "cluster_counts": [len(reps) for reps, _ in slots],  # nodes per slot
+            "cluster_counts": [ops.dim] * (ops.n_args + 1),  # nodes per slot
             "symbol_evaluations": n_evals,
         },
     )
@@ -379,17 +376,18 @@ def moi_discretized(symbol: Symbol, ops: MOIOperands, m: int, N: int) -> MOIResu
 
     Finite spectra make the window limit exact: once [-N/m, N/m] covers every
     eigenvalue (|lambda * m| <= N) the sum is complete, and a too-small window
-    raises :class:`WindowError` instead of silently truncating.
+    raises :class:`WindowError` instead of silently truncating.  Eigenvalues
+    that share a bin share its corner: a repeated, confluent node.
     """
     _check_symbol(symbol, ops)
     if m < 1:
         raise ParameterError("bin density m must be >= 1")
-    slots, bins_hit = _bin_slots(ops, m, N)
-    value, n_evals = _contract(symbol, ops, slots)
+    corners, bins_hit = _binned(ops, m, N)
+    value, n_evals = _contract(symbol, ops, corners)
     return MOIResult(
         value=value,
         diagnostics={
-            "cluster_counts": [len(reps) for reps, _ in slots],
+            "cluster_counts": [ops.dim] * (ops.n_args + 1),
             "symbol_evaluations": n_evals,
             "bins_hit": bins_hit,
             "m": m,
@@ -480,7 +478,7 @@ def moi_norm_report(symbol: Symbol, ops: MOIOperands, p: float) -> NormReport:
 
 
 def _rotated_factorized_trace(
-    symbol: Symbol, ops: MOIOperands, closing: np.ndarray, model: Optional[TraceModel]
+    symbol: Symbol, ops: MOIOperands, closing: np.ndarray
 ) -> Optional[complex]:
     """Trace evaluated through the cyclically rotated factorized product.
 
@@ -499,7 +497,7 @@ def _rotated_factorized_trace(
                 acc = acc @ ops.arguments[k]
                 if k + 1 < last:
                     acc = acc @ apply_callable(term.factors[k + 1], ops.operators[k + 1])
-            total += complex(term.weight) * trace(acc, model)
+            total += complex(term.weight) * trace(acc)
         return total
     if isinstance(symbol, DiagonalRestrictedSymbol) and isinstance(
         symbol.base, FactorizedSymbol
@@ -514,33 +512,27 @@ def _rotated_factorized_trace(
                 acc = acc @ ops.arguments[k] @ apply_callable(
                     term.factors[k + 1], ops.operators[k + 1]
                 )
-            total += complex(term.weight) * trace(acc @ closing, model)
+            total += complex(term.weight) * trace(acc @ closing)
         return total
     return None
 
 
-def moi_trace(
-    symbol: Symbol,
-    ops: MOIOperands,
-    closing: np.ndarray,
-    model: Optional[TraceModel] = None,
-    check_tol: float = 1e-9,
-) -> complex:
-    """trace(T(b_1..b_n) * closing) under the given trace model.
+def moi_trace(symbol: Symbol, ops: MOIOperands, closing: np.ndarray) -> complex:
+    """trace(T(b_1..b_n) * closing).
 
     When the symbol carries a factorized form, the cyclically rotated
-    factorized evaluation is computed as well and must agree to check_tol
+    factorized evaluation is computed as well and must agree to 1e-9
     relative; disagreement raises :class:`ToleranceError` with both values.
     """
     closing = np.asarray(closing, dtype=complex)
     if closing.shape != (ops.dim, ops.dim):
         raise DimensionMismatchError("closing matrix dimension mismatch")
     value = moi_projection_sum(symbol, ops).value
-    direct = trace(value @ closing, model)
-    rotated = _rotated_factorized_trace(symbol, ops, closing, model)
+    direct = trace(value @ closing)
+    rotated = _rotated_factorized_trace(symbol, ops, closing)
     if rotated is not None:
         scale = max(1.0, abs(direct), abs(rotated))
-        if abs(direct - rotated) > check_tol * scale:
+        if abs(direct - rotated) > 1e-9 * scale:
             raise ToleranceError(
                 "cyclically rotated trace disagrees with direct evaluation",
                 lhs=direct,

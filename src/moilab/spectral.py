@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
 
 import numpy as np
 
@@ -24,8 +23,6 @@ from .errors import (
 
 __all__ = [
     "EigenSystem",
-    "TraceModel",
-    "STANDARD_TRACE",
     "require_hermitian",
     "eig_hermitian",
     "apply_function",
@@ -36,7 +33,7 @@ __all__ = [
 ]
 
 
-def require_hermitian(A, tol: float = 1e-12) -> np.ndarray:
+def require_hermitian(A) -> np.ndarray:
     """Validate and return a complex Hermitian matrix copy."""
     M = np.asarray(A, dtype=complex)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -44,7 +41,7 @@ def require_hermitian(A, tol: float = 1e-12) -> np.ndarray:
     if not np.all(np.isfinite(M.view(float))):
         raise ParameterError("matrix has non-finite entries")
     scale = max(1.0, float(np.linalg.norm(M)))
-    if np.linalg.norm(M - M.conj().T) > tol * scale:
+    if np.linalg.norm(M - M.conj().T) > 1e-12 * scale:
         raise DimensionMismatchError("matrix is not Hermitian within tolerance")
     return M.copy()
 
@@ -65,9 +62,6 @@ class EigenSystem:
     @property
     def dim(self) -> int:
         return len(self.eigenvalues)
-
-    def hull(self) -> Tuple[float, float]:
-        return float(self.eigenvalues[0]), float(self.eigenvalues[-1])
 
 
 def eig_hermitian(A) -> EigenSystem:
@@ -115,83 +109,43 @@ def apply_function(f, E: EigenSystem) -> np.ndarray:
     return apply_callable(f, E)
 
 
-@dataclass
-class TraceModel:
-    """Standard matrix trace, or a normalized weighted diagonal trace.
-
-    The weighted model emulates integration over a finite measure space with
-    point masses `weights`; all of its operations are restricted to diagonal
-    matrices.
-    """
-
-    kind: str = "standard"
-    weights: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        if self.kind not in ("standard", "weighted_diagonal"):
-            raise ParameterError(f"unknown trace model kind {self.kind!r}")
-        if self.kind == "weighted_diagonal":
-            if self.weights is None:
-                raise ParameterError("weighted_diagonal model needs weights")
-            w = np.asarray(self.weights, dtype=float)
-            if np.any(w <= 0) or abs(w.sum() - 1.0) > 1e-12 * len(w):
-                raise ParameterError("weights must be positive and sum to 1")
-            self.weights = w
-
-    def check_matrix(self, X: np.ndarray) -> None:
-        if self.kind == "weighted_diagonal":
-            if self.weights is not None and X.shape[0] != len(self.weights):
-                raise DimensionMismatchError("matrix dimension does not match weights")
-            off = X - np.diag(np.diagonal(X))
-            if np.linalg.norm(off) > 1e-12 * max(1.0, np.linalg.norm(X)):
-                raise ParameterError(
-                    "weighted_diagonal trace model only handles diagonal matrices"
-                )
-
-
-STANDARD_TRACE = TraceModel()
-
-
-def trace(X, model: Optional[TraceModel] = None) -> complex:
-    """Trace functional under the given model (standard by default)."""
+def trace(X) -> complex:
+    """Matrix trace of a square matrix."""
     M = np.asarray(X, dtype=complex)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise DimensionMismatchError(f"trace needs a square matrix, got {M.shape}")
-    if model is None or model.kind == "standard":
-        return complex(np.trace(M))
-    model.check_matrix(M)
-    return complex(np.sum(model.weights * np.diagonal(M)))
+    return complex(np.trace(M))
 
 
-def weighted_diagonal_norm(diagonal, p: float, model: TraceModel) -> float:
-    """p-norm of diag(diagonal) under a weighted_diagonal trace model.
+def weighted_diagonal_norm(diagonal, p: float, weights) -> float:
+    """p-norm of diag(diagonal) under the weighted diagonal trace sum_k w_k X_kk.
 
-    (sum_k w_k |x_k|^p)^(1/p), or max |x_k| for p = inf.  Takes the diagonal
-    as a vector, so no d x d matrix is formed.
+    (sum_k w_k |x_k|^p)^(1/p), or max |x_k| for p = inf.  The positive weights
+    sum to 1: point masses of a finite measure space, the commutative setting
+    of the heavy-tail counterexample.  Takes the diagonal as a vector, so no
+    d x d matrix is formed.
     """
     if not (p >= 1.0):
         raise ParameterError(f"Schatten exponent must satisfy p >= 1, got {p}")
-    if model.kind != "weighted_diagonal":
-        raise ParameterError("weighted_diagonal_norm needs a weighted_diagonal model")
+    w = np.asarray(weights, dtype=float)
+    if np.any(w <= 0) or abs(w.sum() - 1.0) > 1e-12 * w.size:
+        raise ParameterError("weights must be positive and sum to 1")
     sig = np.abs(np.asarray(diagonal, dtype=complex))
-    if sig.shape != model.weights.shape:
+    if sig.shape != w.shape:
         raise DimensionMismatchError("diagonal length does not match weights")
     if math.isinf(p):
         return float(sig.max()) if len(sig) else 0.0
-    return float(np.sum(model.weights * sig ** p) ** (1.0 / p))
+    return float(np.sum(w * sig ** p) ** (1.0 / p))
 
 
-def schatten_norm(X, p: float, model: Optional[TraceModel] = None) -> float:
-    """Schatten p-norm (p >= 1 or inf) under the active trace model."""
+def schatten_norm(X, p: float) -> float:
+    """Schatten p-norm (p >= 1 or inf) from the singular values."""
     if not (p >= 1.0):
         raise ParameterError(f"Schatten exponent must satisfy p >= 1, got {p}")
     M = np.asarray(X, dtype=complex)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got {M.shape}")
-    if model is None or model.kind == "standard":
-        sig = np.linalg.svd(M, compute_uv=False)  # descending
-        if math.isinf(p):
-            return float(sig[0]) if len(sig) else 0.0
-        return float(np.sum(sig ** p) ** (1.0 / p))
-    model.check_matrix(M)
-    return weighted_diagonal_norm(np.diagonal(M), p, model)
+    sig = np.linalg.svd(M, compute_uv=False)  # descending
+    if math.isinf(p):
+        return float(sig[0]) if len(sig) else 0.0
+    return float(np.sum(sig ** p) ** (1.0 / p))

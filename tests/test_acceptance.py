@@ -229,7 +229,7 @@ def test_criterion_5_perturbation_identities():
     worst_first = 0.0
     for fam in (gaussian(), runge()):
         A, B = _pair(400, 6)
-        worst_first = max(worst_first, perturbation_first_order(fam, A, B, tol=math.inf))
+        worst_first = max(worst_first, perturbation_first_order(fam, A, B))
     _verdict(5, "first-order perturbation identity", worst_first, 1e-9)
 
     worst_higher = 0.0
@@ -243,17 +243,14 @@ def test_criterion_5_perturbation_identities():
         for j in range(1, k + 2):
             worst_higher = max(
                 worst_higher,
-                perturbation_higher_order(
-                    gaussian(), A, B, aux_ops, aux_args, k=k, j=j, tol=math.inf
-                ),
+                perturbation_higher_order(gaussian(), A, B, aux_ops, aux_args, k=k, j=j),
             )
     _verdict(5, "slot-replacement perturbation identity", worst_higher, 1e-8)
 
     worst_tel = 0.0
     A, B = _pair(402, 4)
     for n, t, j in ((2, 0.9, 1), (3, 0.7, 2), (3, -0.4, 3)):
-        worst_tel = max(worst_tel, telescoping_check(gaussian(), A, B, n=n, t=t, j=j,
-                                                     tol=math.inf))
+        worst_tel = max(worst_tel, telescoping_check(gaussian(), A, B, n=n, t=t, j=j))
     _verdict(5, "telescoped difference identity", worst_tel, 1e-8)
 
 
@@ -306,8 +303,7 @@ def test_criterion_8_identity_chain(ssf_cases):
     worst_chain = 0.0
     worst_pairing = 0.0
     for n, (A, B, grid) in ssf_cases.items():
-        rep = diagonal_symbol_trace(A, B, n=n, f=gaussian(), ssf=grid,
-                                    chain_tol=math.inf)
+        rep = diagonal_symbol_trace(A, B, n=n, f=gaussian(), ssf=grid)
         worst_chain = max(worst_chain, rep.chain_deviation)
         worst_pairing = max(worst_pairing, max(rep.pairing_errors))
     _verdict(8, "restricted vs full symbol trace", worst_chain, 1e-9)

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import moilab
 from moilab import harness
@@ -90,10 +92,39 @@ def test_config_from_json(tmp_path):
         ExperimentConfig.from_json(missing)
 
 
+# JSON values of every kind: null, bools, ints (huge ones too), floats with
+# NaN and infinities, strings, and nested lists and objects
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.sampled_from([0, -1, 2 ** 63, 2 ** 64, 10 ** 400, -10 ** 400])
+    | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=8), children, max_size=3),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    name=st.sampled_from(sorted(ExperimentConfig.__dataclass_fields__) + [None]),
+    value=_JSON_VALUES,
+)
+def test_config_from_any_json_is_a_config_or_config_error(tmp_path_factory, name, value):
+    # one field set to an arbitrary JSON value, or (name None) the whole document
+    payload = value if name is None else {"seed": 1, name: value}
+    path = tmp_path_factory.mktemp("cfg") / "cfg.json"
+    path.write_text(json.dumps(payload))
+    try:
+        cfg = ExperimentConfig.from_json(path)
+    except ConfigError:
+        return
+    assert isinstance(cfg, ExperimentConfig)
+
+
 def test_ensemble_deterministic_and_normalized():
     cfg = ExperimentConfig(seed=1, dimension=2)
-    A1, B1, _ = generate_ensemble(cfg)
-    A2, B2, _ = generate_ensemble(cfg)
+    A1, B1 = generate_ensemble(cfg)
+    A2, B2 = generate_ensemble(cfg)
     assert np.array_equal(A1, A2) and np.array_equal(B1, B2)
     assert np.linalg.norm(B1, 2) == pytest.approx(1.0, rel=1e-12)
     assert np.allclose(A1, A1.conj().T)
@@ -101,15 +132,15 @@ def test_ensemble_deterministic_and_normalized():
 
 def test_ensemble_scalar_dimension():
     cfg = ExperimentConfig(seed=5, dimension=1)
-    A, B, _ = generate_ensemble(cfg)
+    A, B = generate_ensemble(cfg)
     assert A.shape == (1, 1) and B.shape == (1, 1)
 
 
 def test_heavy_tail_ensemble_model():
     cfg = ExperimentConfig(seed=2, dimension=8, ensemble="diagonal_heavy_tail", p=2.0)
-    A, B, model = generate_ensemble(cfg)
+    A, B = generate_ensemble(cfg)
     assert np.allclose(A, np.eye(8))
-    assert model.kind == "weighted_diagonal"
+    assert np.count_nonzero(B - np.diag(np.diagonal(B))) == 0
     b = np.diagonal(B).real
     assert b[0] == pytest.approx(8.0 ** (1.0 / 3.0))
     assert b[-1] == pytest.approx(1.0)
@@ -125,7 +156,7 @@ def test_fixed_matrix_file_ensemble(tmp_path):
         seed=1, dimension=3, ensemble="fixed_matrix_file",
         matrix_a=str(tmp_path / "a.json"), matrix_b=str(tmp_path / "b.csv"),
     )
-    A2, B2, _ = generate_ensemble(cfg)
+    A2, B2 = generate_ensemble(cfg)
     assert np.allclose(A2, A)
     assert np.allclose(B2, np.eye(3))
     cfg_bad = ExperimentConfig(seed=1, ensemble="fixed_matrix_file")
@@ -242,6 +273,14 @@ def test_cli_config_error_exit_code(tmp_path):
         "p_one.json": {"seed": 1, "p": 1.0},
         "p_inf.json": {"seed": 1, "p": math.inf},
         "dimension_huge.json": {"seed": 1, "dimension": 10 ** 6},  # 4e12 normals
+        "top_int.json": 5,
+        "top_null.json": None,
+        "top_list.json": [1, [2]],
+        "matrix_a_int.json": {"seed": 1, "matrix_a": 5},
+        "fourier_s_str.json": {"seed": 1, "functions": [{"id": "fourier", "s": "x"}]},
+        "tolerance_nan.json": {"seed": 1, "tolerances": {"telescoping": math.nan}},
+        "tolerance_bool.json": {"seed": 1, "tolerances": {"telescoping": True}},
+        "monomial_k_float.json": {"seed": 1, "functions": [{"id": "monomial", "k": 1.5}]},
         "missing_matrix.json": {"seed": 1, "ensemble": "fixed_matrix_file",
                                 "matrix_a": "nope_a.json", "matrix_b": "nope_b.csv"},
     }

@@ -31,7 +31,7 @@ from moilab.moi import (
     projection_trace_weights,
 )
 from moilab.rng import SplitMix64
-from moilab.spectral import eig_hermitian, trace
+from moilab.spectral import EigenSystem, eig_hermitian, trace
 from conftest import random_hermitian
 
 
@@ -185,6 +185,25 @@ def test_discretized_window_is_symmetric():
         moi_discretized(sym, ops, m=4, N=11)
     edge = operands([eig_hermitian(np.diag([2.5, -2.5]))] * 2, [np.eye(2)])
     assert moi_discretized(sym, edge, m=4, N=10).diagnostics["bins_hit"] == 4
+
+
+def test_discretized_shared_bin_is_a_confluent_node():
+    # at m = 2, 0.1 and 0.2 share the bin [0, 1/2): their common corner is a
+    # repeated node, which must give the confluent divided difference
+    lam = np.array([0.1, 0.2, 0.7, 1.3])
+    corners = np.floor(lam * 2) / 2
+    assert list(corners) == [0.0, 0.0, 0.5, 1.0]
+    rng = np.random.default_rng(5)
+    bases = [np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
+             for _ in range(2)]
+    ops = operands([(Q * lam) @ Q.conj().T for Q in (bases[0], bases[1], bases[0])],
+                   [rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)) for _ in range(2)])
+    f = gaussian()
+    got = moi_discretized(dd_symbol(f, 2), ops, m=2, N=10)
+    binned = [EigenSystem(corners, E.basis, 0.0) for E in ops.operators]
+    want = brute_force_moi(f, binned, ops.arguments)
+    assert np.linalg.norm(got.value - want) <= 1e-10 * np.linalg.norm(want)
+    assert got.diagnostics["bins_hit"] == 9
 
 
 def test_discretized_self_convergence_seeded():

@@ -1,4 +1,4 @@
-"""Eigensolver, functional calculus, Schatten norms, trace models."""
+"""Eigensolver, functional calculus, Schatten norms, traces."""
 
 import math
 
@@ -17,12 +17,12 @@ from moilab.matrix_io import (
 from moilab.errors import ConfigError
 from moilab.rng import SplitMix64
 from moilab.spectral import (
-    TraceModel,
     apply_function,
     eig_hermitian,
     require_hermitian,
     schatten_norm,
     trace,
+    weighted_diagonal_norm,
 )
 from conftest import random_hermitian
 
@@ -226,8 +226,7 @@ def test_schatten_rejects_bad_exponent():
 
 def test_trace_examples_and_cyclicity():
     assert trace(np.eye(4)) == pytest.approx(4.0)
-    w = TraceModel("weighted_diagonal", np.full(4, 0.25))
-    assert trace(np.eye(4), w) == pytest.approx(1.0)
+    assert weighted_diagonal_norm(np.ones(4), 1.0, np.full(4, 0.25)) == pytest.approx(1.0)
     gen = SplitMix64(2)
     X = gen.complex_normals((6, 6))
     Y = gen.complex_normals((6, 6))
@@ -237,17 +236,19 @@ def test_trace_examples_and_cyclicity():
 
 
 def test_weighted_model_requires_diagonal_and_valid_weights():
+    # the weighted norm takes the diagonal as a vector and validates the weights
+    x = np.array([1.0, -2.0, 3.0])
     with pytest.raises(ParameterError):
-        TraceModel("weighted_diagonal", np.array([0.5, -0.5, 1.0]))
+        weighted_diagonal_norm(x, 2.0, np.array([0.5, -0.5, 1.0]))
     with pytest.raises(ParameterError):
-        TraceModel("weighted_diagonal")
-    w = TraceModel("weighted_diagonal", np.full(2, 0.5))
+        weighted_diagonal_norm(x, 2.0, np.array([0.5, 0.5, 0.5]))
+    with pytest.raises(DimensionMismatchError):
+        weighted_diagonal_norm(x, 2.0, np.full(2, 0.5))
     with pytest.raises(ParameterError):
-        trace(np.array([[1.0, 1.0], [1.0, 1.0]]), w)
-    # diagonal weighted families commute, so cyclicity is exact
-    X = np.diag([1.0, 2.0])
-    Y = np.diag([-3.0, 0.5])
-    assert trace(X @ Y, w) == pytest.approx(trace(Y @ X, w))
+        weighted_diagonal_norm(x, 0.5, np.full(3, 1 / 3))
+    w = np.array([0.5, 0.25, 0.25])
+    assert weighted_diagonal_norm(x, 2.0, w) == pytest.approx(math.sqrt(0.5 + 1.0 + 2.25))
+    assert weighted_diagonal_norm(x, math.inf, w) == 3.0
 
 
 def test_hoelder_inequality_on_random_pairs():

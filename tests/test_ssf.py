@@ -74,11 +74,14 @@ def _fcalc(f, M):
 
 def test_fourier_params_validation():
     with pytest.raises(ParameterError):
-        FourierParams(s_max=10.0, num_s=101, s_min_exclusion=0.1)
+        FourierParams(s_max=10.0, num_s=101)
     with pytest.raises(ParameterError):
-        FourierParams(s_max=10.0, num_s=100, s_min_exclusion=20.0)
-    with pytest.raises(ParameterError):
-        FourierParams(s_max=10.0, num_s=100, s_min_exclusion=0.1, window="hann")
+        FourierParams(s_max=-1.0, num_s=100)
+    # the exclusion zone 2 ds must stay inside the window
+    for num_s in (0, 2, 4):
+        with pytest.raises(ParameterError):
+            FourierParams(s_max=10.0, num_s=num_s)
+    assert FourierParams(s_max=10.0, num_s=100).s_min_exclusion == pytest.approx(0.4)
 
 
 def test_scalar_order2_closed_form():
@@ -156,6 +159,7 @@ def test_identity_chain_polynomial_case():
 
     A, B = pair(10, 4)
     rep = diagonal_symbol_trace(A, B, n=2, f=monomial(3))
+    assert rep.chain_deviation <= 1e-9
     # both traces equal the remainder trace for a cubic
     want = complex(trace(taylor_remainder(monomial(3), A, B, 2)))
     assert rep.restricted_trace == pytest.approx(want, rel=1e-9)
@@ -165,6 +169,7 @@ def test_identity_chain_polynomial_case():
 def test_identity_chain_zero_perturbation():
     A, _ = pair(11, 3)
     rep = diagonal_symbol_trace(A, np.zeros((3, 3)), n=2, f=gaussian())
+    assert rep.chain_deviation <= 1e-9
     assert abs(rep.restricted_trace) <= 1e-12
     assert abs(rep.full_trace) <= 1e-12
 
@@ -320,8 +325,7 @@ def test_fourier_budget_errors_before_allocation():
     tracemalloc.start()
     try:
         with pytest.raises(ParameterError, match="cap"):
-            higher_ssf_fourier(A, B, 2, params=FourierParams(
-                s_max=10.0, num_s=2 ** 40, s_min_exclusion=0.1))
+            higher_ssf_fourier(A, B, 2, params=FourierParams(s_max=10.0, num_s=2 ** 40))
         with pytest.raises(ParameterError, match="per s-point"):
             higher_ssf_fourier(A, B, 8)  # 7 * 8^7 entries per s-point
         _, peak = tracemalloc.get_traced_memory()
