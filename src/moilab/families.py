@@ -82,7 +82,9 @@ class FunctionFamily:
     scale:
         The length over which f changes by O(1); it sets the span below which
         :func:`divided_difference_rows` uses Taylor series.  A family whose
-        values carry a trailing parameter axis may give one length per entry.
+        values carry a trailing parameter axis may give one length per entry;
+        its evaluator then also takes ``evaluator(k, x, cols)`` and returns
+        only the entries ``cols`` of that axis.
     """
 
     def __init__(
@@ -238,9 +240,9 @@ def divided_difference_rows(f: FunctionFamily, rows) -> np.ndarray:
     Truncation leaves about (h/scale)^(M+1-j) of the entry, and a quotient
     divides by a span of at least tau, so an order-k value is good to about
     (eps + eps^(1-k/(M+1))) times the scale of f's order-k Taylor coefficients,
-    sup|f^(k)|/k!.  Trailing axes of the evaluator's values (one function per
-    entry of a parameter vector, such as exp(isx) over an s-grid) carry
-    through, and f.scale may hold one length per entry of them.
+    sup|f^(k)|/k!.  A trailing axis of the evaluator's values (one function per
+    entry of a parameter vector, such as exp(isx) over an s-grid) carries
+    through, and f.scale may hold one length per entry of it.
     """
     z = np.asarray(rows, dtype=float)
     if z.ndim != 2 or z.shape[1] == 0:
@@ -282,23 +284,32 @@ def _taylor_entries(f: FunctionFamily, z, j, r, i, col, tau, trailing) -> None:
 
     where h_m is the complete homogeneous symmetric polynomial of degree m.
     The offsets are nonnegative, so h_m involves no cancellation.  Where tau
-    varies along the trailing axes, an entry takes the series only where its
-    span is below that tau.
+    varies along the trailing axis, the series is evaluated only on the
+    entries of that axis where some span is below tau, and an entry takes it
+    only where its own span is.
     """
     nodes = z[r[:, None], i[:, None] + np.arange(j + 1)]
     c = nodes[:, 0]
+    span = nodes[:, -1] - c
     terms = f.max_order - j + 1
     h = np.zeros((terms, len(c)))
     h[0] = 1.0
     for x in (nodes[:, 1:] - c[:, None]).T:
         for m in range(1, terms):
             h[m] += x * h[m - 1]
+    if tau.ndim:
+        cols = np.flatnonzero(tau > span.min())
+        args = (c, cols)
+    else:
+        args = (c,)
     val = 0.0
     for m in reversed(range(terms)):  # the smallest terms first
-        val = val + f._evaluator(j + m, c) * (h[m] / math.factorial(j + m))[trailing]
+        val = val + f._evaluator(j + m, *args) * (h[m] / math.factorial(j + m))[trailing]
     if tau.ndim:
-        val = np.where((nodes[:, -1] - c)[trailing] < tau, val, col[r, i])
-    col[r, i] = val
+        dest = (r[:, None], i[:, None], cols)
+        col[dest] = np.where(span[:, None] < tau[cols], val, col[dest])
+    else:
+        col[r, i] = val
 
 
 def divided_difference_tensor(
@@ -579,6 +590,11 @@ BUILTIN_FAMILIES = {
 }
 
 
+# Largest derivative order (monomial exponent k or max_order) a spec may ask
+# for: the factories build per-order tables before any other check.
+MAX_SPEC_ORDER = 64
+
+
 def family_from_spec(spec: dict) -> FunctionFamily:
     """Build a family from {"id": ..., <params>}; a malformed spec raises ParameterError."""
     if not isinstance(spec, dict):
@@ -594,6 +610,10 @@ def family_from_spec(spec: dict) -> FunctionFamily:
         raise ParameterError(
             f"unknown family id {fid!r}; known: {sorted(BUILTIN_FAMILIES)}"
         ) from None
+    for key in ("k", "max_order"):
+        v = spec.get(key)
+        if isinstance(v, numbers.Real) and not isinstance(v, bool) and v > MAX_SPEC_ORDER:
+            raise ParameterError(f"family {fid!r}: {key} = {v!r} exceeds the cap {MAX_SPEC_ORDER}")
     try:
         return factory(**spec)
     except (TypeError, ValueError) as exc:

@@ -98,9 +98,13 @@ DEFAULT_TOLERANCES: Dict[str, float] = {
 
 _ENSEMBLES = ("gue_like", "diagonal_heavy_tail", "fixed_matrix_file")
 
-# Memory a dimension may ask of an ensemble draw: the 4 d^2 normals of the two
-# gue_like matrices, at 8 bytes each, must fit.  d = 2896 is the largest.
-_DRAW_BUDGET_BYTES = 256 << 20
+# Memory a config may ask of one allocation-heavy step: the 4 d^2 normals of
+# the two gue_like matrices (d = 2896 is the largest dimension), and the
+# counterexample at its last dimension dims[-1], which keeps about 10 float
+# arrays of that length alive (tracemalloc: 9.1 * 8 bytes per atom), so
+# dims[-1] = 3355443 is the largest.
+_MEMORY_BUDGET_BYTES = 256 << 20
+_COUNTEREXAMPLE_BYTES_PER_ATOM = 10 * 8
 
 
 def _is_int(x) -> bool:
@@ -136,10 +140,10 @@ class ExperimentConfig:
         self.seed = int(self.seed)
         if not (_is_int(self.dimension) and self.dimension >= 1):
             raise ConfigError(f"dimension must be an integer >= 1, got {self.dimension!r}")
-        if 4 * self.dimension ** 2 * 8 > _DRAW_BUDGET_BYTES:
+        if 4 * self.dimension ** 2 * 8 > _MEMORY_BUDGET_BYTES:
             raise ConfigError(
                 f"dimension {self.dimension} needs {4 * self.dimension ** 2} normals, more "
-                f"than the {_DRAW_BUDGET_BYTES >> 20} MiB draw budget holds"
+                f"than the {_MEMORY_BUDGET_BYTES >> 20} MiB memory budget holds"
             )
         if not (_is_int(self.order) and self.order >= 1):
             raise ConfigError(f"order must be an integer >= 1, got {self.order!r}")
@@ -160,6 +164,11 @@ class ExperimentConfig:
                 and dims[0] >= 1 and all(a < b for a, b in zip(dims, dims[1:]))):
             raise ConfigError(
                 f"dims must be at least 2 strictly increasing positive integers, got {dims!r}"
+            )
+        if dims[-1] * _COUNTEREXAMPLE_BYTES_PER_ATOM > _MEMORY_BUDGET_BYTES:
+            raise ConfigError(
+                f"dims[-1] = {dims[-1]} needs more than the {_MEMORY_BUDGET_BYTES >> 20} MiB "
+                f"memory budget holds ({_COUNTEREXAMPLE_BYTES_PER_ATOM} bytes per atom)"
             )
         for name in ("matrix_a", "matrix_b", "out_dir"):
             if not isinstance(getattr(self, name), (str, type(None))):

@@ -10,12 +10,14 @@ remainder trace with the bounded exponentials f_s(x) = exp(isx) gives
     F(s) = trace(remainder_n(f_s, A, B)) = (is)^n * etahat_n(s),
 
 so etahat_n = F(s) / (is)^n away from s = 0; F comes from the chunked
-reduced-arity sweep of :func:`_remainder_trace_exponential`, which computes
-exp(isx) once per distinct eigenvalue x and s-point and gathers its
-divided-difference tables from those rows.  The quotient is
-filled across a small exclusion zone around 0 by an even/odd polynomial fit
-anchored at the exact zeroth moment etahat_n(0) = trace(B^n)/n!, tapered at
-the ends of the s-window, and inverted on the conjugate FFT grid.  The
+reduced-arity sweep of :func:`_remainder_trace_exponential` over the uniform
+s-grid.  Each chunk builds the rows exp(isx) of the distinct eigenvalues x
+from one table of about 2 sqrt(m) exponentials per row (:func:`_exp_table`);
+the order-0 terms are weights on those rows, and the higher divided-difference
+tables are gathered from them.  The quotient is filled across a small
+exclusion zone around 0 by an even/odd polynomial fit anchored at the exact
+zeroth moment etahat_n(0) = trace(B^n)/n!, tapered at the ends of the
+s-window, weighted and inverted on the conjugate FFT grid in place.  The
 imaginary part of the inversion is diagnostic residue: it is reported,
 checked against a threshold, and discarded.
 """
@@ -205,6 +207,41 @@ class FourierParams:
         return cls(s_max=s_max, num_s=num_s)
 
 
+def _exp_table(x: np.ndarray, s: np.ndarray, h: float, out: np.ndarray) -> np.ndarray:
+    """Rows exp(i s_j x) for the nodes x over a chunk s of an arithmetic grid
+    of step h, written into the flat buffer out and returned as an (len(x),
+    len(s)) view of it.
+
+    With b = ceil(sqrt(m)) for the m points of the chunk, the entry at
+    s_j = s_a + r h + delta (s_a every b-th point of the chunk, r < b, delta
+    the grid's own rounding) is
+
+        exp(i s_a x) * exp(i r h x) * (1 + i phi),   phi = s_j x - s_a x - r h x,
+
+    each product rounded as a direct exp(i s_j x) would round it.  So only
+    len(x) (m/b + b) exponentials are taken, phi is a few ulps of s_j x, and
+    the neglected phi^2 / 2 is far below eps.
+    """
+    m = len(s)
+    b = math.isqrt(m - 1) + 1
+    q = -(-m // b)
+    grid = np.empty(q * b)
+    grid[:m] = s
+    grid[m:] = s[-1]
+    grid = grid.reshape(q, b)
+    base = np.multiply.outer(x, grid[:, 0])
+    steps = np.multiply.outer(x, h * np.arange(b))
+    table = out[:len(x) * q * b].reshape(len(x), q, b)
+    np.multiply(np.exp(1j * base)[:, :, None], np.exp(1j * steps)[:, None, :], out=table)
+    # one row at a time, so that no second table-sized array is made
+    for row, xi, row_base, row_steps in zip(table, x, base, steps):
+        phi = xi * grid
+        phi -= row_base[:, None]
+        phi -= row_steps
+        row *= 1.0 + 1j * phi
+    return table.reshape(len(x), q * b)[:, :m]
+
+
 def _remainder_trace_exponential(
     EA: EigenSystem, EAB: EigenSystem, B: np.ndarray, n: int, s: np.ndarray, step: int
 ) -> np.ndarray:
@@ -217,50 +254,82 @@ def _remainder_trace_exponential(
         F(s) = sum e^{is mu} - sum e^{is lambda}
                - sum_{k<n} (is/k) sum f_s^{[k-1]}(lambda_{i_0..i_{k-1}}) W_k.
 
-    O(d^{n-1}) work per s-point, in chunks of ``step`` s-points.  The table
-    of f_s (:func:`divided_difference_rows`, M = 16, scale 1/s) takes the
-    Taylor series where its nodes span less than eps^(1/17)/s, so an order-k
-    value is good to about (eps + eps^(1-k/17)) s^k/k! at any eigenvalue gap.
+    O(d^{n-1}) work per s-point, in chunks of ``step`` s-points.  s must be an
+    arithmetic grid (a ParameterError otherwise), such as the positive half
+    of the linspace :func:`higher_ssf_fourier` inverts.
 
-    The tables hold 2d + sum_{k<n} k d^k nodes per s-point (90 at n = 3,
-    d = 6) but at most 2d distinct ones, the eigenvalues of A and of A + B,
-    and evaluate f_s only there.  So each chunk computes exp(isx) once per
-    distinct node and gathers from those rows, bit for bit a direct exp.
+    Every node of every term is an eigenvalue of A or of A + B, so each chunk
+    takes the rows exp(isx) of the at most 2d distinct nodes from one table
+    (:func:`_exp_table`): a direct exp at every b-th point, times exp(irhx)
+    for r < b, times 1 + i phi for the rounding.  The terms k = 0
+    and k = 1 need nothing but these rows, so their weights are summed per
+    node once and F starts as w_0 @ E - is (w_1 @ E).  The terms k >= 2 take
+    their divided-difference tables (:func:`divided_difference_rows`, M = 16,
+    scale 1/s) from the same rows: the Taylor series where the nodes span
+    less than eps^(1/17)/s, so an order-k value is good to about
+    (eps + eps^(1-k/17)) s^k/k! at any eigenvalue gap.
 
     Near s = 0 the rounding of the O(d) terms (eigenvalues of A + B included)
-    is divided by s^n, so etahat loses accuracy as (s ||B||)^{-n}: 7e-10 at
-    n = 3, d = 16 on the first s past the exclusion zone, 2e-14 at s ||B|| = 1.
+    is divided by s^n, so etahat loses accuracy as (s ||B||)^{-n}.  Relative
+    error of F against taylor_remainder(fourier(s)) on the suite's draws
+    (seed 7), at the first s past the exclusion zone / s_max, by how the rows
+    are taken:
+
+        config      direct exp        table             table, no 1 + i phi
+        d=4, n=1    5.9e-15 / 4.0e-14  5.9e-15 / 4.0e-14  2.1e-12 / 2.4e-13
+        d=16, n=2   2.2e-13 / 1.3e-13  3.2e-13 / 1.3e-13  2.0e-12 / 1.7e-13
+        d=6, n=3    2.0e-11 / 4.2e-15  1.6e-11 / 4.3e-15  3.4e-10 / 2.7e-14
+        d=16, n=3   2.4e-10 / 1.6e-13  3.6e-10 / 1.6e-13  2.3e-9 / 2.5e-13
+
+    phi is taken from the rounded products, not as (s_j - s_a - r h) x: that
+    form leaves the rows about eps s x off a direct exp, and failed the
+    sweep's remainder-oracle test at 3.6 times its bound (d = 1, n = 1, s_max).
     """
-    terms = [(0, np.concatenate([EAB.eigenvalues, EA.eigenvalues])[:, None],
-              np.repeat([1.0, -1.0], [EAB.dim, EA.dim]))]
+    s = np.asarray(s, dtype=float)
+    m = len(s)
+    h = (s[-1] - s[0]) / (m - 1) if m > 1 else 0.0
+    # a linspace is within a few eps max|s| of arithmetic
+    off = np.abs(s - (s[0] + h * np.arange(m))).max() if m > 2 else 0.0
+    if off > 16 * np.finfo(float).eps * np.abs(s).max():
+        raise ParameterError("the exponential sweep needs an arithmetic s-grid")
+    nodes = np.unique(np.concatenate([EA.eigenvalues, EAB.eigenvalues]))
+    # the k = 0 and k = 1 terms as weights on the nodes
+    w01 = np.zeros((2, len(nodes)), dtype=complex)
+    np.add.at(w01[0], np.searchsorted(nodes, EAB.eigenvalues), 1.0)
+    np.add.at(w01[0], np.searchsorted(nodes, EA.eigenvalues), -1.0)
+    terms = []
     for k in range(1, n):
         reps, W = projection_trace_weights(MOIOperands([EA] * k, [B] * (k - 1)), closing=B)
+        if k == 1:
+            np.add.at(w01[1], np.searchsorted(nodes, reps[0]), W)
+            continue
         rows = np.stack(np.meshgrid(*reps, indexing="ij"), axis=-1).reshape(-1, k)
         terms.append((k, rows, W.ravel()))
-    # the distinct nodes of all tables
-    nodes = np.unique(np.concatenate([rows.ravel() for _, rows, _ in terms]))
-    out = np.empty(len(s), dtype=complex)
-    for lo in range(0, len(s), step):
+    width = min(step, m)
+    buf = np.empty(len(nodes) * (width + math.isqrt(width) + 1), dtype=complex)
+    out = np.empty(m, dtype=complex)
+    for lo in range(0, m, step):
         sc = s[lo:lo + step]
-        e_nodes = np.exp(1j * np.multiply.outer(nodes, sc))
+        E = _exp_table(nodes, sc, h, buf)
 
-        def phase(j, x):
-            # (is)^j exp(isx) for every s of the chunk, as a trailing s axis,
-            # gathered from the exp rows of the nodes, x among them, and scaled
-            # in place.  (is)^j has an exact zero part, so each product is one
-            # rounding in any order.
-            e = e_nodes[np.searchsorted(nodes, x)]
-            e *= (1j * sc) ** j
+        def phase(j, x, cols=slice(None)):
+            # (is)^j exp(isx) for the s of the chunk (those in cols), as a
+            # trailing s axis, gathered from the rows of the nodes, x among
+            # them, and scaled in place.  (is)^j has an exact zero part, so
+            # each product is one rounding in any order.
+            e = E[:, cols][np.searchsorted(nodes, x)]
+            e *= (1j * sc[cols]) ** j
             return e
 
         # exp(isx) has every derivative; 16 put tau at eps^(1/17)/s = 0.12/s,
         # where neither the series nor a quotient loses more than rounding
         f_s = FunctionFamily("fourier_grid", max(n - 2, 16), phase, bounded_deriv={},
                              vanishes_at_inf={}, real_valued=False, scale=1.0 / sc)
-        out[lo:lo + step] = sum(
-            (1.0 if k == 0 else -1j * sc / k) * (w @ divided_difference_rows(f_s, rows))
-            for k, rows, w in terms
-        )
+        w0, w1 = w01 @ E
+        F = out[lo:lo + step]
+        np.subtract(w0, 1j * sc * w1, out=F)
+        for k, rows, w in terms:
+            F -= 1j * sc / k * (w @ divided_difference_rows(f_s, rows))
     return out
 
 
@@ -297,13 +366,13 @@ def higher_ssf_fourier(
     N = params.num_s + 1
     ds = params.ds
     s = np.linspace(-params.s_max, params.s_max, N)
-    pos = s > 0
-    s_pos = s[pos]
+    neg = slice(0, np.searchsorted(s, 0.0, "left"))
+    pos = slice(np.searchsorted(s, 0.0, "right"), N)
 
-    F_pos = _remainder_trace_exponential(EA, EAB, B, n, s_pos, _CHUNK_ENTRIES // per_s)
     etahat = np.zeros(N, dtype=complex)
-    etahat[pos] = F_pos / (1j * s_pos) ** n
-    etahat[s < 0] = np.conj(etahat[pos][::-1])
+    etahat[pos] = _remainder_trace_exponential(EA, EAB, B, n, s[pos], _CHUNK_ENTRIES // per_s)
+    etahat[pos] /= (1j * s[pos]) ** n
+    np.conjugate(etahat[pos][::-1], out=etahat[neg])
 
     # anchor: zeroth moment of eta_n equals trace(B^n)/n!
     eta0 = float(np.trace(np.linalg.matrix_power(B, n)).real) / math.factorial(n)
@@ -319,17 +388,18 @@ def higher_ssf_fourier(
         ci[0] * sq + ci[1] * sq ** 3
     )
 
-    w = np.ones(N)
+    # the cosine taper w, which is 1 but on the outer TAPER_FRAC of the window
     cut = (1.0 - TAPER_FRAC) * params.s_max
     mask = np.abs(s) > cut
-    w[mask] = 0.5 * (1.0 + np.cos(np.pi * (np.abs(s[mask]) - cut) / (params.s_max - cut)))
-    wt = np.full(N, ds)
-    wt[0] *= 0.5
-    wt[-1] *= 0.5
-
-    g = etahat * w * wt / (2.0 * np.pi)
-    # eta(t_k) = sum_j exp(-i s_j t_k) g_j on the conjugate grid t_k = k dt
-    spectrum = np.fft.fft(g)
+    etahat[mask] *= 0.5 * (1.0 + np.cos(np.pi * (np.abs(s[mask]) - cut) / (params.s_max - cut)))
+    del s, mask  # freed before the FFT, the call's largest step after the sweep
+    # the trapezoid weights wt = ds, halved at both ends, and 1/(2 pi), in place
+    etahat[1:-1] *= ds
+    etahat[[0, -1]] *= 0.5 * ds
+    etahat /= 2.0 * np.pi
+    # eta(t_k) = sum_j exp(-i s_j t_k) g_j on the conjugate grid t_k = k dt, with
+    # g = etahat w wt / (2 pi) now held in etahat
+    spectrum = np.fft.fft(etahat, out=etahat)
     dt = 2.0 * np.pi / (N * ds)
     # fftshift puts the FFT frequencies in ascending order
     order_idx = np.fft.fftshift(np.arange(N))

@@ -291,7 +291,8 @@ def test_rows_carry_the_trailing_axes_of_a_vector_family():
     s = np.array([0.3, 1.3, 40.0])
     vec = FunctionFamily(
         "fourier_vec", fourier(1.0).max_order,
-        lambda j, x: (1j * s) ** j * np.exp(1j * np.multiply.outer(x, s)),
+        lambda j, x, cols=slice(None):
+            (1j * s[cols]) ** j * np.exp(1j * np.multiply.outer(x, s[cols])),
         bounded_deriv={}, vanishes_at_inf={}, real_valued=False, scale=1.0 / s,
     )
     offsets = [0.0, 1e-12, 5e-8, 1.1e-7, 0.3]

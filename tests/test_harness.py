@@ -281,6 +281,10 @@ def test_cli_config_error_exit_code(tmp_path):
         "tolerance_nan.json": {"seed": 1, "tolerances": {"telescoping": math.nan}},
         "tolerance_bool.json": {"seed": 1, "tolerances": {"telescoping": True}},
         "monomial_k_float.json": {"seed": 1, "functions": [{"id": "monomial", "k": 1.5}]},
+        "dims_huge.json": {"seed": 1, "dims": [16, 2 ** 40]},  # 8 TiB per array
+        "monomial_k_huge.json": {"seed": 1, "functions": [{"id": "monomial", "k": 10 ** 8}]},
+        "max_order_huge.json": {"seed": 1,
+                                "functions": [{"id": "gaussian", "max_order": 10 ** 8}]},
         "missing_matrix.json": {"seed": 1, "ensemble": "fixed_matrix_file",
                                 "matrix_a": "nope_a.json", "matrix_b": "nope_b.csv"},
     }

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from moilab import ssf as ssf_module
 from moilab.errors import ParameterError
 from moilab.families import bump, exponential, fourier, gaussian, runge
+from moilab.harness import ExperimentConfig, generate_ensemble
 from moilab.rng import SplitMix64
 from moilab.spectral import eig_hermitian, trace
 from moilab.ssf import (
@@ -280,14 +281,21 @@ def _spectrum_pair(seed, d, kind, gap, b_norm):
     return A, B * (b_norm / np.linalg.norm(B, 2))
 
 
-def _sweep_and_oracle(A, B, n):
-    """F on the first s past the exclusion zone, a middle s and s_max, by both routes."""
+def _sweep_and_oracle(A, B, n, full=False):
+    """F on the first s past the exclusion zone, a middle s and s_max, by both
+    routes.  The sweep runs on the auto grid from the first of these points to
+    s_max, or with full=True on every positive point, as higher_ssf_fourier
+    runs it."""
     p = FourierParams.auto(A, B, n)
     s = np.linspace(-p.s_max, p.s_max, p.num_s + 1)
     s_pos = s[s > 0]
-    s_vals = np.array([s_pos[s_pos >= p.s_min_exclusion][0], s_pos[len(s_pos) // 7], s_pos[-1]])
+    first = int(np.searchsorted(s_pos, p.s_min_exclusion))
+    grid = s_pos if full else s_pos[first:]
+    idx = np.array([first, len(s_pos) // 7, len(s_pos) - 1]) - (len(s_pos) - len(grid))
+    s_vals = grid[idx]
     EA, EAB = eig_hermitian(A), eig_hermitian(A + B)
-    got = ssf_module._remainder_trace_exponential(EA, EAB, B, n, s_vals, len(s_vals))
+    step = ssf_module._CHUNK_ENTRIES // max(2 * len(A), (n - 1) * len(A) ** (n - 1))
+    got = ssf_module._remainder_trace_exponential(EA, EAB, B, n, grid, step)[idx]
     want = np.array([complex(trace(taylor_remainder(fourier(x), A, B, n))) for x in s_vals])
     return s_vals, got, want
 
@@ -309,6 +317,23 @@ def test_sweep_matches_remainder_oracle(seed, d, n, kind, gap, b_norm):
     s, got, want = _sweep_and_oracle(A, B, n)
     bound = C_ROUND * np.finfo(float).eps * d * (1.0 + s * b_norm) ** (n - 1)
     assert np.all(np.abs(got - want) <= bound), (np.abs(got - want) / bound).max()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("seed,d,kind", [(31, 4, "generic"), (32, 3, "gap")])
+def test_sweep_on_the_full_auto_grid_matches_remainder_oracle(seed, d, n, kind):
+    # the chunks and exponential tables of higher_ssf_fourier's own grid
+    A, B = _spectrum_pair(seed, d, kind, 1e-4, 1.0)
+    s, got, want = _sweep_and_oracle(A, B, n, full=True)
+    bound = C_ROUND * np.finfo(float).eps * d * (1.0 + s) ** (n - 1)
+    assert np.all(np.abs(got - want) <= bound), (np.abs(got - want) / bound).max()
+
+
+def test_sweep_rejects_a_grid_that_is_not_arithmetic():
+    A, B = pair(24, 3)
+    EA, EAB = eig_hermitian(A), eig_hermitian(A + B)
+    with pytest.raises(ParameterError, match="arithmetic"):
+        ssf_module._remainder_trace_exponential(EA, EAB, B, 2, np.array([0.05, 0.7, 2.0]), 3)
 
 
 def test_sweep_chunked_and_unchunked_agree():
@@ -339,6 +364,19 @@ def test_auto_num_s_is_capped_by_the_shared_constant():
     A = np.diag([1e4, 1e4 + 1.0])
     p = FourierParams.auto(A, np.diag([0.5, -0.5]), 2)
     assert p.num_s == MAX_NUM_S
+
+
+def test_fourier_order1_suite_call_memory_regression():
+    # the suite's order-1 call, the largest grid it inverts (2^18 steps)
+    A, B = generate_ensemble(ExperimentConfig(seed=7, dimension=4, order=1))
+    tracemalloc.start()
+    try:
+        grid = higher_ssf_fourier(A, B, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert grid.params["num_s"] == MAX_NUM_S
+    assert peak < 24 * 2 ** 20, peak / 2 ** 20
 
 
 def test_fourier_d32_order3_memory_regression():
@@ -404,10 +442,11 @@ def _oracle_pair(seed, d, kind, b_norm):
     return A, B * (b_norm / np.linalg.norm(B, 2)), lam
 
 
-def _sweep_vs_expm(A, B, n, s_vals):
+def _sweep_vs_expm(A, B, n, grid, idx):
+    """|F_sweep - F_expm| at the points idx of an arithmetic grid the sweep runs on."""
     EA, EAB = eig_hermitian(A), eig_hermitian(A + B)
-    got = ssf_module._remainder_trace_exponential(EA, EAB, B, n, s_vals, len(s_vals))
-    want = np.array([_expm_remainder_trace(A, B, n, s) for s in s_vals])
+    got = ssf_module._remainder_trace_exponential(EA, EAB, B, n, grid, len(grid))[idx]
+    want = np.array([_expm_remainder_trace(A, B, n, s) for s in grid[idx]])
     return np.abs(got - want)
 
 
@@ -427,7 +466,9 @@ def test_sweep_matches_expm_oracle(seed, d, n, kind, b_norm):
     # s ||B|| in {0.05, 0.7, 2}; orders 4 and 5 are covered by no other test,
     # and exact repeats are the nodes the sweep exponentiates once
     A, B, lam = _oracle_pair(seed, d, kind, b_norm)
-    s = np.array([0.05, 0.7, 2.0]) / b_norm
-    err = _sweep_vs_expm(A, B, n, s)
-    bound = _expm_bound(lam, b_norm, n, s)
+    # s ||B|| = 0.05, 0.7 and 2.0 on a grid of step 0.05 / ||B||
+    grid = 0.05 / b_norm * np.arange(1, 41)
+    idx = [0, 13, 39]
+    err = _sweep_vs_expm(A, B, n, grid, idx)
+    bound = _expm_bound(lam, b_norm, n, grid[idx])
     assert np.all(err <= bound), (err / bound).max()
