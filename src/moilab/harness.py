@@ -52,6 +52,8 @@ from .ssf import (
     verify_trace_formula,
 )
 from .taylor import (
+    _MEMORY_BUDGET_BYTES,
+    _check_counterexample_budget,
     finite_difference_oracle,
     gateaux_derivative,
     lp_counterexample_demo,
@@ -98,14 +100,6 @@ DEFAULT_TOLERANCES: Dict[str, float] = {
 
 _ENSEMBLES = ("gue_like", "diagonal_heavy_tail", "fixed_matrix_file")
 
-# Memory a config may ask of one allocation-heavy step: the 4 d^2 normals of
-# the two gue_like matrices (d = 2896 is the largest dimension), and the
-# counterexample at its last dimension dims[-1], which keeps about 10 float
-# arrays of that length alive (tracemalloc: 9.1 * 8 bytes per atom), so
-# dims[-1] = 3355443 is the largest.
-_MEMORY_BUDGET_BYTES = 256 << 20
-_COUNTEREXAMPLE_BYTES_PER_ATOM = 10 * 8
-
 
 def _is_int(x) -> bool:
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
@@ -140,6 +134,7 @@ class ExperimentConfig:
         self.seed = int(self.seed)
         if not (_is_int(self.dimension) and self.dimension >= 1):
             raise ConfigError(f"dimension must be an integer >= 1, got {self.dimension!r}")
+        # the 4 d^2 normals of the two gue_like matrices: d = 2896 is the largest
         if 4 * self.dimension ** 2 * 8 > _MEMORY_BUDGET_BYTES:
             raise ConfigError(
                 f"dimension {self.dimension} needs {4 * self.dimension ** 2} normals, more "
@@ -165,11 +160,10 @@ class ExperimentConfig:
             raise ConfigError(
                 f"dims must be at least 2 strictly increasing positive integers, got {dims!r}"
             )
-        if dims[-1] * _COUNTEREXAMPLE_BYTES_PER_ATOM > _MEMORY_BUDGET_BYTES:
-            raise ConfigError(
-                f"dims[-1] = {dims[-1]} needs more than the {_MEMORY_BUDGET_BYTES >> 20} MiB "
-                f"memory budget holds ({_COUNTEREXAMPLE_BYTES_PER_ATOM} bytes per atom)"
-            )
+        try:
+            _check_counterexample_budget(dims)
+        except ParameterError as exc:
+            raise ConfigError(str(exc)) from None
         for name in ("matrix_a", "matrix_b", "out_dir"):
             if not isinstance(getattr(self, name), (str, type(None))):
                 raise ConfigError(f"{name} must be a path string, got {getattr(self, name)!r}")

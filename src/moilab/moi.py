@@ -290,6 +290,16 @@ def _chunk_rows(d: int, n: int) -> int:
     return _CHUNK_ENTRIES // per_row
 
 
+def _sorted_distinct(x: np.ndarray) -> np.ndarray:
+    """The distinct values of x in ascending order: np.unique by a sort and a
+    compare of neighbours, without np.unique's import of numpy.ma."""
+    x = np.sort(x)
+    keep = np.empty(len(x), dtype=bool)
+    keep[:1] = True
+    np.not_equal(x[1:], x[:-1], out=keep[1:])
+    return x[keep]
+
+
 def _binned(ops: MOIOperands, m: int, N: int) -> Tuple[List[np.ndarray], int]:
     """Per slot, the bin corner floor(lambda * m)/m of each eigen-index; and the bins hit."""
     corners = []
@@ -303,7 +313,7 @@ def _binned(ops: MOIOperands, m: int, N: int) -> Tuple[List[np.ndarray], int]:
             )
         bins = np.floor(scaled)
         corners.append(bins / m)
-        hit += len(np.unique(bins))
+        hit += len(_sorted_distinct(bins))
     return corners, hit
 
 

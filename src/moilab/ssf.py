@@ -10,16 +10,19 @@ remainder trace with the bounded exponentials f_s(x) = exp(isx) gives
     F(s) = trace(remainder_n(f_s, A, B)) = (is)^n * etahat_n(s),
 
 so etahat_n = F(s) / (is)^n away from s = 0; F comes from the chunked
-reduced-arity sweep of :func:`_remainder_trace_exponential` over the uniform
-s-grid.  Each chunk builds the rows exp(isx) of the distinct eigenvalues x
-from one table of about 2 sqrt(m) exponentials per row (:func:`_exp_table`);
-the order-0 terms are weights on those rows, and the higher divided-difference
+reduced-arity sweep of :func:`_remainder_trace_exponential` over the s >= 0
+half of a periodic power-of-two s-grid, since etahat_n(-s) = conj etahat_n(s).
+Each chunk builds the rows exp(isx) of the distinct eigenvalues x from one
+table of about 2 sqrt(m) exponentials per row (:func:`_exp_table`); the
+order-0 terms are weights on those rows, and the higher divided-difference
 tables are gathered from them.  The quotient is filled across a small
 exclusion zone around 0 by an even/odd polynomial fit anchored at the exact
 zeroth moment etahat_n(0) = trace(B^n)/n!, tapered at the ends of the
-s-window, weighted and inverted on the conjugate FFT grid in place.  The
-imaginary part of the inversion is diagnostic residue: it is reported,
-checked against a threshold, and discarded.
+s-window and weighted in place.  The inverse DFT is taken only at the band of
+t-points that cover the padded spectral hull (:func:`_band_dft`), from FFTs
+of strided columns of the half-grid.  The imaginary part of the inversion is
+diagnostic residue: it is reported, checked against a threshold, and
+discarded.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from .errors import (
 from .families import FunctionFamily, divided_difference_rows, monomial
 from .moi import (
     _CHUNK_ENTRIES,
+    _sorted_distinct,
     DiagonalRestrictedSymbol,
     MOIOperands,
     dd_symbol,
@@ -157,12 +161,16 @@ MAX_NUM_S = 1 << 18
 T_PAD_FRAC = 0.2     # padding of the t-grid past the spectral hull, times max(span, 1)
 TAPER_FRAC = 0.5     # outer fraction of [-s_max, s_max] where the cosine taper falls to 0
 FIT_BAND_WIDTHS = 6  # steps ds past the exclusion zone that the small-s fit uses
+_BAND_BLOCK_ENTRIES = 1 << 16  # complex entries of one block of columns in _band_dft
 
 
 @dataclass
 class FourierParams:
     """Dual-grid parameters of the Fourier recovery: the s-window [-s_max, s_max]
-    and its number of steps.  The exclusion zone |s| < 2 ds follows from them."""
+    and its number of steps num_s.  The s-grid is periodic, s_k = k ds for the
+    integer offsets -num_s/2 <= k < num_s/2 with ds = 2 s_max / num_s; the
+    exclusion zone |s| < 2 ds is the offsets |k| <= 1, and the density is
+    sampled at t-step pi / s_max."""
 
     s_max: float
     num_s: int
@@ -243,7 +251,8 @@ def _exp_table(x: np.ndarray, s: np.ndarray, h: float, out: np.ndarray) -> np.nd
 
 
 def _remainder_trace_exponential(
-    EA: EigenSystem, EAB: EigenSystem, B: np.ndarray, n: int, s: np.ndarray, step: int
+    EA: EigenSystem, EAB: EigenSystem, B: np.ndarray, n: int, s: np.ndarray, step: int,
+    out: np.ndarray,
 ) -> np.ndarray:
     """F(s) = trace R_n(f_s), f_s(x) = exp(isx), by the reduced-arity route.
 
@@ -254,9 +263,10 @@ def _remainder_trace_exponential(
         F(s) = sum e^{is mu} - sum e^{is lambda}
                - sum_{k<n} (is/k) sum f_s^{[k-1]}(lambda_{i_0..i_{k-1}}) W_k.
 
-    O(d^{n-1}) work per s-point, in chunks of ``step`` s-points.  s must be an
-    arithmetic grid (a ParameterError otherwise), such as the positive half
-    of the linspace :func:`higher_ssf_fourier` inverts.
+    O(d^{n-1}) work per s-point, in chunks of ``step`` s-points, written into
+    out (complex, len(s)), which is returned.  s must be an arithmetic grid
+    (a ParameterError otherwise), such as the offsets k >= 2 of the periodic
+    grid :func:`higher_ssf_fourier` inverts.
 
     Every node of every term is an eigenvalue of A or of A + B, so each chunk
     takes the rows exp(isx) of the at most 2d distinct nodes from one table
@@ -292,7 +302,7 @@ def _remainder_trace_exponential(
     off = np.abs(s - (s[0] + h * np.arange(m))).max() if m > 2 else 0.0
     if off > 16 * np.finfo(float).eps * np.abs(s).max():
         raise ParameterError("the exponential sweep needs an arithmetic s-grid")
-    nodes = np.unique(np.concatenate([EA.eigenvalues, EAB.eigenvalues]))
+    nodes = _sorted_distinct(np.concatenate([EA.eigenvalues, EAB.eigenvalues]))
     # the k = 0 and k = 1 terms as weights on the nodes
     w01 = np.zeros((2, len(nodes)), dtype=complex)
     np.add.at(w01[0], np.searchsorted(nodes, EAB.eigenvalues), 1.0)
@@ -307,7 +317,6 @@ def _remainder_trace_exponential(
         terms.append((k, rows, W.ravel()))
     width = min(step, m)
     buf = np.empty(len(nodes) * (width + math.isqrt(width) + 1), dtype=complex)
-    out = np.empty(m, dtype=complex)
     for lo in range(0, m, step):
         sc = s[lo:lo + step]
         E = _exp_table(nodes, sc, h, buf)
@@ -333,6 +342,44 @@ def _remainder_trace_exponential(
     return out
 
 
+def _band_dft(g: np.ndarray, k_lo: int, K: int) -> np.ndarray:
+    """X_k = sum_m u_m exp(-2 pi i m k / N) for the K indices k_lo <= k < k_lo + K,
+    where u is the conjugate-symmetric vector of length N = 2h held by its half
+    g of h + 1 values: u_m = g_m for m <= h, g_h = 0, and u_{N-m} = conj(g_m).
+
+    With N = P L, P the largest divisor of h for which L >= K, the K indices
+    fall in distinct residues mod L, and
+
+        X_k = sum_{b<P} exp(-2 pi i b k / N) FFT_L(u[b::P])[k mod L].
+
+    Column b of u is g[b::P] followed by the conjugate of g[h-b::-P] (g_h
+    first), two strided views of g; the columns are transformed a block at a
+    time, so no array is as long as u but the P = 1 column, which is all of u.
+    """
+    h = len(g) - 1
+    N = 2 * h
+    P = max(p for p in range(1, min(h, N // K) + 1) if h % p == 0)
+    L = N // P
+    top = g[:h].reshape(L // 2, P)      # u at a P + b, a < L/2
+    bot = g[h:0:-1].reshape(L // 2, P)  # conj u at (a + L/2) P + b
+    j = np.arange(K)
+    rows = (k_lo + j) % L
+    X = np.zeros(K, dtype=complex)
+    width = max(1, _BAND_BLOCK_ENTRIES // L)
+    for b0 in range(0, P, width):
+        b = np.arange(b0, min(b0 + width, P))
+        cols = np.empty((len(b), L), dtype=complex)
+        cols[:, :L // 2] = top[:, b0:b0 + width].T
+        np.conjugate(bot[:, b0:b0 + width].T, out=cols[:, L // 2:])
+        np.fft.fft(cols, axis=1, out=cols)
+        # b (k_lo + j) = (b k_lo mod N) + b j with b j < P K <= N, so every
+        # angle is below 4 pi and exact in its integers
+        angle = np.multiply.outer(b, j) + (b * k_lo % N)[:, None]
+        angle = angle * (-2.0 * np.pi / N)
+        X += np.einsum("bk,bk->k", cols[:, rows], np.cos(angle) + 1j * np.sin(angle))
+    return X
+
+
 def higher_ssf_fourier(
     A, B, n: int, params: Optional[FourierParams] = None, seed: Optional[int] = None
 ) -> SSFGrid:
@@ -342,6 +389,15 @@ def higher_ssf_fourier(
     close ones included: divided differences of e^{isx} take the Taylor series
     below the span tau = eps^(1/17)/s, quotients above it, so F is good to a
     few eps times d (1 + s ||B||)^(n-1) against a block-triangular expm.
+
+    The s-grid is periodic: s_k = k ds for the integer offsets -h <= k < h,
+    h = num_s / 2, ds = 2 s_max / num_s.  Only s >= 0 is held, since
+    etahat(-s) = conj etahat(s); the taper is exactly 0 at s = +-s_max, so
+    leaving out s = +s_max changes nothing.  F is swept at k >= 2 and
+    divided by (is)^n there; the exclusion zone |k| <= 1 (|s| < 2 ds) is
+    filled by the fit over 2 <= k <= 2 + FIT_BAND_WIDTHS.  The density is
+    sampled at t_k = k pi / s_max, and only at the k whose t_k lie in the
+    padded hull (:func:`_band_dft`).
     """
     if n < 1:
         raise ParameterError("order must be >= 1")
@@ -359,59 +415,54 @@ def higher_ssf_fourier(
     lo, hi = _spectra_hull(EA, EAB)
     span = max(hi - lo, 1e-6)
     pad = T_PAD_FRAC * max(span, 1.0)
-    # Nyquist guard: the conjugate grid step is pi/s_max, which must resolve
-    # the padded hull
     t_lo, t_hi = lo - pad, hi + pad
+    # Nyquist guard: the conjugate grid t_k = k dt, -h <= k < h, must cover the
+    # padded hull, with at least two points in it
+    h = params.num_s // 2
+    dt = np.pi / params.s_max
+    k_lo, k_hi = math.ceil(t_lo / dt), math.floor(t_hi / dt)
+    if k_lo < -h or k_hi >= h:
+        raise ParameterError(
+            "conjugate grid does not cover the padded hull; increase num_s"
+        )
+    if k_hi - k_lo < 1:
+        raise ParameterError(
+            f"t-step pi/s_max = {dt:.3g} leaves fewer than 2 points in the padded hull "
+            f"[{t_lo:.3g}, {t_hi:.3g}]; increase s_max"
+        )
 
-    N = params.num_s + 1
+    # etahat at the offsets 0..h; the last, at s = s_max, is 0 by the taper
     ds = params.ds
-    s = np.linspace(-params.s_max, params.s_max, N)
-    neg = slice(0, np.searchsorted(s, 0.0, "left"))
-    pos = slice(np.searchsorted(s, 0.0, "right"), N)
-
-    etahat = np.zeros(N, dtype=complex)
-    etahat[pos] = _remainder_trace_exponential(EA, EAB, B, n, s[pos], _CHUNK_ENTRIES // per_s)
-    etahat[pos] /= (1j * s[pos]) ** n
-    np.conjugate(etahat[pos][::-1], out=etahat[neg])
+    etahat = np.empty(h + 1, dtype=complex)
+    etahat[h] = 0.0
+    s = ds * np.arange(2, h)
+    swept = etahat[2:h]
+    _remainder_trace_exponential(EA, EAB, B, n, s, _CHUNK_ENTRIES // per_s, swept)
+    swept /= s ** n
+    swept *= (-1j) ** n
 
     # anchor: zeroth moment of eta_n equals trace(B^n)/n!
     eta0 = float(np.trace(np.linalg.matrix_power(B, n)).real) / math.factorial(n)
-    excl = params.s_min_exclusion
-    fill = np.abs(s) < excl
-    band = (np.abs(s) >= excl) & (np.abs(s) <= excl + FIT_BAND_WIDTHS * ds)
-    sf = s[band]
-    ef = etahat[band]
+    sf = s[:FIT_BAND_WIDTHS + 1]
+    ef = swept[:FIT_BAND_WIDTHS + 1]
     cr, *_ = np.linalg.lstsq(np.stack([sf ** 2, sf ** 4], axis=1), ef.real - eta0, rcond=None)
     ci, *_ = np.linalg.lstsq(np.stack([sf, sf ** 3], axis=1), ef.imag, rcond=None)
-    sq = s[fill]
-    etahat[fill] = (eta0 + cr[0] * sq ** 2 + cr[1] * sq ** 4) + 1j * (
+    sq = ds * np.arange(2)
+    etahat[:2] = (eta0 + cr[0] * sq ** 2 + cr[1] * sq ** 4) + 1j * (
         ci[0] * sq + ci[1] * sq ** 3
     )
 
     # the cosine taper w, which is 1 but on the outer TAPER_FRAC of the window
     cut = (1.0 - TAPER_FRAC) * params.s_max
-    mask = np.abs(s) > cut
-    etahat[mask] *= 0.5 * (1.0 + np.cos(np.pi * (np.abs(s[mask]) - cut) / (params.s_max - cut)))
-    del s, mask  # freed before the FFT, the call's largest step after the sweep
-    # the trapezoid weights wt = ds, halved at both ends, and 1/(2 pi), in place
-    etahat[1:-1] *= ds
-    etahat[[0, -1]] *= 0.5 * ds
+    past = int(np.searchsorted(s, cut, "right"))
+    swept[past:] *= 0.5 * (1.0 + np.cos(np.pi * (s[past:] - cut) / (params.s_max - cut)))
+    # the quadrature weight ds and 1/(2 pi), in place
+    etahat *= ds
     etahat /= 2.0 * np.pi
-    # eta(t_k) = sum_j exp(-i s_j t_k) g_j on the conjugate grid t_k = k dt, with
-    # g = etahat w wt / (2 pi) now held in etahat
-    spectrum = np.fft.fft(etahat, out=etahat)
-    dt = 2.0 * np.pi / (N * ds)
-    # fftshift puts the FFT frequencies in ascending order
-    order_idx = np.fft.fftshift(np.arange(N))
-    t_full = np.fft.fftfreq(N, d=1.0 / N)[order_idx] * dt
-    if t_lo < t_full[0] or t_hi > t_full[-1]:
-        raise ParameterError(
-            "conjugate grid does not cover the padded hull; increase num_s"
-        )
-    keep = (t_full >= t_lo) & (t_full <= t_hi)
-    t_grid = t_full[keep]
-    # the shift back from the grid's start s = -s_max, on the kept points only
-    eta = spectrum[order_idx[keep]] * np.exp(1j * params.s_max * t_grid)
+    # eta(t_k) = sum_j exp(-i s_j t_k) g_j with g = etahat w ds / (2 pi); over the
+    # offsets j mod num_s this is a DFT, and no shift back is needed
+    eta = _band_dft(etahat, k_lo, k_hi - k_lo + 1)
+    t_grid = dt * np.arange(k_lo, k_hi + 1)
 
     real = eta.real.copy()
     l1 = float(np.trapezoid(np.abs(real), t_grid))

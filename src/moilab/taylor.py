@@ -368,6 +368,22 @@ class DivergenceRow:
     r_bounded: float
 
 
+# Memory one allocation-heavy step may ask for.  lp_counterexample_demo keeps
+# about 10 float arrays of its largest dimension alive (tracemalloc: 9.1 * 8
+# bytes per atom), so dims[-1] = 3355443 is the largest it takes.
+_MEMORY_BUDGET_BYTES = 256 << 20
+_COUNTEREXAMPLE_BYTES_PER_ATOM = 10 * 8
+
+
+def _check_counterexample_budget(dims: Sequence[int]) -> None:
+    """Raise ParameterError when the largest of dims exceeds the memory budget."""
+    if max(dims, default=0) * _COUNTEREXAMPLE_BYTES_PER_ATOM > _MEMORY_BUDGET_BYTES:
+        raise ParameterError(
+            f"dims[-1] = {max(dims)} needs more than the {_MEMORY_BUDGET_BYTES >> 20} MiB "
+            f"memory budget holds ({_COUNTEREXAMPLE_BYTES_PER_ATOM} bytes per atom)"
+        )
+
+
 def lp_counterexample_demo(
     p: float,
     dims: Sequence[int],
@@ -388,6 +404,7 @@ def lp_counterexample_demo(
         raise ParameterError("demo needs 1 < p < inf")
     if list(dims) != sorted(set(int(d) for d in dims)) or any(d < 1 for d in dims):
         raise ParameterError(f"dims must be strictly increasing and positive, got {list(dims)}")
+    _check_counterexample_budget(dims)
     f = recip_plus()
     rows: List[DivergenceRow] = []
     for d in dims:

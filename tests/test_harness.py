@@ -298,6 +298,7 @@ def test_cli_config_error_exit_code(tmp_path):
         ["run", "--config", "unknown_param.json", "--suite", "derivatives", "--out", "o"],
         ["counterexample", "--p", "2.0", "--dims", "16,abc"],
         ["counterexample", "--p", "2", "--dims", "0,16"],
+        ["counterexample", "--p", "2", "--dims", "16,1099511627776"],  # 8 TiB per array
         *(["run", "--config", name, "--suite", "counterexample", "--out", "o"]
           for name in list(configs)[2:-1]),
         ["run", "--config", "missing_matrix.json", "--suite", "derivatives", "--out", "o"],
@@ -319,6 +320,25 @@ def test_cli_config_error_exit_code(tmp_path):
         # time, so that a loaded machine does not fail it
         cpu = after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime
         assert cpu < 1.0, (argv, cpu)
+
+
+def test_cli_commands_do_not_import_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma (12 ms at import); ssf and run avoid it
+    save_matrix_csv(tmp_path / "A.csv", np.diag([0.0, 1.0, 2.5]))
+    save_matrix_csv(tmp_path / "B.csv", np.full((3, 3), 0.3))
+    (tmp_path / "cfg.json").write_text('{"seed": 7}')
+    code = (
+        "import sys\n"
+        "from moilab.cli import main\n"
+        "assert main(['ssf', '--matrix-a', 'A.csv', '--matrix-b', 'B.csv', '--order', '2',"
+        " '--out', 'eta.csv']) == 0\n"
+        "assert main(['run', '--config', 'cfg.json', '--suite', 'moi_consistency',"
+        " '--out', 'o']) == 0\n"
+        "assert 'numpy.ma' not in sys.modules\n"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         cwd=tmp_path, env=_child_env(), timeout=120)
+    assert res.returncode == 0, res.stderr
 
 
 def test_cli_ssf_and_deriv(tmp_path):

@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from moilab import cli
 from moilab import ssf as ssf_module
 from moilab.errors import ParameterError
 from moilab.families import bump, exponential, fourier, gaussian, runge
-from moilab.harness import ExperimentConfig, generate_ensemble
+from moilab.harness import DEFAULT_TOLERANCES, ExperimentConfig, generate_ensemble
+from moilab.matrix_io import save_matrix_csv
 from moilab.rng import SplitMix64
 from moilab.spectral import eig_hermitian, trace
 from moilab.ssf import (
@@ -83,6 +85,9 @@ def test_fourier_params_validation():
         with pytest.raises(ParameterError):
             FourierParams(s_max=10.0, num_s=num_s)
     assert FourierParams(s_max=10.0, num_s=100).s_min_exclusion == pytest.approx(0.4)
+    # a t-step pi / s_max wider than the padded hull [-0.2, 0.7]
+    with pytest.raises(ParameterError, match="fewer than 2 points"):
+        higher_ssf_fourier(np.diag([0.0, 0.5]), np.diag([0.3, 0.0]), 2, FourierParams(1.0, 16))
 
 
 def test_scalar_order2_closed_form():
@@ -281,21 +286,28 @@ def _spectrum_pair(seed, d, kind, gap, b_norm):
     return A, B * (b_norm / np.linalg.norm(B, 2))
 
 
+def _sweep(EA, EAB, B, n, s, step):
+    """The sweep's F on s, into a new array."""
+    return ssf_module._remainder_trace_exponential(EA, EAB, B, n, s, step,
+                                                   np.empty(len(s), dtype=complex))
+
+
 def _sweep_and_oracle(A, B, n, full=False):
-    """F on the first s past the exclusion zone, a middle s and s_max, by both
-    routes.  The sweep runs on the auto grid from the first of these points to
-    s_max, or with full=True on every positive point, as higher_ssf_fourier
-    runs it."""
+    """F on the first s past the exclusion zone, a middle s and the last s, by
+    both routes.  The sweep runs on the auto window's linspace from the first
+    of these points to s_max, or with full=True on the offsets 2 <= k < h of
+    the periodic grid, as higher_ssf_fourier runs it."""
     p = FourierParams.auto(A, B, n)
-    s = np.linspace(-p.s_max, p.s_max, p.num_s + 1)
-    s_pos = s[s > 0]
-    first = int(np.searchsorted(s_pos, p.s_min_exclusion))
-    grid = s_pos if full else s_pos[first:]
-    idx = np.array([first, len(s_pos) // 7, len(s_pos) - 1]) - (len(s_pos) - len(grid))
+    if full:
+        grid = p.ds * np.arange(2, p.num_s // 2)
+    else:
+        s = np.linspace(-p.s_max, p.s_max, p.num_s + 1)
+        grid = s[s >= p.s_min_exclusion]
+    idx = np.array([0, len(grid) // 7, len(grid) - 1])
     s_vals = grid[idx]
     EA, EAB = eig_hermitian(A), eig_hermitian(A + B)
     step = ssf_module._CHUNK_ENTRIES // max(2 * len(A), (n - 1) * len(A) ** (n - 1))
-    got = ssf_module._remainder_trace_exponential(EA, EAB, B, n, grid, step)[idx]
+    got = _sweep(EA, EAB, B, n, grid, step)[idx]
     want = np.array([complex(trace(taylor_remainder(fourier(x), A, B, n))) for x in s_vals])
     return s_vals, got, want
 
@@ -333,15 +345,15 @@ def test_sweep_rejects_a_grid_that_is_not_arithmetic():
     A, B = pair(24, 3)
     EA, EAB = eig_hermitian(A), eig_hermitian(A + B)
     with pytest.raises(ParameterError, match="arithmetic"):
-        ssf_module._remainder_trace_exponential(EA, EAB, B, 2, np.array([0.05, 0.7, 2.0]), 3)
+        _sweep(EA, EAB, B, 2, np.array([0.05, 0.7, 2.0]), 3)
 
 
 def test_sweep_chunked_and_unchunked_agree():
     A, B = pair(21, 5)
     s = np.linspace(0.01, 40.0, 301)
     EA, EAB = eig_hermitian(A), eig_hermitian(A + B)
-    whole = ssf_module._remainder_trace_exponential(EA, EAB, B, 3, s, len(s))
-    chunked = ssf_module._remainder_trace_exponential(EA, EAB, B, 3, s, 7)
+    whole = _sweep(EA, EAB, B, 3, s, len(s))
+    chunked = _sweep(EA, EAB, B, 3, s, 7)
     np.testing.assert_allclose(chunked, whole, rtol=0, atol=1e-13 * np.abs(whole).max())
 
 
@@ -376,7 +388,53 @@ def test_fourier_order1_suite_call_memory_regression():
     finally:
         tracemalloc.stop()
     assert grid.params["num_s"] == MAX_NUM_S
-    assert peak < 24 * 2 ** 20, peak / 2 ** 20
+    assert peak < 12 * 2 ** 20, peak / 2 ** 20
+
+
+# Bound on |X_band - X_fft| for the band inverse: C_BAND * eps * log2(N) * ||u||_2.
+# Measured on the cases below: at most 1.8 (N = 2^10, K = 1 at k = h - 1).
+C_BAND = 4
+
+
+@pytest.mark.parametrize("N", [2 ** 10, 2 ** 14, 2 ** 18, 12346])
+def test_band_dft_matches_full_fft(N):
+    h = N // 2
+    rng = np.random.default_rng(N)
+    g = rng.normal(size=h + 1) + 1j * rng.normal(size=h + 1)
+    g[h] = 0.0
+    u = np.concatenate([g[:h], [0.0], np.conj(g[1:h][::-1])])
+    full = np.fft.fft(u)
+    bound = C_BAND * np.finfo(float).eps * np.log2(N) * np.linalg.norm(u)
+    bands = [
+        (-37, 100),             # crosses k = 0
+        (-h, 50), (h - 60, 60),  # touch -h and h - 1
+        (5, 1), (-h, 1), (h - 1, 1),
+        (-h, h + 3), (-h, N),   # K > N/2: a single FFT
+        (-3 * h // 4, h // 2),
+    ]
+    for k_lo, K in bands:
+        got = ssf_module._band_dft(g, k_lo, K)
+        want = full[(k_lo + np.arange(K)) % N]
+        err = np.abs(got - want).max()
+        assert err <= bound, (k_lo, K, err / bound)
+        assert err <= 1e-14 * np.abs(full).max(), (k_lo, K)
+
+
+def test_fourier_grid_with_no_power_of_two_split(tmp_path):
+    # num_s = 12346 = 2 * 6173 with 6173 prime: no divisor of h splits N, so
+    # the band inverse is one FFT; a linspace over this window would put its
+    # centre point at 2.8e-14, not at 0
+    A, B = generate_ensemble(ExperimentConfig(seed=7, dimension=4, order=2))
+    grid = higher_ssf_fourier(A, B, 2, FourierParams(250.7, 12346))
+    report = verify_trace_formula(A, B, 2, grid, [gaussian(), runge(), bump(halfwidth=4.0)])
+    assert report.max_function_error() <= DEFAULT_TOLERANCES["heldout_rel"], report.rows
+    assert report.max_moment_error() <= DEFAULT_TOLERANCES["moment_rel"], report.moments
+    save_matrix_csv(tmp_path / "A.csv", A)
+    save_matrix_csv(tmp_path / "B.csv", B)
+    argv = ["ssf", "--matrix-a", str(tmp_path / "A.csv"), "--matrix-b", str(tmp_path / "B.csv"),
+            "--order", "2", "--s-max", "250.7", "--num-s", "12346",
+            "--out", str(tmp_path / "eta.csv")]
+    assert cli.main(argv) == 0
 
 
 def test_fourier_d32_order3_memory_regression():
@@ -445,7 +503,7 @@ def _oracle_pair(seed, d, kind, b_norm):
 def _sweep_vs_expm(A, B, n, grid, idx):
     """|F_sweep - F_expm| at the points idx of an arithmetic grid the sweep runs on."""
     EA, EAB = eig_hermitian(A), eig_hermitian(A + B)
-    got = ssf_module._remainder_trace_exponential(EA, EAB, B, n, grid, len(grid))[idx]
+    got = _sweep(EA, EAB, B, n, grid, len(grid))[idx]
     want = np.array([_expm_remainder_trace(A, B, n, s) for s in grid[idx]])
     return np.abs(got - want)
 
