@@ -95,7 +95,10 @@ def _cmd_ssf(args) -> int:
             base = FourierParams.auto(A, B, args.order)
             s_max = args.s_max if args.s_max is not None else base.s_max
             num_s = args.num_s if args.num_s is not None else base.num_s
-            params = FourierParams(s_max=s_max, num_s=num_s)
+            try:
+                params = FourierParams(s_max=s_max, num_s=num_s)
+            except ParameterError as exc:
+                raise ConfigError(f"--s-max {s_max!r} --num-s {num_s!r}: {exc}") from None
         grid = higher_ssf_fourier(A, B, n=args.order, params=params, seed=args.seed)
     sidecar = args.sidecar or (args.out + ".json")
     save_ssf(grid, args.out, sidecar)

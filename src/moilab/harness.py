@@ -4,7 +4,9 @@ Every ensemble is a pure function of the 64-bit config seed through the
 SplitMix64 generator (see :mod:`moilab.rng`), and every check is a pure
 function of the ensemble, so a (config, code) pair pins the report bytes
 except for the wall-time field.  The check groups run one after another in
-report order.
+report order.  With an output directory, :func:`run_suite` also writes each
+group's wall time and the process's peak RSS after it to a timings sidecar,
+which stays out of the report so that the report bytes stay pinned.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ import itertools
 import json
 import math
 import numbers
+import resource
+import sys
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -573,6 +577,13 @@ _GROUPS: Dict[str, Callable[[ExperimentConfig], _GroupResult]] = {
 SUITES = tuple(_GROUPS) + ("all",)
 
 
+def _peak_rss_mb() -> float:
+    """Peak resident set size of this process so far, in MB (2^20 bytes);
+    ru_maxrss counts KiB on Linux and bytes on macOS."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (2 ** 20 if sys.platform == "darwin" else 2 ** 10)
+
+
 def run_suite(config: ExperimentConfig, suite: str) -> Report:
     """Run one check group, or every group for "all", in report order.
 
@@ -580,6 +591,10 @@ def run_suite(config: ExperimentConfig, suite: str) -> Report:
     named after the group in place of its records; the other groups still run.
     A ConfigError, such as an unreadable matrix file, is not a check result:
     it propagates.
+
+    With config.out_dir set, the report goes to report_<suite>.json there,
+    and timings_<suite>.json next to it lists the groups in report order, each
+    with its wall time and the process's peak RSS once it has run.
     """
     if suite not in SUITES:
         raise ConfigError(f"unknown suite {suite!r}; known: {SUITES}")
@@ -588,7 +603,9 @@ def run_suite(config: ExperimentConfig, suite: str) -> Report:
         Path(config.out_dir).mkdir(parents=True, exist_ok=True)
     records: List[CheckRecord] = []
     artifacts: List[str] = []
+    timings: List[dict] = []
     for name in _GROUPS if suite == "all" else (suite,):
+        g0 = time.perf_counter()
         try:
             recs, arts = _GROUPS[name](config)
         except ConfigError:
@@ -598,6 +615,8 @@ def run_suite(config: ExperimentConfig, suite: str) -> Report:
                                       threshold=0.0, passed=False, error=str(exc))], []
         records.extend(recs)
         artifacts.extend(arts)
+        timings.append({"group": name, "wall_s": time.perf_counter() - g0,
+                        "peak_rss_mb": _peak_rss_mb()})
     report = Report(
         config=config.echo(),
         suite=suite,
@@ -606,6 +625,8 @@ def run_suite(config: ExperimentConfig, suite: str) -> Report:
         wall_time_s=time.time() - t0,
     )
     if config.out_dir:
-        out = Path(config.out_dir) / f"report_{suite}.json"
-        out.write_text(report.to_json() + "\n")
+        out = Path(config.out_dir)
+        (out / f"report_{suite}.json").write_text(report.to_json() + "\n")
+        (out / f"timings_{suite}.json").write_text(
+            json.dumps({"suite": suite, "groups": timings}, indent=1) + "\n")
     return report

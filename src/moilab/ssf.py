@@ -23,6 +23,15 @@ t-points that cover the padded spectral hull (:func:`_band_dft`), from FFTs
 of strided columns of the half-grid.  The imaginary part of the inversion is
 diagnostic residue: it is reported, checked against a threshold, and
 discarded.
+
+Working set: the half-grid etahat (num_s / 2 + 1 complex values, 2 MiB at
+the cap num_s = 2^18) is the only array as long as the s-grid.  The sweep
+builds each chunk's s = k ds from its integer offsets, with tables of at most
+2^16 complex entries (_SWEEP_ENTRIES; one s-point's per_s entries where that
+is more), and the quotient and taper are applied to etahat a chunk at a
+time, in place.  The band inverse transforms blocks of at most 2^14
+complex entries (_BAND_BLOCK_ENTRIES), or one column of L where L is more.
+So the order-1 call at num_s = 2^18 peaks at about 3.8 MiB under tracemalloc.
 """
 
 from __future__ import annotations
@@ -161,7 +170,8 @@ MAX_NUM_S = 1 << 18
 T_PAD_FRAC = 0.2     # padding of the t-grid past the spectral hull, times max(span, 1)
 TAPER_FRAC = 0.5     # outer fraction of [-s_max, s_max] where the cosine taper falls to 0
 FIT_BAND_WIDTHS = 6  # steps ds past the exclusion zone that the small-s fit uses
-_BAND_BLOCK_ENTRIES = 1 << 16  # complex entries of one block of columns in _band_dft
+_SWEEP_ENTRIES = 1 << 16       # complex entries of one sweep chunk's tables (or one s-point's)
+_BAND_BLOCK_ENTRIES = 1 << 14  # complex entries of one block of columns in _band_dft
 
 
 @dataclass
@@ -180,8 +190,8 @@ class FourierParams:
             raise ParameterError("num_s must be even")
         if self.num_s > MAX_NUM_S:
             raise ParameterError(f"num_s = {self.num_s} exceeds the cap {MAX_NUM_S}")
-        if self.s_max <= 0:
-            raise ParameterError("s_max must be positive")
+        if not (math.isfinite(self.s_max) and self.s_max > 0):
+            raise ParameterError(f"s_max must be finite and positive, got {self.s_max!r}")
         if self.num_s <= 4:
             raise ParameterError("num_s must exceed 4, so that the exclusion 2 ds < s_max")
 
@@ -251,10 +261,11 @@ def _exp_table(x: np.ndarray, s: np.ndarray, h: float, out: np.ndarray) -> np.nd
 
 
 def _remainder_trace_exponential(
-    EA: EigenSystem, EAB: EigenSystem, B: np.ndarray, n: int, s: np.ndarray, step: int,
-    out: np.ndarray,
+    EA: EigenSystem, EAB: EigenSystem, B: np.ndarray, n: int, ds: float, k_lo: int,
+    k_hi: int, step: int, out: np.ndarray,
 ) -> np.ndarray:
-    """F(s) = trace R_n(f_s), f_s(x) = exp(isx), by the reduced-arity route.
+    """F(s) = trace R_n(f_s), f_s(x) = exp(isx), by the reduced-arity route,
+    at s_k = k ds for the integer offsets k_lo <= k < k_hi.
 
     The trace of each Taylor term of R_n drops one slot through the wrap-around
     of the trace, tr D^k f(A)[B^k] = tr(D^{k-1} f'(A)[B^{k-1}] B), and
@@ -264,9 +275,11 @@ def _remainder_trace_exponential(
                - sum_{k<n} (is/k) sum f_s^{[k-1]}(lambda_{i_0..i_{k-1}}) W_k.
 
     O(d^{n-1}) work per s-point, in chunks of ``step`` s-points, written into
-    out (complex, len(s)), which is returned.  s must be an arithmetic grid
-    (a ParameterError otherwise), such as the offsets k >= 2 of the periodic
-    grid :func:`higher_ssf_fourier` inverts.
+    out (complex, k_hi - k_lo), which is returned.  Each chunk builds its own
+    s = ds * k, so no s-array is longer than a chunk; :func:`higher_ssf_fourier`
+    passes step = max(1, _SWEEP_ENTRIES // per_s) for the per_s complex entries
+    per s-point of the largest table, so that a chunk's tables hold at most
+    2^16 entries (per_s of them where per_s is larger).
 
     Every node of every term is an eigenvalue of A or of A + B, so each chunk
     takes the rows exp(isx) of the at most 2d distinct nodes from one table
@@ -295,13 +308,6 @@ def _remainder_trace_exponential(
     form leaves the rows about eps s x off a direct exp, and failed the
     sweep's remainder-oracle test at 3.6 times its bound (d = 1, n = 1, s_max).
     """
-    s = np.asarray(s, dtype=float)
-    m = len(s)
-    h = (s[-1] - s[0]) / (m - 1) if m > 1 else 0.0
-    # a linspace is within a few eps max|s| of arithmetic
-    off = np.abs(s - (s[0] + h * np.arange(m))).max() if m > 2 else 0.0
-    if off > 16 * np.finfo(float).eps * np.abs(s).max():
-        raise ParameterError("the exponential sweep needs an arithmetic s-grid")
     nodes = _sorted_distinct(np.concatenate([EA.eigenvalues, EAB.eigenvalues]))
     # the k = 0 and k = 1 terms as weights on the nodes
     w01 = np.zeros((2, len(nodes)), dtype=complex)
@@ -315,11 +321,11 @@ def _remainder_trace_exponential(
             continue
         rows = np.stack(np.meshgrid(*reps, indexing="ij"), axis=-1).reshape(-1, k)
         terms.append((k, rows, W.ravel()))
-    width = min(step, m)
+    width = min(step, k_hi - k_lo)
     buf = np.empty(len(nodes) * (width + math.isqrt(width) + 1), dtype=complex)
-    for lo in range(0, m, step):
-        sc = s[lo:lo + step]
-        E = _exp_table(nodes, sc, h, buf)
+    for lo in range(k_lo, k_hi, step):
+        sc = ds * np.arange(lo, min(lo + step, k_hi))
+        E = _exp_table(nodes, sc, ds, buf)
 
         def phase(j, x, cols=slice(None)):
             # (is)^j exp(isx) for the s of the chunk (those in cols), as a
@@ -335,7 +341,7 @@ def _remainder_trace_exponential(
         f_s = FunctionFamily("fourier_grid", max(n - 2, 16), phase, bounded_deriv={},
                              vanishes_at_inf={}, real_valued=False, scale=1.0 / sc)
         w0, w1 = w01 @ E
-        F = out[lo:lo + step]
+        F = out[lo - k_lo:lo - k_lo + len(sc)]
         np.subtract(w0, 1j * sc * w1, out=F)
         for k, rows, w in terms:
             F -= 1j * sc / k * (w @ divided_difference_rows(f_s, rows))
@@ -353,8 +359,9 @@ def _band_dft(g: np.ndarray, k_lo: int, K: int) -> np.ndarray:
         X_k = sum_{b<P} exp(-2 pi i b k / N) FFT_L(u[b::P])[k mod L].
 
     Column b of u is g[b::P] followed by the conjugate of g[h-b::-P] (g_h
-    first), two strided views of g; the columns are transformed a block at a
-    time, so no array is as long as u but the P = 1 column, which is all of u.
+    first), two strided views of g; the columns are transformed a block of at
+    most _BAND_BLOCK_ENTRIES = 2^14 entries at a time (one column where L is
+    longer), so no array is as long as u but the P = 1 column, which is all of u.
     """
     h = len(g) - 1
     N = 2 * h
@@ -398,6 +405,15 @@ def higher_ssf_fourier(
     filled by the fit over 2 <= k <= 2 + FIT_BAND_WIDTHS.  The density is
     sampled at t_k = k pi / s_max, and only at the k whose t_k lie in the
     padded hull (:func:`_band_dft`).
+
+    Memory: etahat, h + 1 complex values, plus chunk-sized buffers.  The
+    sweep writes F straight into etahat, a chunk of max(1, 2^16 // per_s)
+    s-points at a time; the fit takes its 7 quotients from a copy, and the
+    quotient and taper then run over the same chunks in place, so no other
+    array is as long as the s-grid; the band inverse works in blocks of 2^14
+    entries.  A grid whose t-step pi / s_max is too fine for h points to cover
+    the padded hull raises a ParameterError ("increase num_s"), however small
+    the step.
     """
     if n < 1:
         raise ParameterError("order must be >= 1")
@@ -419,12 +435,14 @@ def higher_ssf_fourier(
     # Nyquist guard: the conjugate grid t_k = k dt, -h <= k < h, must cover the
     # padded hull, with at least two points in it
     h = params.num_s // 2
-    dt = np.pi / params.s_max
-    k_lo, k_hi = math.ceil(t_lo / dt), math.floor(t_hi / dt)
-    if k_lo < -h or k_hi >= h:
+    dt = math.pi / float(params.s_max)
+    # compared as floats first: a t-step far below the hull's width puts t / dt
+    # past any integer math.ceil can take
+    if t_lo / dt <= -h - 1 or t_hi / dt >= h:
         raise ParameterError(
             "conjugate grid does not cover the padded hull; increase num_s"
         )
+    k_lo, k_hi = math.ceil(t_lo / dt), math.floor(t_hi / dt)
     if k_hi - k_lo < 1:
         raise ParameterError(
             f"t-step pi/s_max = {dt:.3g} leaves fewer than 2 points in the padded hull "
@@ -435,16 +453,14 @@ def higher_ssf_fourier(
     ds = params.ds
     etahat = np.empty(h + 1, dtype=complex)
     etahat[h] = 0.0
-    s = ds * np.arange(2, h)
-    swept = etahat[2:h]
-    _remainder_trace_exponential(EA, EAB, B, n, s, _CHUNK_ENTRIES // per_s, swept)
-    swept /= s ** n
-    swept *= (-1j) ** n
+    step = max(1, _SWEEP_ENTRIES // per_s)
+    _remainder_trace_exponential(EA, EAB, B, n, ds, 2, h, step, etahat[2:h])
 
-    # anchor: zeroth moment of eta_n equals trace(B^n)/n!
+    # anchor: zeroth moment of eta_n equals trace(B^n)/n!; the fit reads the
+    # quotient F / (is)^n on its band before the taper
     eta0 = float(np.trace(np.linalg.matrix_power(B, n)).real) / math.factorial(n)
-    sf = s[:FIT_BAND_WIDTHS + 1]
-    ef = swept[:FIT_BAND_WIDTHS + 1]
+    sf = ds * np.arange(2, min(h, 3 + FIT_BAND_WIDTHS))
+    ef = etahat[2:2 + len(sf)] / sf ** n * (-1j) ** n
     cr, *_ = np.linalg.lstsq(np.stack([sf ** 2, sf ** 4], axis=1), ef.real - eta0, rcond=None)
     ci, *_ = np.linalg.lstsq(np.stack([sf, sf ** 3], axis=1), ef.imag, rcond=None)
     sq = ds * np.arange(2)
@@ -452,10 +468,16 @@ def higher_ssf_fourier(
         ci[0] * sq + ci[1] * sq ** 3
     )
 
-    # the cosine taper w, which is 1 but on the outer TAPER_FRAC of the window
+    # in place, a sweep chunk at a time: the quotient F / (is)^n and the cosine
+    # taper w, which is 1 but on the outer TAPER_FRAC of the window
     cut = (1.0 - TAPER_FRAC) * params.s_max
-    past = int(np.searchsorted(s, cut, "right"))
-    swept[past:] *= 0.5 * (1.0 + np.cos(np.pi * (s[past:] - cut) / (params.s_max - cut)))
+    for k in range(2, h, step):
+        sc = ds * np.arange(k, min(k + step, h))
+        g = etahat[k:k + len(sc)]
+        g /= sc ** n
+        g *= (-1j) ** n
+        past = int(np.searchsorted(sc, cut, "right"))
+        g[past:] *= 0.5 * (1.0 + np.cos(np.pi * (sc[past:] - cut) / (params.s_max - cut)))
     # the quadrature weight ds and 1/(2 pi), in place
     etahat *= ds
     etahat /= 2.0 * np.pi

@@ -292,6 +292,9 @@ def test_cli_config_error_exit_code(tmp_path):
         (tmp_path / name).write_text(json.dumps(payload))
     deriv = ["deriv", "--k", "1", "--seed", "5"]
     missing = ["--matrix-a", "nope_a.json", "--matrix-b", "nope_b.csv"]
+    save_matrix_csv(tmp_path / "A.csv", np.diag([0.0, 1.0]))
+    save_matrix_csv(tmp_path / "B.csv", np.diag([0.5, 0.0]))
+    ssf = ["ssf", "--matrix-a", "A.csv", "--matrix-b", "B.csv", "--order", "2", "--out", "e.csv"]
     cases = [
         ["run", "--config", "nope.json", "--suite", "counterexample", "--out", "o"],
         ["run", "--config", "unknown_id.json", "--suite", "derivatives", "--out", "o"],
@@ -303,6 +306,8 @@ def test_cli_config_error_exit_code(tmp_path):
           for name in list(configs)[2:-1]),
         ["run", "--config", "missing_matrix.json", "--suite", "derivatives", "--out", "o"],
         ["ssf", *missing, "--order", "2", "--out", "eta.csv"],
+        *([*ssf, f"--s-max={v}"] for v in ("nan", "inf", "-inf", "0")),
+        [*ssf, "--num-s", "7"],
         ["deriv", "--k", "1", "--f", "gaussian", *missing],
         [*deriv, "--f", "gaussian", "--params", "{bad"],
         [*deriv, "--f", "gaussian", "--params", "[1]"],
@@ -408,6 +413,25 @@ def test_cli_run_reports_cross_process_identical(tmp_path):
         )
     assert captured[0][0] == captured[1][0]
     assert captured[0][1] == captured[1][1]
+
+
+def test_run_suite_writes_group_timings_beside_the_report(tmp_path):
+    # one entry per group in report order; the sidecar is not an artifact and
+    # leaves the report alone
+    cfg = ExperimentConfig(seed=7, dimension=3, order=2, dims=[16, 64], out_dir=str(tmp_path))
+    report = run_suite(cfg, "all")
+    timings = json.loads((tmp_path / "timings_all.json").read_text())
+    assert timings["suite"] == "all"
+    assert [g["group"] for g in timings["groups"]] == list(harness._GROUPS)
+    peaks = [g["peak_rss_mb"] for g in timings["groups"]]
+    assert all(g["wall_s"] >= 0 for g in timings["groups"])
+    assert 1 < peaks[0] and peaks == sorted(peaks)  # a high-water mark never falls
+    assert not any("timings" in a for a in report.artifacts)
+    assert set(json.loads((tmp_path / "report_all.json").read_text())) == {
+        "config", "suite", "records", "artifacts", "wall_time_s"}
+    run_suite(cfg, "moi_consistency")
+    single = json.loads((tmp_path / "timings_moi_consistency.json").read_text())
+    assert [g["group"] for g in single["groups"]] == ["moi_consistency"]
 
 
 def test_failed_group_is_one_record_and_the_rest_still_run(monkeypatch, tmp_path):

@@ -1,5 +1,6 @@
 """Counting and Fourier shift functions and their trace formulas."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -11,7 +12,7 @@ from moilab import cli
 from moilab import ssf as ssf_module
 from moilab.errors import ParameterError
 from moilab.families import bump, exponential, fourier, gaussian, runge
-from moilab.harness import DEFAULT_TOLERANCES, ExperimentConfig, generate_ensemble
+from moilab.harness import DEFAULT_TOLERANCES, ExperimentConfig, generate_ensemble, run_suite
 from moilab.matrix_io import save_matrix_csv
 from moilab.rng import SplitMix64
 from moilab.spectral import eig_hermitian, trace
@@ -78,8 +79,9 @@ def _fcalc(f, M):
 def test_fourier_params_validation():
     with pytest.raises(ParameterError):
         FourierParams(s_max=10.0, num_s=101)
-    with pytest.raises(ParameterError):
-        FourierParams(s_max=-1.0, num_s=100)
+    for s_max in (-1.0, 0.0, float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ParameterError):
+            FourierParams(s_max=s_max, num_s=100)
     # the exclusion zone 2 ds must stay inside the window
     for num_s in (0, 2, 4):
         with pytest.raises(ParameterError):
@@ -88,6 +90,21 @@ def test_fourier_params_validation():
     # a t-step pi / s_max wider than the padded hull [-0.2, 0.7]
     with pytest.raises(ParameterError, match="fewer than 2 points"):
         higher_ssf_fourier(np.diag([0.0, 0.5]), np.diag([0.3, 0.0]), 2, FourierParams(1.0, 16))
+    # a t-step pi / s_max so fine that t / dt is past any float: the grid is
+    # too short to cover the hull, not an OverflowError
+    for s_max in (1e308, np.finfo(float).max):
+        with pytest.raises(ParameterError, match="increase num_s"):
+            higher_ssf_fourier(np.diag([0.0, 20.0]), np.diag([0.3, 0.0]), 2,
+                               FourierParams(s_max, 16384))
+
+
+def test_cli_ssf_with_a_grid_too_fine_for_the_hull_exits_1(tmp_path, capsys):
+    save_matrix_csv(tmp_path / "A.csv", np.diag([0.0, 1.0]))
+    save_matrix_csv(tmp_path / "B.csv", np.diag([0.5, 0.0]))
+    argv = ["ssf", "--matrix-a", str(tmp_path / "A.csv"), "--matrix-b", str(tmp_path / "B.csv"),
+            "--order", "2", "--s-max", "1e308", "--out", str(tmp_path / "eta.csv")]
+    assert cli.main(argv) == 1
+    assert "increase num_s" in capsys.readouterr().err
 
 
 def test_scalar_order2_closed_form():
@@ -286,28 +303,29 @@ def _spectrum_pair(seed, d, kind, gap, b_norm):
     return A, B * (b_norm / np.linalg.norm(B, 2))
 
 
-def _sweep(EA, EAB, B, n, s, step):
-    """The sweep's F on s, into a new array."""
-    return ssf_module._remainder_trace_exponential(EA, EAB, B, n, s, step,
-                                                   np.empty(len(s), dtype=complex))
+def _sweep(EA, EAB, B, n, ds, k_lo, k_hi, step):
+    """The sweep's F at s = k ds, k_lo <= k < k_hi, into a new array."""
+    return ssf_module._remainder_trace_exponential(
+        EA, EAB, B, n, ds, k_lo, k_hi, step, np.empty(k_hi - k_lo, dtype=complex))
+
+
+def _sweep_step(d, n):
+    """The s-points per chunk that higher_ssf_fourier sweeps with."""
+    return max(1, ssf_module._SWEEP_ENTRIES // max(2 * d, (n - 1) * d ** (n - 1)))
 
 
 def _sweep_and_oracle(A, B, n, full=False):
     """F on the first s past the exclusion zone, a middle s and the last s, by
-    both routes.  The sweep runs on the auto window's linspace from the first
-    of these points to s_max, or with full=True on the offsets 2 <= k < h of
-    the periodic grid, as higher_ssf_fourier runs it."""
+    both routes, swept in higher_ssf_fourier's chunks.  The sweep runs on the
+    offsets 2 <= k <= h of the auto window, s_max included, or with full=True
+    on the offsets 2 <= k < h that higher_ssf_fourier sweeps."""
     p = FourierParams.auto(A, B, n)
-    if full:
-        grid = p.ds * np.arange(2, p.num_s // 2)
-    else:
-        s = np.linspace(-p.s_max, p.s_max, p.num_s + 1)
-        grid = s[s >= p.s_min_exclusion]
+    k_hi = p.num_s // 2 + (0 if full else 1)
+    grid = p.ds * np.arange(2, k_hi)
     idx = np.array([0, len(grid) // 7, len(grid) - 1])
     s_vals = grid[idx]
     EA, EAB = eig_hermitian(A), eig_hermitian(A + B)
-    step = ssf_module._CHUNK_ENTRIES // max(2 * len(A), (n - 1) * len(A) ** (n - 1))
-    got = _sweep(EA, EAB, B, n, grid, step)[idx]
+    got = _sweep(EA, EAB, B, n, p.ds, 2, k_hi, _sweep_step(len(A), n))[idx]
     want = np.array([complex(trace(taylor_remainder(fourier(x), A, B, n))) for x in s_vals])
     return s_vals, got, want
 
@@ -341,19 +359,12 @@ def test_sweep_on_the_full_auto_grid_matches_remainder_oracle(seed, d, n, kind):
     assert np.all(np.abs(got - want) <= bound), (np.abs(got - want) / bound).max()
 
 
-def test_sweep_rejects_a_grid_that_is_not_arithmetic():
-    A, B = pair(24, 3)
-    EA, EAB = eig_hermitian(A), eig_hermitian(A + B)
-    with pytest.raises(ParameterError, match="arithmetic"):
-        _sweep(EA, EAB, B, 2, np.array([0.05, 0.7, 2.0]), 3)
-
-
 def test_sweep_chunked_and_unchunked_agree():
     A, B = pair(21, 5)
-    s = np.linspace(0.01, 40.0, 301)
+    ds = 40.0 / 300  # s = ds, 2 ds, ..., 40
     EA, EAB = eig_hermitian(A), eig_hermitian(A + B)
-    whole = _sweep(EA, EAB, B, 3, s, len(s))
-    chunked = _sweep(EA, EAB, B, 3, s, 7)
+    whole = _sweep(EA, EAB, B, 3, ds, 1, 301, 300)
+    chunked = _sweep(EA, EAB, B, 3, ds, 1, 301, 7)
     np.testing.assert_allclose(chunked, whole, rtol=0, atol=1e-13 * np.abs(whole).max())
 
 
@@ -388,7 +399,57 @@ def test_fourier_order1_suite_call_memory_regression():
     finally:
         tracemalloc.stop()
     assert grid.params["num_s"] == MAX_NUM_S
-    assert peak < 12 * 2 ** 20, peak / 2 ** 20
+    assert peak < 6 * 2 ** 20, peak / 2 ** 20
+
+
+def test_ssf_group_memory_regression():
+    # the whole ssf check group at the default config; its peak is the order-1
+    # call's, which holds etahat (2 MiB) and chunk-sized buffers besides
+    config = ExperimentConfig(seed=7, dimension=4, order=2)
+    tracemalloc.start()
+    try:
+        report = run_suite(config, "ssf")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.all_passed, report.records
+    assert peak < 6 * 2 ** 20, peak / 2 ** 20
+
+
+def _fourier_whole_array(A, B, n):
+    """higher_ssf_fourier's density with the quotient, fit, taper and weights
+    applied to the whole half-grid at once, on the same sweep F."""
+    p = FourierParams.auto(A, B, n)
+    EA, EAB = eig_hermitian(A), eig_hermitian(A + B)
+    h, ds = p.num_s // 2, p.ds
+    s = ds * np.arange(2, h)
+    etahat = np.zeros(h + 1, dtype=complex)
+    etahat[2:h] = _sweep(EA, EAB, B, n, ds, 2, h, _sweep_step(len(A), n))
+    etahat[2:h] /= s ** n
+    etahat[2:h] *= (-1j) ** n
+    eta0 = float(np.trace(np.linalg.matrix_power(B, n)).real) / math.factorial(n)
+    sf, ef = s[:7], etahat[2:9]
+    cr = np.linalg.lstsq(np.stack([sf ** 2, sf ** 4], axis=1), ef.real - eta0, rcond=None)[0]
+    ci = np.linalg.lstsq(np.stack([sf, sf ** 3], axis=1), ef.imag, rcond=None)[0]
+    sq = np.array([0.0, ds])
+    etahat[:2] = eta0 + cr[0] * sq ** 2 + cr[1] * sq ** 4 + 1j * (ci[0] * sq + ci[1] * sq ** 3)
+    cut = 0.5 * p.s_max
+    taper = np.where(s > cut, 0.5 * (1.0 + np.cos(np.pi * (s - cut) / (p.s_max - cut))), 1.0)
+    etahat[2:h] *= taper
+    etahat *= ds
+    etahat /= 2.0 * np.pi
+    grid = higher_ssf_fourier(A, B, n)
+    k = np.rint(grid.t_grid / (np.pi / p.s_max)).astype(int)
+    return grid.values, ssf_module._band_dft(etahat, k[0], len(k)).real
+
+
+@pytest.mark.parametrize("d,n", [(4, 1), (6, 3), (16, 3)])
+def test_fourier_chunked_finish_matches_whole_array(d, n):
+    # the quotient, taper and weights are applied a sweep chunk at a time
+    A, B = generate_ensemble(ExperimentConfig(seed=7, dimension=d, order=n))
+    got, want = _fourier_whole_array(A, B, n)
+    err = np.abs(got - want).max()
+    assert err <= 4 * np.finfo(float).eps * np.abs(want).max(), err / np.abs(want).max()
 
 
 # Bound on |X_band - X_fft| for the band inverse: C_BAND * eps * log2(N) * ||u||_2.
@@ -446,7 +507,7 @@ def test_fourier_d32_order3_memory_regression():
     finally:
         tracemalloc.stop()
     assert np.all(np.isfinite(grid.values))
-    assert peak < 32 * 2 ** 20, peak / 2 ** 20
+    assert peak < 6 * 2 ** 20, peak / 2 ** 20
 
 
 # ---------------------------------------------------------------------------
@@ -500,11 +561,11 @@ def _oracle_pair(seed, d, kind, b_norm):
     return A, B * (b_norm / np.linalg.norm(B, 2)), lam
 
 
-def _sweep_vs_expm(A, B, n, grid, idx):
-    """|F_sweep - F_expm| at the points idx of an arithmetic grid the sweep runs on."""
+def _sweep_vs_expm(A, B, n, ds, k_hi, idx):
+    """|F_sweep - F_expm| at the points idx of the sweep over s = k ds, 1 <= k < k_hi."""
     EA, EAB = eig_hermitian(A), eig_hermitian(A + B)
-    got = _sweep(EA, EAB, B, n, grid, len(grid))[idx]
-    want = np.array([_expm_remainder_trace(A, B, n, s) for s in grid[idx]])
+    got = _sweep(EA, EAB, B, n, ds, 1, k_hi, k_hi - 1)[idx]
+    want = np.array([_expm_remainder_trace(A, B, n, s) for s in ds * (np.asarray(idx) + 1)])
     return np.abs(got - want)
 
 
@@ -525,8 +586,8 @@ def test_sweep_matches_expm_oracle(seed, d, n, kind, b_norm):
     # and exact repeats are the nodes the sweep exponentiates once
     A, B, lam = _oracle_pair(seed, d, kind, b_norm)
     # s ||B|| = 0.05, 0.7 and 2.0 on a grid of step 0.05 / ||B||
-    grid = 0.05 / b_norm * np.arange(1, 41)
+    ds = 0.05 / b_norm
     idx = [0, 13, 39]
-    err = _sweep_vs_expm(A, B, n, grid, idx)
-    bound = _expm_bound(lam, b_norm, n, grid[idx])
+    err = _sweep_vs_expm(A, B, n, ds, 41, idx)
+    bound = _expm_bound(lam, b_norm, n, ds * (np.asarray(idx) + 1))
     assert np.all(err <= bound), (err / bound).max()
