@@ -51,7 +51,6 @@ from .families import (
 )
 from .harness import ExperimentConfig, Report, generate_ensemble, run_suite
 from .moi import (
-    CustomSymbol,
     DiagonalRestrictedSymbol,
     DividedDifferenceSymbol,
     FactorTerm,
@@ -90,7 +89,6 @@ from .ssf import (
     verify_trace_formula,
 )
 from .taylor import (
-    continuity_probe,
     finite_difference_oracle,
     gateaux_derivative,
     lp_counterexample_demo,

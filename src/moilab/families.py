@@ -10,7 +10,10 @@ a report.
 Divided differences come from a confluent (Hermite) table.
 :func:`divided_difference_rows` runs it for many node tuples at once and backs
 the operator integrals; it merges no nodes, and is accurate at any node gap
-(its docstring states the rule and the bound).  :func:`divided_difference`
+(its docstring states the rule and the bound).  The part of the table that
+does not depend on f (:func:`_table_levels`) is split from its evaluation
+(:func:`_hermite_table`), so that the Fourier sweep builds it once and
+evaluates it for every chunk of its s-grid.  :func:`divided_difference`
 runs it for one tuple after merging nodes closer than :func:`merge_tolerance`;
 it is the tests' independent oracle, accurate away from that tolerance.
 """
@@ -231,7 +234,7 @@ def divided_difference_rows(f: FunctionFamily, rows) -> np.ndarray:
     Each row is sorted and run through the Hermite table column by column,
     with no node merged.  The level-j entry over z_i <= ... <= z_{i+j} has
     span h = z_{i+j} - z_i, and with M = f.max_order and
-    tau = eps^(1/(M+1)) * f.scale it is
+    tau = eps^(1/(M+1)) * f.scale (:func:`_near_span`) it is
 
     - f^(j)(z_i)/j! where h = 0;
     - the Taylor series about z_i where 0 < h < tau (:func:`_taylor_entries`);
@@ -255,56 +258,108 @@ def divided_difference_rows(f: FunctionFamily, rows) -> np.ndarray:
             f"{f.family_id!r} does not provide (max_order={f.max_order})"
         )
     f.check_domain(z)
-    tau = np.finfo(float).eps ** (1.0 / (f.max_order + 1)) * f.scale
-    col = np.asarray(f._evaluator(0, z), dtype=complex)
-    trailing = (Ellipsis,) + (None,) * (col.ndim - 2)
-    for j in range(1, k):
+    tau = _near_span(f.max_order, f.scale)
+    return _hermite_table(f._evaluator, tau, z, _table_levels(z, tau.max(), f.max_order))
+
+
+def _near_span(max_order: int, scale) -> np.ndarray:
+    """tau = eps^(1/(M+1)) * scale: the span below which an entry of the
+    Hermite table of a family with M = max_order takes its Taylor series."""
+    return np.finfo(float).eps ** (1.0 / (max_order + 1)) * np.asarray(scale, dtype=float)
+
+
+@dataclass
+class _TableLevel:
+    """What level j of the Hermite table over sorted rows z needs besides f:
+    the spans gap = z[:, j:] - z[:, :-j], the (r, i) of the zero spans, and
+    the (r, i) of the positive spans below a bound in ascending order of span,
+    with those spans and the complete homogeneous polynomials h[m] of their
+    offsets that their Taylor series take (:func:`_taylor_entries`)."""
+
+    gap: np.ndarray
+    confluent: Tuple[np.ndarray, np.ndarray]
+    r: np.ndarray
+    i: np.ndarray
+    span: np.ndarray
+    h: np.ndarray
+
+
+def _table_levels(z: np.ndarray, near_below: float, max_order: int):
+    """The levels j = 1..k-1 of the Hermite table over the sorted (M, k) rows z
+    whose Taylor entries are the spans below near_below, for a family of
+    max_order M (series of M - j + 1 terms at level j).
+
+    None of it depends on the values of f, so a caller that evaluates many
+    families over the same rows (the Fourier sweep, one per chunk of s)
+    keeps the list, and takes the entries below each family's tau as a
+    prefix; :func:`divided_difference_rows` takes one level at a time.
+    """
+    for j in range(1, z.shape[1]):
         gap = z[:, j:] - z[:, :-j]
-        confluent = gap == 0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            col = (col[:, 1:] - col[:, :-1]) / gap[trailing]
-        if confluent.any():
-            deriv = np.asarray(f._evaluator(j, z[:, :-j][confluent]), dtype=complex)
-            fact = math.factorial(j)
-            col.real[confluent] = deriv.real / fact
-            col.imag[confluent] = deriv.imag / fact
-        # spans below the largest tau; rows with none keep the quotients
-        r, i = ((gap > 0) & (gap < tau.max())).nonzero()
+        r, i = ((gap > 0) & (gap < near_below)).nonzero()
+        h = np.zeros((max_order - j + 1, len(r)))
         if len(r):
-            _taylor_entries(f, z, j, r, i, col, tau, trailing)
+            order = np.argsort(gap[r, i], kind="stable")
+            r, i = r[order], i[order]
+            # the Taylor series of each about its left node c (McCurdy, Ng &
+            # Parlett, Math. Comp. 43, 1984): h_m of the offsets, which are
+            # nonnegative, so h_m involves no cancellation
+            nodes = z[r[:, None], i[:, None] + np.arange(j + 1)]
+            h[0] = 1.0
+            for x in (nodes[:, 1:] - nodes[:, :1]).T:
+                for m in range(1, len(h)):
+                    h[m] += x * h[m - 1]
+        yield _TableLevel(gap, (gap == 0).nonzero(), r, i, gap[r, i], h)
+
+
+def _hermite_table(ev, tau: np.ndarray, at: np.ndarray, levels) -> np.ndarray:
+    """The top entries of the Hermite table of ev over sorted rows, given by
+    their :func:`_table_levels`: ev(k, x) is f^(k) at the nodes named by x,
+    at names the nodes of the rows (their values, or any array in step with
+    them that ev reads, such as indices into a table of values), and tau is
+    :func:`_near_span` of the family.  Where tau varies along a trailing axis
+    of ev's values, ev(k, x, cols) returns only the entries cols of it.
+    """
+    col = np.asarray(ev(0, at), dtype=complex)
+    trailing = (Ellipsis,) + (None,) * (col.ndim - 2)
+    tau_max = tau.max()
+    for j, level in enumerate(levels, 1):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            col = (col[:, 1:] - col[:, :-1]) / level.gap[trailing]
+        if len(level.confluent[0]):
+            deriv = np.asarray(ev(j, at[:, :-j][level.confluent]), dtype=complex)
+            fact = math.factorial(j)
+            col.real[level.confluent] = deriv.real / fact
+            col.imag[level.confluent] = deriv.imag / fact
+        # spans below the largest tau; rows with none keep the quotients
+        near = level.span.searchsorted(tau_max) if len(level.span) else 0
+        if near:
+            _taylor_entries(ev, at, j, level, near, col, tau, trailing)
     return col[:, 0]
 
 
-def _taylor_entries(f: FunctionFamily, z, j, r, i, col, tau, trailing) -> None:
-    """Overwrite the level-j entries (r, i) of the table by their Taylor series.
+def _taylor_entries(ev, at, j, level, near, col, tau, trailing) -> None:
+    """Overwrite the first near Taylor entries of the level by their series.
 
     About the left node c = z_i (McCurdy, Ng & Parlett, Math. Comp. 43, 1984):
 
         f[z_i..z_{i+j}] = sum_{m <= M-j} f^(j+m)(c)/(j+m)! h_m(z_i-c, .., z_{i+j}-c)
 
     where h_m is the complete homogeneous symmetric polynomial of degree m.
-    The offsets are nonnegative, so h_m involves no cancellation.  Where tau
-    varies along the trailing axis, the series is evaluated only on the
-    entries of that axis where some span is below tau, and an entry takes it
-    only where its own span is.
+    Where tau varies along the trailing axis, the series is evaluated only on
+    the entries of that axis where some span is below tau, and an entry takes
+    it only where its own span is.
     """
-    nodes = z[r[:, None], i[:, None] + np.arange(j + 1)]
-    c = nodes[:, 0]
-    span = nodes[:, -1] - c
-    terms = f.max_order - j + 1
-    h = np.zeros((terms, len(c)))
-    h[0] = 1.0
-    for x in (nodes[:, 1:] - c[:, None]).T:
-        for m in range(1, terms):
-            h[m] += x * h[m - 1]
+    r, i, span = level.r[:near], level.i[:near], level.span[:near]
+    c = at[r, i]
     if tau.ndim:
         cols = np.flatnonzero(tau > span.min())
         args = (c, cols)
     else:
         args = (c,)
     val = 0.0
-    for m in reversed(range(terms)):  # the smallest terms first
-        val = val + f._evaluator(j + m, *args) * (h[m] / math.factorial(j + m))[trailing]
+    for m in reversed(range(len(level.h))):  # the smallest terms first
+        val = val + ev(j + m, *args) * (level.h[m, :near] / math.factorial(j + m))[trailing]
     if tau.ndim:
         dest = (r[:, None], i[:, None], cols)
         col[dest] = np.where(span[:, None] < tau[cols], val, col[dest])

@@ -58,7 +58,6 @@ __all__ = [
     "FactorizedSymbol",
     "FactorTerm",
     "DiagonalRestrictedSymbol",
-    "CustomSymbol",
     "dd_symbol",
     "exponential_symbol",
     "MOIOperands",
@@ -174,21 +173,6 @@ class DiagonalRestrictedSymbol(Symbol):
             return divided_difference_rows(self.base.f, rows).reshape([len(r) for r in reps])
         wrapped = self.base.tensor(list(reps) + [reps[0]])
         return np.moveaxis(np.diagonal(wrapped, axis1=0, axis2=-1), -1, 0)
-
-
-class CustomSymbol(Symbol):
-    """A symbol given by a scalar function of one node tuple, called once per tuple."""
-
-    def __init__(self, fn: Callable[[Sequence[float]], complex], arity: int):
-        self.fn = fn
-        self.arity = int(arity)
-
-    def tensor(self, reps):
-        shape = tuple(len(r) for r in reps)
-        out = np.empty(shape, dtype=complex)
-        for idx in np.ndindex(shape):
-            out[idx] = complex(self.fn(tuple(float(reps[s][i]) for s, i in enumerate(idx))))
-        return out
 
 
 def dd_symbol(f: FunctionFamily, order: int) -> DividedDifferenceSymbol:

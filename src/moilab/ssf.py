@@ -13,7 +13,7 @@ so etahat_n = F(s) / (is)^n away from s = 0; F comes from the chunked
 reduced-arity sweep of :func:`_remainder_trace_exponential` over the s >= 0
 half of a periodic power-of-two s-grid, since etahat_n(-s) = conj etahat_n(s).
 Each chunk builds the rows exp(isx) of the distinct eigenvalues x from one
-table of about 2 sqrt(m) exponentials per row (:func:`_exp_table`); the
+table of about 2 sqrt(m) exponentials per row (:class:`_ExpTable`); the
 order-0 terms are weights on those rows, and the higher divided-difference
 tables are gathered from them.  The quotient is filled across a small
 exclusion zone around 0 by an even/odd polynomial fit anchored at the exact
@@ -25,13 +25,18 @@ diagnostic residue: it is reported, checked against a threshold, and
 discarded.
 
 Working set: the half-grid etahat (num_s / 2 + 1 complex values, 2 MiB at
-the cap num_s = 2^18) is the only array as long as the s-grid.  The sweep
-builds each chunk's s = k ds from its integer offsets, with tables of at most
-2^16 complex entries (_SWEEP_ENTRIES; one s-point's per_s entries where that
-is more), and the quotient and taper are applied to etahat a chunk at a
-time, in place.  The band inverse transforms blocks of at most 2^14
-complex entries (_BAND_BLOCK_ENTRIES), or one column of L where L is more.
-So the order-1 call at num_s = 2^18 peaks at about 3.8 MiB under tracemalloc.
+the cap num_s = 2^18) is the only array as long as the s-grid, and nothing
+else outgrows a chunk.  What does not depend on s (the sweep's rows, spans
+and Taylor offsets, and its exponential steps) is made once per call.  The
+sweep builds each chunk's s = k ds from its integer offsets, with tables of
+at most 2^14 complex entries (_SWEEP_ENTRIES; one s-point's per_s entries
+where that is more), and the quotient and taper are applied to etahat
+2^14 s-points at a time, in place.  The band inverse transforms blocks of at
+most 2^14 complex entries (_BAND_BLOCK_ENTRIES), or one column of L where L
+is more, and makes its twiddles for 2^12 entries at a time.  So the order-1
+call at num_s = 2^18 peaks at about 2.7 MiB under tracemalloc, the d = 4
+order-2 call at 0.8 MiB, and the order-3 calls at d = 32 and 64 at 0.7 and
+1.2 MiB.
 """
 
 from __future__ import annotations
@@ -49,7 +54,7 @@ from .errors import (
     InversionQualityError,
     ParameterError,
 )
-from .families import FunctionFamily, divided_difference_rows, monomial
+from .families import FunctionFamily, _hermite_table, _near_span, _table_levels, monomial
 from .moi import (
     _CHUNK_ENTRIES,
     _sorted_distinct,
@@ -170,7 +175,7 @@ MAX_NUM_S = 1 << 18
 T_PAD_FRAC = 0.2     # padding of the t-grid past the spectral hull, times max(span, 1)
 TAPER_FRAC = 0.5     # outer fraction of [-s_max, s_max] where the cosine taper falls to 0
 FIT_BAND_WIDTHS = 6  # steps ds past the exclusion zone that the small-s fit uses
-_SWEEP_ENTRIES = 1 << 16       # complex entries of one sweep chunk's tables (or one s-point's)
+_SWEEP_ENTRIES = 1 << 14       # complex entries of one sweep chunk's tables (or one s-point's)
 _BAND_BLOCK_ENTRIES = 1 << 14  # complex entries of one block of columns in _band_dft
 
 
@@ -225,12 +230,12 @@ class FourierParams:
         return cls(s_max=s_max, num_s=num_s)
 
 
-def _exp_table(x: np.ndarray, s: np.ndarray, h: float, out: np.ndarray) -> np.ndarray:
-    """Rows exp(i s_j x) for the nodes x over a chunk s of an arithmetic grid
-    of step h, written into the flat buffer out and returned as an (len(x),
-    len(s)) view of it.
+class _ExpTable:
+    """Rows exp(i s_j x) for the nodes x over chunks s of at most width
+    points of an arithmetic grid of step h, each written into one buffer and
+    returned as an (len(x), len(s)) view of it, valid until the next chunk.
 
-    With b = ceil(sqrt(m)) for the m points of the chunk, the entry at
+    With b = ceil(sqrt(m)) for the m points of a chunk, the entry at
     s_j = s_a + r h + delta (s_a every b-th point of the chunk, r < b, delta
     the grid's own rounding) is
 
@@ -238,26 +243,64 @@ def _exp_table(x: np.ndarray, s: np.ndarray, h: float, out: np.ndarray) -> np.nd
 
     each product rounded as a direct exp(i s_j x) would round it.  So only
     len(x) (m/b + b) exponentials are taken, phi is a few ulps of s_j x, and
-    the neglected phi^2 / 2 is far below eps.
+    the neglected phi^2 / 2 is far below eps.  What no chunk changes is made
+    once: the buffers, and exp(i r h x) for each b (the chunks of one sweep
+    have at most two lengths).  The factors 1 + i phi are made for groups of
+    rows of at most _SWEEP_ENTRIES entries, a few numpy calls per group.
     """
-    m = len(s)
-    b = math.isqrt(m - 1) + 1
-    q = -(-m // b)
-    grid = np.empty(q * b)
-    grid[:m] = s
-    grid[m:] = s[-1]
-    grid = grid.reshape(q, b)
-    base = np.multiply.outer(x, grid[:, 0])
-    steps = np.multiply.outer(x, h * np.arange(b))
-    table = out[:len(x) * q * b].reshape(len(x), q, b)
-    np.multiply(np.exp(1j * base)[:, :, None], np.exp(1j * steps)[:, None, :], out=table)
-    # one row at a time, so that no second table-sized array is made
-    for row, xi, row_base, row_steps in zip(table, x, base, steps):
-        phi = xi * grid
-        phi -= row_base[:, None]
-        phi -= row_steps
-        row *= 1.0 + 1j * phi
-    return table.reshape(len(x), q * b)[:, :m]
+
+    def __init__(self, x: np.ndarray, h: float, width: int):
+        self.x = x
+        self.h = h
+        b = math.isqrt(width - 1) + 1
+        self.out = np.empty(len(x) * (width + b), dtype=complex)
+        # the factors 1 + i phi of one group of rows, as 1.0 + 1j * phi has
+        # them; phi is written into .imag
+        rows = min(len(x), max(1, _SWEEP_ENTRIES // 2 // (width + b)))
+        self.fix = np.empty(rows * (width + b), dtype=complex)
+        self.fix.real = 1.0
+        self.steps = {}
+
+    def __call__(self, s: np.ndarray) -> np.ndarray:
+        x = self.x
+        m = len(s)
+        b = math.isqrt(m - 1) + 1
+        q = -(-m // b)
+        grid = np.empty(q * b)
+        grid[:m] = s
+        grid[m:] = s[-1]
+        grid = grid.reshape(q, b)
+        if b not in self.steps:
+            steps = np.multiply.outer(x, self.h * np.arange(b))
+            self.steps[b] = steps, np.exp(1j * steps)[:, None, :]
+        steps, exp_steps = self.steps[b]
+        base = np.multiply.outer(x, grid[:, 0])
+        table = self.out[:len(x) * q * b].reshape(len(x), q, b)
+        np.multiply(np.exp(1j * base)[:, :, None], exp_steps, out=table)
+        group = len(self.fix) // (q * b)
+        for r in range(0, len(x), group):
+            fix = self.fix[:min(group, len(x) - r) * q * b].reshape(-1, q, b)
+            phi = fix.imag
+            np.multiply.outer(x[r:r + group], grid, out=phi)
+            phi -= base[r:r + group, :, None]
+            phi -= steps[r:r + group, None, :]
+            table[r:r + group] *= fix
+        return table.reshape(len(x), q * b)[:, :m]
+
+
+def _multisets(at: np.ndarray, W: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The distinct sorted rows (at[i_0], ..., at[i_{k-1}]) over the index
+    tuples of the k-axis weight array W, in lexicographic order, and the sum
+    of W over the tuples of each."""
+    k = W.ndim
+    rows = np.stack(np.meshgrid(*[at] * k, indexing="ij"), axis=-1).reshape(-1, k)
+    rows.sort(axis=1)
+    order = np.lexsort(rows.T[::-1])
+    rows = rows[order]
+    first = np.ones(len(rows), dtype=bool)
+    np.any(rows[1:] != rows[:-1], axis=1, out=first[1:])
+    starts = np.flatnonzero(first)
+    return rows[starts], np.add.reduceat(W.ravel()[order], starts)
 
 
 def _remainder_trace_exponential(
@@ -279,18 +322,26 @@ def _remainder_trace_exponential(
     s = ds * k, so no s-array is longer than a chunk; :func:`higher_ssf_fourier`
     passes step = max(1, _SWEEP_ENTRIES // per_s) for the per_s complex entries
     per s-point of the largest table, so that a chunk's tables hold at most
-    2^16 entries (per_s of them where per_s is larger).
+    2^14 entries (per_s of them where per_s is larger).
 
     Every node of every term is an eigenvalue of A or of A + B, so each chunk
     takes the rows exp(isx) of the at most 2d distinct nodes from one table
-    (:func:`_exp_table`): a direct exp at every b-th point, times exp(irhx)
+    (:class:`_ExpTable`): a direct exp at every b-th point, times exp(irhx)
     for r < b, times 1 + i phi for the rounding.  The terms k = 0
     and k = 1 need nothing but these rows, so their weights are summed per
     node once and F starts as w_0 @ E - is (w_1 @ E).  The terms k >= 2 take
-    their divided-difference tables (:func:`divided_difference_rows`, M = 16,
+    their divided-difference tables (:func:`families._hermite_table`, M = 16,
     scale 1/s) from the same rows: the Taylor series where the nodes span
     less than eps^(1/17)/s, so an order-k value is good to about
     (eps + eps^(1-k/17)) s^k/k! at any eigenvalue gap.
+
+    What does not depend on s is done once per call, before the chunks: the
+    rows of each term k >= 2 are the multisets of node indices, sorted, each
+    with the sum of its tuples' weights (a divided difference is symmetric);
+    their spans and zero spans are found, and their Taylor entries are the
+    spans below eps^(1/17)/s at the first s, in ascending order, so that each
+    chunk takes those below its own largest tau as a prefix.  A chunk costs
+    only its arithmetic.
 
     Near s = 0 the rounding of the O(d) terms (eigenvalues of A + B included)
     is divided by s^n, so etahat loses accuracy as (s ||B||)^{-n}.  Relative
@@ -309,42 +360,45 @@ def _remainder_trace_exponential(
     sweep's remainder-oracle test at 3.6 times its bound (d = 1, n = 1, s_max).
     """
     nodes = _sorted_distinct(np.concatenate([EA.eigenvalues, EAB.eigenvalues]))
+    at = np.searchsorted(nodes, EA.eigenvalues)
     # the k = 0 and k = 1 terms as weights on the nodes
     w01 = np.zeros((2, len(nodes)), dtype=complex)
     np.add.at(w01[0], np.searchsorted(nodes, EAB.eigenvalues), 1.0)
-    np.add.at(w01[0], np.searchsorted(nodes, EA.eigenvalues), -1.0)
+    np.add.at(w01[0], at, -1.0)
+    # exp(isx) has every derivative; 16 put tau at eps^(1/17)/s = 0.12/s,
+    # where neither the series nor a quotient loses more than rounding
+    M = max(n - 2, 16)
+    tau_1 = _near_span(M, 1.0)  # tau = tau_1 * (1 / s)
+    near_below = tau_1 * (1.0 / np.float64(ds * k_lo))  # the largest tau, at the first s
     terms = []
     for k in range(1, n):
-        reps, W = projection_trace_weights(MOIOperands([EA] * k, [B] * (k - 1)), closing=B)
+        _, W = projection_trace_weights(MOIOperands([EA] * k, [B] * (k - 1)), closing=B)
         if k == 1:
-            np.add.at(w01[1], np.searchsorted(nodes, reps[0]), W)
+            np.add.at(w01[1], at, W)
             continue
-        rows = np.stack(np.meshgrid(*reps, indexing="ij"), axis=-1).reshape(-1, k)
-        terms.append((k, rows, W.ravel()))
-    width = min(step, k_hi - k_lo)
-    buf = np.empty(len(nodes) * (width + math.isqrt(width) + 1), dtype=complex)
+        rows, w = _multisets(at, W)
+        terms.append((k, rows, w, list(_table_levels(nodes[rows], near_below, M))))
+    exp_table = _ExpTable(nodes, ds, min(step, k_hi - k_lo))
     for lo in range(k_lo, k_hi, step):
         sc = ds * np.arange(lo, min(lo + step, k_hi))
-        E = _exp_table(nodes, sc, ds, buf)
+        E = exp_table(sc)
 
         def phase(j, x, cols=slice(None)):
-            # (is)^j exp(isx) for the s of the chunk (those in cols), as a
-            # trailing s axis, gathered from the rows of the nodes, x among
-            # them, and scaled in place.  (is)^j has an exact zero part, so
-            # each product is one rounding in any order.
-            e = E[:, cols][np.searchsorted(nodes, x)]
-            e *= (1j * sc[cols]) ** j
+            # (is)^j exp(isx) at the nodes of index x, for the s of the chunk
+            # (those in cols) as a trailing axis, gathered from the rows and
+            # scaled in place.  (is)^j has an exact zero part, so each
+            # product is one rounding in any order.
+            e = E[:, cols][x]
+            if j:
+                e *= (1j * sc[cols]) ** j
             return e
 
-        # exp(isx) has every derivative; 16 put tau at eps^(1/17)/s = 0.12/s,
-        # where neither the series nor a quotient loses more than rounding
-        f_s = FunctionFamily("fourier_grid", max(n - 2, 16), phase, bounded_deriv={},
-                             vanishes_at_inf={}, real_valued=False, scale=1.0 / sc)
         w0, w1 = w01 @ E
         F = out[lo - k_lo:lo - k_lo + len(sc)]
         np.subtract(w0, 1j * sc * w1, out=F)
-        for k, rows, w in terms:
-            F -= 1j * sc / k * (w @ divided_difference_rows(f_s, rows))
+        tau = tau_1 * (1.0 / sc)
+        for k, rows, w, levels in terms:
+            F -= 1j * sc / k * (w @ _hermite_table(phase, tau, rows, levels))
     return out
 
 
@@ -356,35 +410,72 @@ def _band_dft(g: np.ndarray, k_lo: int, K: int) -> np.ndarray:
     With N = P L, P the largest divisor of h for which L >= K, the K indices
     fall in distinct residues mod L, and
 
-        X_k = sum_{b<P} exp(-2 pi i b k / N) FFT_L(u[b::P])[k mod L].
+        X_k = sum_{b<P} exp(-2 pi i b k / N) FFT_L(u[b::P])[k mod L]
 
-    Column b of u is g[b::P] followed by the conjugate of g[h-b::-P] (g_h
-    first), two strided views of g; the columns are transformed a block of at
-    most _BAND_BLOCK_ENTRIES = 2^14 entries at a time (one column where L is
-    longer), so no array is as long as u but the P = 1 column, which is all of u.
+    (the four-step split; Bailey, J. Supercomputing 4, 1990).  Column b of u
+    is g[b::P] followed by the conjugate of g[h-b::-P] (g_h first), two
+    strided views of g; the columns are transformed a block of at most
+    _BAND_BLOCK_ENTRIES = 2^14 entries at a time (one column where L is
+    longer), so no array is as long as u but the P = 1 column, which is all
+    of u.  Each block's twiddles are made for a quarter of that many
+    (b, k) pairs at a time (for one k at least), so no K-sized temporary is
+    made either; each X_k sums its columns in the same order whatever the
+    blocks.
     """
     h = len(g) - 1
     N = 2 * h
-    P = max(p for p in range(1, min(h, N // K) + 1) if h % p == 0)
+    cap = min(h, N // K)
+    # the divisors of h come in pairs (p, h / p) with p <= sqrt(h)
+    P = max(q for p in range(1, math.isqrt(h) + 1) if h % p == 0
+            for q in (p, h // p) if q <= cap)
     L = N // P
     top = g[:h].reshape(L // 2, P)      # u at a P + b, a < L/2
     bot = g[h:0:-1].reshape(L // 2, P)  # conj u at (a + L/2) P + b
-    j = np.arange(K)
-    rows = (k_lo + j) % L
     X = np.zeros(K, dtype=complex)
     width = max(1, _BAND_BLOCK_ENTRIES // L)
+    block = np.empty((min(width, P), L), dtype=complex)  # one buffer for every block
     for b0 in range(0, P, width):
         b = np.arange(b0, min(b0 + width, P))
-        cols = np.empty((len(b), L), dtype=complex)
+        cols = block[:len(b)]
         cols[:, :L // 2] = top[:, b0:b0 + width].T
         np.conjugate(bot[:, b0:b0 + width].T, out=cols[:, L // 2:])
         np.fft.fft(cols, axis=1, out=cols)
         # b (k_lo + j) = (b k_lo mod N) + b j with b j < P K <= N, so every
         # angle is below 4 pi and exact in its integers
-        angle = np.multiply.outer(b, j) + (b * k_lo % N)[:, None]
-        angle = angle * (-2.0 * np.pi / N)
-        X += np.einsum("bk,bk->k", cols[:, rows], np.cos(angle) + 1j * np.sin(angle))
+        offset = (b * k_lo % N)[:, None]
+        span = max(1, _BAND_BLOCK_ENTRIES // 4 // len(b))
+        j0 = 0
+        while j0 < K:
+            # a run of k whose residues k mod L do not wrap, so that the
+            # columns' entries are a slice
+            r0 = (k_lo + j0) % L
+            j1 = min(K, j0 + span, j0 + L - r0)
+            angle = np.multiply.outer(b, np.arange(j0, j1))
+            angle += offset
+            angle = angle * (-2.0 * np.pi / N)
+            # cos + i sin, as np.cos(angle) + 1j * np.sin(angle) has it
+            twiddle = np.empty(angle.shape, dtype=complex)
+            twiddle.real = np.cos(angle)
+            twiddle.imag = np.sin(angle)
+            del angle
+            X[j0:j1] += np.einsum("bk,bk->k", cols[:, r0:r0 + j1 - j0], twiddle)
+            j0 = j1
     return X
+
+
+def _divide_and_taper(etahat: np.ndarray, n: int, ds: float, s_max: float) -> None:
+    """In place on etahat at the offsets 2 <= k < h, _SWEEP_ENTRIES s-points at
+    a time: the quotient F / (is)^n and the cosine taper w, which is 1 but on
+    the outer TAPER_FRAC of the window."""
+    h = len(etahat) - 1
+    cut = (1.0 - TAPER_FRAC) * s_max
+    for k in range(2, h, _SWEEP_ENTRIES):
+        sc = ds * np.arange(k, min(k + _SWEEP_ENTRIES, h))
+        g = etahat[k:k + len(sc)]
+        g /= sc ** n
+        g *= (-1j) ** n
+        past = int(np.searchsorted(sc, cut, "right"))
+        g[past:] *= 0.5 * (1.0 + np.cos(np.pi * (sc[past:] - cut) / (s_max - cut)))
 
 
 def higher_ssf_fourier(
@@ -407,11 +498,13 @@ def higher_ssf_fourier(
     padded hull (:func:`_band_dft`).
 
     Memory: etahat, h + 1 complex values, plus chunk-sized buffers.  The
-    sweep writes F straight into etahat, a chunk of max(1, 2^16 // per_s)
+    sweep writes F straight into etahat, a chunk of max(1, 2^14 // per_s)
     s-points at a time; the fit takes its 7 quotients from a copy, and the
-    quotient and taper then run over the same chunks in place, so no other
-    array is as long as the s-grid; the band inverse works in blocks of 2^14
-    entries.  A grid whose t-step pi / s_max is too fine for h points to cover
+    quotient and taper then run in place over 2^14 s-points at a time
+    (:func:`_divide_and_taper`), so no other array is as long as the s-grid;
+    the band inverse works in blocks of 2^14 entries, and takes its twiddles
+    for 2^12 (column, t-point) pairs at a time.  etahat is dropped once the
+    band is inverted.  A grid whose t-step pi / s_max is too fine for h points to cover
     the padded hull raises a ParameterError ("increase num_s"), however small
     the step.
     """
@@ -468,22 +561,14 @@ def higher_ssf_fourier(
         ci[0] * sq + ci[1] * sq ** 3
     )
 
-    # in place, a sweep chunk at a time: the quotient F / (is)^n and the cosine
-    # taper w, which is 1 but on the outer TAPER_FRAC of the window
-    cut = (1.0 - TAPER_FRAC) * params.s_max
-    for k in range(2, h, step):
-        sc = ds * np.arange(k, min(k + step, h))
-        g = etahat[k:k + len(sc)]
-        g /= sc ** n
-        g *= (-1j) ** n
-        past = int(np.searchsorted(sc, cut, "right"))
-        g[past:] *= 0.5 * (1.0 + np.cos(np.pi * (sc[past:] - cut) / (params.s_max - cut)))
+    _divide_and_taper(etahat, n, ds, params.s_max)
     # the quadrature weight ds and 1/(2 pi), in place
     etahat *= ds
     etahat /= 2.0 * np.pi
     # eta(t_k) = sum_j exp(-i s_j t_k) g_j with g = etahat w ds / (2 pi); over the
     # offsets j mod num_s this is a DFT, and no shift back is needed
     eta = _band_dft(etahat, k_lo, k_hi - k_lo + 1)
+    del etahat  # nor is the half-grid held through what follows
     t_grid = dt * np.arange(k_lo, k_hi + 1)
 
     real = eta.real.copy()

@@ -26,7 +26,6 @@ from .spectral import (
     apply_function,
     eig_hermitian,
     require_hermitian,
-    schatten_norm,
     weighted_diagonal_norm,
 )
 
@@ -40,8 +39,6 @@ __all__ = [
     "perturbation_first_order",
     "perturbation_higher_order",
     "telescoping_check",
-    "continuity_probe",
-    "ContinuityReport",
     "lp_counterexample_demo",
     "DivergenceRow",
     "default_fd_step",
@@ -292,72 +289,6 @@ def telescoping_check(f: FunctionFamily, A, B, n: int, t: float, j: int) -> floa
             sym_hi, MOIOperands([Et] * l + [EA] * (n + 1 - l), [B] * n)
         ).value
     return relative_deviation(lhs, t * rhs)
-
-
-@dataclass
-class ContinuityReport:
-    t_values: np.ndarray
-    deviations: np.ndarray           # ||psi(t) - psi(0)||_2 per grid point
-    slope: Optional[float]           # log-log fit of deviation vs |t|
-    lipschitz_bound: Optional[float]  # telescoped bound constant, when available
-    bound_satisfied: Optional[bool]
-
-
-def continuity_probe(
-    f: FunctionFamily,
-    A,
-    B,
-    n: int,
-    t_grid: Sequence[float],
-) -> ContinuityReport:
-    """Modulus of continuity, in the Schatten 2-norm, of t -> order-n integral
-    with every slot at A + tB.
-
-    Reports max deviation and the fitted local modulus; when the family
-    supports order n+1 the telescoped difference formula supplies a Lipschitz
-    constant and the linear bound is checked.
-    """
-    if n > f.max_order:
-        raise OrderLimitError("probe needs derivatives up to order n")
-    t_vals = np.asarray(sorted(set(float(t) for t in t_grid)))
-    if not np.any(t_vals == 0.0):
-        raise ParameterError("t_grid must contain 0")
-    A = require_hermitian(A)
-    B = require_hermitian(B)
-    EA = eig_hermitian(A)
-    sym = dd_symbol(f, n)
-
-    def psi(t: float) -> np.ndarray:
-        Et = eig_hermitian(A + t * B) if t != 0.0 else EA
-        return moi_projection_sum(sym, MOIOperands([Et] * (n + 1), [B] * n)).value
-
-    base = psi(0.0)
-    devs = np.array([schatten_norm(psi(t) - base, 2.0) for t in t_vals])
-    nz = (t_vals != 0.0) & (devs > 0.0)
-    slope = None
-    if np.count_nonzero(nz) >= 2:
-        slope = float(np.polyfit(np.log(np.abs(t_vals[nz])), np.log(devs[nz]), 1)[0])
-    lip = None
-    ok = None
-    if n + 1 <= f.max_order:
-        sym_hi = dd_symbol(f, n + 1)
-        lip = 0.0
-        for t in t_vals:
-            if t == 0.0:
-                continue
-            Et = eig_hermitian(A + t * B)
-            bound_t = 0.0
-            for l in range(1, n + 2):
-                term = moi_projection_sum(
-                    sym_hi, MOIOperands([Et] * l + [EA] * (n + 2 - l), [B] * (n + 1))
-                ).value
-                bound_t += schatten_norm(term, 2.0)
-            lip = max(lip, bound_t)
-        ok = bool(np.all(devs <= lip * np.abs(t_vals) * (1 + 1e-6) + 1e-12))
-    return ContinuityReport(
-        t_values=t_vals, deviations=devs, slope=slope,
-        lipschitz_bound=lip, bound_satisfied=ok,
-    )
 
 
 @dataclass

@@ -16,10 +16,10 @@ from moilab.errors import (
 from moilab import moi
 from moilab.families import divided_difference, exponential, gaussian, monomial, runge
 from moilab.moi import (
-    CustomSymbol,
     DiagonalRestrictedSymbol,
     FactorizedSymbol,
     FactorTerm,
+    Symbol,
     dd_symbol,
     exponential_symbol,
     moi_discretized,
@@ -33,6 +33,22 @@ from moilab.moi import (
 from moilab.rng import SplitMix64
 from moilab.spectral import EigenSystem, eig_hermitian, trace
 from conftest import random_hermitian
+
+
+class CustomSymbol(Symbol):
+    """A symbol given by a scalar function of one node tuple, called once per
+    tuple; it wraps the scalar divided_difference oracle, among others."""
+
+    def __init__(self, fn, arity):
+        self.fn = fn
+        self.arity = int(arity)
+
+    def tensor(self, reps):
+        shape = tuple(len(r) for r in reps)
+        out = np.empty(shape, dtype=complex)
+        for idx in np.ndindex(shape):
+            out[idx] = complex(self.fn(tuple(float(reps[s][i]) for s, i in enumerate(idx))))
+        return out
 
 
 def brute_force_moi(f, eigsystems, args):

@@ -359,12 +359,35 @@ def test_sweep_on_the_full_auto_grid_matches_remainder_oracle(seed, d, n, kind):
     assert np.all(np.abs(got - want) <= bound), (np.abs(got - want) / bound).max()
 
 
-def test_sweep_chunked_and_unchunked_agree():
-    A, B = pair(21, 5)
+def _near_switch_pair():
+    """A d = 5 pair in which A's eigenvalues 0.3 and 0.3094 span less than
+    tau = eps^(1/17)/s only below s = 12.8: on the grid s = k 40/300 the
+    divided difference over them switches from its Taylor series to a
+    quotient between k = 95 and k = 96, inside the chunk 92..98 of step 7."""
+    rng = np.random.default_rng(5)
+    lam = np.array([0.3, 0.3094, -1.1, 0.9, 1.7])
+    Q, _ = np.linalg.qr(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))
+    A = (Q * lam) @ Q.conj().T
+    X = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+    B = (X + X.conj().T) / 2
+    return (A + A.conj().T) / 2, B / np.linalg.norm(B, 2)
+
+
+@pytest.mark.parametrize("step", [1, 7, 300])
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("which", ["pair", "near_switch"])
+def test_sweep_chunked_and_unchunked_agree(which, n, step):
+    A, B = pair(21, 5) if which == "pair" else _near_switch_pair()
     ds = 40.0 / 300  # s = ds, 2 ds, ..., 40
     EA, EAB = eig_hermitian(A), eig_hermitian(A + B)
-    whole = _sweep(EA, EAB, B, 3, ds, 1, 301, 300)
-    chunked = _sweep(EA, EAB, B, 3, ds, 1, 301, 7)
+    if which == "near_switch":
+        # the last offset at which the span is near, and the next, share a chunk
+        span = EA.eigenvalues[2] - EA.eigenvalues[1]
+        k = np.arange(1, 301)
+        last = k[span < np.finfo(float).eps ** (1 / 17) * (1.0 / (ds * k))].max()
+        assert last == 95 and (last - 1) // 7 == last // 7
+    whole = _sweep(EA, EAB, B, n, ds, 1, 301, 300)
+    chunked = _sweep(EA, EAB, B, n, ds, 1, 301, step)
     np.testing.assert_allclose(chunked, whole, rtol=0, atol=1e-13 * np.abs(whole).max())
 
 
@@ -399,7 +422,7 @@ def test_fourier_order1_suite_call_memory_regression():
     finally:
         tracemalloc.stop()
     assert grid.params["num_s"] == MAX_NUM_S
-    assert peak < 6 * 2 ** 20, peak / 2 ** 20
+    assert peak < 3 * 2 ** 20, peak / 2 ** 20
 
 
 def test_ssf_group_memory_regression():
@@ -413,7 +436,7 @@ def test_ssf_group_memory_regression():
     finally:
         tracemalloc.stop()
     assert report.all_passed, report.records
-    assert peak < 6 * 2 ** 20, peak / 2 ** 20
+    assert peak < 3 * 2 ** 20, peak / 2 ** 20
 
 
 def _fourier_whole_array(A, B, n):
@@ -470,6 +493,7 @@ def test_band_dft_matches_full_fft(N):
         (-37, 100),             # crosses k = 0
         (-h, 50), (h - 60, 60),  # touch -h and h - 1
         (5, 1), (-h, 1), (h - 1, 1),
+        (7, 2),                 # P = h: the divisor search's largest case
         (-h, h + 3), (-h, N),   # K > N/2: a single FFT
         (-3 * h // 4, h // 2),
     ]
@@ -507,7 +531,7 @@ def test_fourier_d32_order3_memory_regression():
     finally:
         tracemalloc.stop()
     assert np.all(np.isfinite(grid.values))
-    assert peak < 6 * 2 ** 20, peak / 2 ** 20
+    assert peak < 3.5 * 2 ** 20, peak / 2 ** 20
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ from moilab.errors import OrderLimitError, ParameterError, ToleranceError
 from moilab.families import bump, exponential, fourier, gaussian, monomial, recip_plus, runge
 from moilab.rng import SplitMix64
 from moilab.taylor import (
-    continuity_probe,
     derivative_moi,
     finite_difference_oracle,
     gateaux_derivative,
@@ -276,36 +275,6 @@ def test_telescoping_validates_slots():
     A, B = pair(20, 3)
     with pytest.raises(ParameterError):
         telescoping_check(gaussian(), A, B, n=2, t=0.5, j=3)
-
-
-def test_continuity_probe_zero_direction():
-    A, _ = pair(21, 4)
-    rep = continuity_probe(gaussian(), A, np.zeros((4, 4)), n=2,
-                           t_grid=[0.0, 1e-3, 1e-2])
-    assert np.all(rep.deviations == 0.0)
-
-
-def test_continuity_probe_scalar_matches_divided_difference():
-    from moilab.families import divided_difference
-
-    a = 0.3
-    b = 1.0
-    fam = gaussian()
-    t_grid = [0.0, 0.125]
-    rep = continuity_probe(fam, np.array([[a]]), np.array([[b]]), n=2, t_grid=t_grid)
-    t = 0.125
-    want = abs(
-        divided_difference(fam, (a + t,) * 3) - divided_difference(fam, (a,) * 3)
-    )
-    assert rep.deviations[-1] == pytest.approx(want, rel=1e-9)
-
-
-def test_continuity_probe_linear_modulus():
-    A, B = pair(22, 4)
-    grid = [0.0] + [s * 10.0 ** -k for k in range(1, 5) for s in (1, -1)]
-    rep = continuity_probe(exponential(), A, B, n=2, t_grid=grid)
-    assert rep.slope is not None and 0.9 <= rep.slope <= 1.1
-    assert rep.bound_satisfied
 
 
 def test_counterexample_rows_and_monotonicity():
