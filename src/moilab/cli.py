@@ -64,7 +64,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_c = sub.add_parser("counterexample", help="heavy-tail divergence table")
     p_c.add_argument("--p", type=float, required=True)
     p_c.add_argument("--dims", required=True, help="comma separated dimensions")
-    p_c.add_argument("--t0", type=float, default=1.0)
     p_c.add_argument("--out", default=None, help="CSV output path")
     return parser
 
@@ -137,7 +136,7 @@ def _cmd_counterexample(args) -> int:
     except ValueError:
         raise ConfigError(f"--dims must be comma separated integers, got {args.dims!r}") from None
     try:
-        rows = lp_counterexample_demo(args.p, dims, t0=args.t0)
+        rows = lp_counterexample_demo(args.p, dims)
     except ParameterError as exc:
         raise ConfigError(f"counterexample: {exc}") from None
     lines = ["d,t,r_heavy,r_bounded"]

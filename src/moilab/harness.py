@@ -18,23 +18,15 @@ import numbers
 import resource
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from . import matrix_io
-from .errors import ConfigError, MoiLabError, ParameterError
-from .families import (
-    FunctionFamily,
-    bump,
-    divided_difference,
-    exponential,
-    family_from_spec,
-    gaussian,
-    runge,
-)
+from .errors import ConfigError, MoiLabError
+from .families import bump, divided_difference, exponential, gaussian, runge
 from .moi import (
     MOIOperands,
     dd_symbol,
@@ -57,7 +49,6 @@ from .ssf import (
 )
 from .taylor import (
     _MEMORY_BUDGET_BYTES,
-    _check_counterexample_budget,
     finite_difference_oracle,
     gateaux_derivative,
     lp_counterexample_demo,
@@ -104,16 +95,14 @@ DEFAULT_TOLERANCES: Dict[str, float] = {
 
 _ENSEMBLES = ("gue_like", "diagonal_heavy_tail", "fixed_matrix_file")
 
+# The heavy-tail model's L_p exponent (ensemble and counterexample group) and
+# the counterexample group's dimensions
+_HEAVY_TAIL_P = 2.0
+_COUNTEREXAMPLE_DIMS = (16, 64, 256, 1024, 4096)
+
 
 def _is_int(x) -> bool:
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
-
-
-def _is_finite_real(x) -> bool:
-    try:
-        return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
-    except OverflowError:  # an int too large for a float
-        return False
 
 
 @dataclass
@@ -122,10 +111,6 @@ class ExperimentConfig:
     dimension: int = 4
     order: int = 2
     ensemble: str = "gue_like"
-    functions: List[dict] = field(default_factory=lambda: [{"id": "gaussian"}, {"id": "runge"}])
-    tolerances: Dict[str, float] = field(default_factory=dict)
-    p: float = 2.0
-    dims: List[int] = field(default_factory=lambda: [16, 64, 256, 1024, 4096])
     matrix_a: Optional[str] = None
     matrix_b: Optional[str] = None
     out_dir: Optional[str] = None
@@ -148,35 +133,9 @@ class ExperimentConfig:
             raise ConfigError(f"order must be an integer >= 1, got {self.order!r}")
         if self.ensemble not in _ENSEMBLES:
             raise ConfigError(f"unknown ensemble {self.ensemble!r}; known: {_ENSEMBLES}")
-        if not isinstance(self.tolerances, dict):
-            raise ConfigError(f"tolerances must be an object, got {self.tolerances!r}")
-        unknown = sorted(set(self.tolerances) - set(DEFAULT_TOLERANCES))
-        if unknown:
-            raise ConfigError(f"unknown tolerances {unknown}; known: {sorted(DEFAULT_TOLERANCES)}")
-        for name, v in self.tolerances.items():
-            if not (_is_finite_real(v) and v > 0):
-                raise ConfigError(f"tolerance {name} must be a finite real > 0, got {v!r}")
-        if not (_is_finite_real(self.p) and self.p > 1.0):
-            raise ConfigError(f"p must be a finite real number > 1, got {self.p!r}")
-        dims = self.dims
-        if not (isinstance(dims, (list, tuple)) and len(dims) >= 2 and all(map(_is_int, dims))
-                and dims[0] >= 1 and all(a < b for a, b in zip(dims, dims[1:]))):
-            raise ConfigError(
-                f"dims must be at least 2 strictly increasing positive integers, got {dims!r}"
-            )
-        try:
-            _check_counterexample_budget(dims)
-        except ParameterError as exc:
-            raise ConfigError(str(exc)) from None
         for name in ("matrix_a", "matrix_b", "out_dir"):
             if not isinstance(getattr(self, name), (str, type(None))):
                 raise ConfigError(f"{name} must be a path string, got {getattr(self, name)!r}")
-        if not isinstance(self.functions, (list, tuple)):
-            raise ConfigError(f"functions must be a list, got {self.functions!r}")
-        try:
-            self._families = [family_from_spec(spec) for spec in self.functions]
-        except ParameterError as exc:
-            raise ConfigError(f"functions: {exc}") from None
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
@@ -201,12 +160,6 @@ class ExperimentConfig:
         except TypeError as exc:
             raise ConfigError(str(exc)) from exc
 
-    def tol(self, name: str) -> float:
-        return self.tolerances.get(name, DEFAULT_TOLERANCES[name])
-
-    def family_list(self) -> List[FunctionFamily]:
-        return list(self._families)
-
     def echo(self) -> dict:
         return asdict(self)
 
@@ -229,7 +182,7 @@ def generate_ensemble(config: ExperimentConfig):
         return A, B
     if config.ensemble == "diagonal_heavy_tail":
         k = np.arange(1, d + 1, dtype=float)
-        b = (k / d) ** (-1.0 / (1.5 * config.p))
+        b = (k / d) ** (-1.0 / (1.5 * _HEAVY_TAIL_P))
         return np.eye(d), np.diag(b)
     # fixed_matrix_file
     if not config.matrix_a or not config.matrix_b:
@@ -288,15 +241,10 @@ def _record(name, formula, measured, threshold) -> CheckRecord:
 _GroupResult = Tuple[List[CheckRecord], List[str]]
 
 
-def _smooth_families(config: ExperimentConfig) -> List[FunctionFamily]:
-    fams = [f for f in config.family_list() if f.max_order >= max(3, config.order)]
-    return fams or [gaussian(), runge()]
-
-
 def _checks_derivatives(config: ExperimentConfig) -> _GroupResult:
     A, B = generate_ensemble(config)
     out = []
-    for fam in _smooth_families(config):
+    for fam in (gaussian(), runge()):
         for k in range(1, min(config.order, 3) + 1):
             D = gateaux_derivative(fam, A, B, k=k, t=0.1)
             F = finite_difference_oracle(fam, A, B, k=k, t=0.1)
@@ -305,7 +253,7 @@ def _checks_derivatives(config: ExperimentConfig) -> _GroupResult:
                     f"derivative_{fam.family_id}_k{k}",
                     "derivative-formula",
                     relative_deviation(D, F),
-                    config.tol("derivative_vs_fd"),
+                    DEFAULT_TOLERANCES["derivative_vs_fd"],
                 )
             )
     fam = gaussian()
@@ -323,7 +271,7 @@ def _checks_derivatives(config: ExperimentConfig) -> _GroupResult:
                 f"fd_slope_k{k}",
                 "finite-difference-order",
                 abs(slope - 2.0),
-                config.tol("fd_slope_halfwidth"),
+                DEFAULT_TOLERANCES["fd_slope_halfwidth"],
             )
         )
     return out, []
@@ -334,13 +282,13 @@ def _checks_perturbation(config: ExperimentConfig) -> _GroupResult:
     gen = SplitMix64(config.seed ^ 0x9E3779B97F4A7C15)
     d = config.dimension
     out = []
-    for fam in _smooth_families(config):
+    for fam in (gaussian(), runge()):
         out.append(
             _record(
                 f"perturbation_first_{fam.family_id}",
                 "first-order-increment",
                 perturbation_first_order(fam, A, B),
-                config.tol("perturbation_first"),
+                DEFAULT_TOLERANCES["perturbation_first"],
             )
         )
         n = min(config.order, fam.max_order - 1, 2)
@@ -355,7 +303,7 @@ def _checks_perturbation(config: ExperimentConfig) -> _GroupResult:
                 f"perturbation_higher_{fam.family_id}_k{n}",
                 "slot-replacement",
                 worst,
-                config.tol("perturbation_higher"),
+                DEFAULT_TOLERANCES["perturbation_higher"],
             )
         )
         nt = min(config.order + 1, fam.max_order)
@@ -364,7 +312,7 @@ def _checks_perturbation(config: ExperimentConfig) -> _GroupResult:
                 f"telescoping_{fam.family_id}_n{nt}",
                 "telescoped-difference",
                 telescoping_check(fam, A, B, n=nt, t=0.7, j=max(1, nt - 1)),
-                config.tol("telescoping"),
+                DEFAULT_TOLERANCES["telescoping"],
             )
         )
         out.append(
@@ -372,7 +320,7 @@ def _checks_perturbation(config: ExperimentConfig) -> _GroupResult:
                 f"remainder_two_path_{fam.family_id}",
                 "remainder-identity",
                 remainder_two_path(fam, A, B, min(config.order, fam.max_order - 1))[2],
-                config.tol("remainder_two_path"),
+                DEFAULT_TOLERANCES["remainder_two_path"],
             )
         )
     return out, []
@@ -407,14 +355,14 @@ def _checks_moi(config: ExperimentConfig) -> _GroupResult:
     want = _brute_force_moi(fam, Es, args)
     out.append(
         _record("moi_vs_brute_force", "projection-sum-definition", relative_deviation(got, want),
-                config.tol("moi_brute_force"))
+                DEFAULT_TOLERANCES["moi_brute_force"])
     )
     sym = exponential_symbol(0.9, n + 1)
     a = moi_factorized(sym, MOIOperands(Es, args)).value
     b = moi_projection_sum(sym, MOIOperands(Es, args)).value
     out.append(
         _record("moi_factorized_cross_form", "factorized-product-form", relative_deviation(a, b),
-                config.tol("moi_factorized"))
+                DEFAULT_TOLERANCES["moi_factorized"])
     )
     # multilinearity in the first argument
     alpha = 0.7 - 0.3j
@@ -427,7 +375,7 @@ def _checks_moi(config: ExperimentConfig) -> _GroupResult:
     ).value
     out.append(
         _record("moi_multilinearity", "multilinearity", relative_deviation(lhs, rhs),
-                config.tol("moi_multilinear"))
+                DEFAULT_TOLERANCES["moi_multilinear"])
     )
     # palindromic hermiticity
     Bh = _hermitian_from(gen, d)
@@ -437,7 +385,7 @@ def _checks_moi(config: ExperimentConfig) -> _GroupResult:
     ).value
     out.append(
         _record("moi_palindromic_hermitian", "self-adjointness",
-                float(np.linalg.norm(pal - pal.conj().T)), config.tol("moi_hermitian"))
+                float(np.linalg.norm(pal - pal.conj().T)), DEFAULT_TOLERANCES["moi_hermitian"])
     )
     # discretization: seeded decay ratio and grid-aligned exactness
     gen2 = SplitMix64(4)
@@ -454,7 +402,7 @@ def _checks_moi(config: ExperimentConfig) -> _GroupResult:
     worst_ratio = max(e2 / e1 for e1, e2 in zip(errs, errs[1:]))
     out.append(
         _record("discretized_decay_ratio", "discretized-sum-convergence", worst_ratio,
-                config.tol("discretized_ratio"))
+                DEFAULT_TOLERANCES["discretized_ratio"])
     )
     lam = np.array([-0.5, 0.25, 0.75, 1.0])  # multiples of 1/16
     Eg = eig_hermitian(np.diag(lam))
@@ -467,7 +415,7 @@ def _checks_moi(config: ExperimentConfig) -> _GroupResult:
     )
     out.append(
         _record("discretized_grid_aligned", "discretized-sum-convergence", worst,
-                config.tol("discretized_aligned"))
+                DEFAULT_TOLERANCES["discretized_aligned"])
     )
     # norm ratio, monitored only
     ops_norm = operands([Es[0]] * 3, [args[0], args[0]], exponents=[4.0, 4.0])
@@ -491,7 +439,7 @@ def _checks_ssf(config: ExperimentConfig) -> _GroupResult:
     rhs = counting_pairing(counting, fam)
     out.append(
         _record("krein_breakpoint_pairing", "trace-formula-order-1",
-                abs(lhs - rhs) / max(1.0, abs(lhs)), config.tol("krein_pairing"))
+                abs(lhs - rhs) / max(1.0, abs(lhs)), DEFAULT_TOLERANCES["krein_pairing"])
     )
     d_small = min(config.dimension, 4)
     cfg_small = ExperimentConfig(seed=config.seed, dimension=d_small, order=1,
@@ -508,34 +456,34 @@ def _checks_ssf(config: ExperimentConfig) -> _GroupResult:
     l1 = float(np.trapezoid(np.abs(four1.values - exact1), four1.t_grid))
     out.append(
         _record("fourier_vs_counting_l1", "trace-formula-order-1", l1,
-                config.tol("fourier_vs_counting_l1"))
+                DEFAULT_TOLERANCES["fourier_vs_counting_l1"])
     )
     g2 = higher_ssf_fourier(np.array([[0.0]]), np.array([[1.0]]), n=2)
     true2 = np.where((g2.t_grid > 0) & (g2.t_grid < 1), 1.0 - g2.t_grid, 0.0)
     out.append(
         _record("eta2_scalar_closed_form", "remainder-density-order-2",
                 float(np.trapezoid(np.abs(g2.values - true2), g2.t_grid)),
-                config.tol("eta2_scalar_l1"))
+                DEFAULT_TOLERANCES["eta2_scalar_l1"])
     )
     grid = higher_ssf_fourier(A, B, n=n)
     heldout = [f for f in (gaussian(), runge(), bump(halfwidth=4.0)) if f.max_order >= n]
     rep = verify_trace_formula(A, B, n, grid, heldout)
     out.append(
         _record(f"heldout_trace_formula_n{n}", "trace-formula-order-n",
-                rep.max_function_error(), config.tol("heldout_rel"))
+                rep.max_function_error(), DEFAULT_TOLERANCES["heldout_rel"])
     )
     out.append(
         _record(f"moment_identities_n{n}", "moment-identities",
-                rep.max_moment_error(), config.tol("moment_rel"))
+                rep.max_moment_error(), DEFAULT_TOLERANCES["moment_rel"])
     )
     chain = diagonal_symbol_trace(A, B, n=n, f=gaussian(), ssf=grid)
     out.append(
         _record(f"identity_chain_n{n}", "restricted-symbol-chain",
-                chain.chain_deviation, config.tol("chain_rel"))
+                chain.chain_deviation, DEFAULT_TOLERANCES["chain_rel"])
     )
     out.append(
         _record(f"identity_chain_pairing_n{n}", "restricted-symbol-chain",
-                max(chain.pairing_errors), config.tol("chain_pairing"))
+                max(chain.pairing_errors), DEFAULT_TOLERANCES["chain_pairing"])
     )
     l1rep = ssf_l1_report(A, B, n, grid)
     out.append(_record("ssf_l1_ratio", "l1-bound-monitor", l1rep["ratio"], math.inf))
@@ -543,16 +491,16 @@ def _checks_ssf(config: ExperimentConfig) -> _GroupResult:
 
 
 def _checks_counterexample(config: ExperimentConfig) -> _GroupResult:
-    rows = lp_counterexample_demo(config.p, config.dims)
+    rows = lp_counterexample_demo(_HEAVY_TAIL_P, _COUNTEREXAMPLE_DIMS)
     heavy = [r.r_heavy for r in rows]
     control = [r.r_bounded for r in rows]
     h_ratios = [b / a for a, b in zip(heavy, heavy[1:])]
     c_ratios = [b / a for a, b in zip(control, control[1:])]
     records = [
         _record("counterexample_heavy_divergence", "difference-quotient-blowup",
-                1.2 - min(h_ratios), config.tol("counterexample_margin")),
+                1.2 - min(h_ratios), DEFAULT_TOLERANCES["counterexample_margin"]),
         _record("counterexample_bounded_control", "difference-quotient-blowup",
-                max(abs(r - 1.0) for r in c_ratios), config.tol("control_window")),
+                max(abs(r - 1.0) for r in c_ratios), DEFAULT_TOLERANCES["control_window"]),
     ]
     artifacts = []
     if config.out_dir:

@@ -41,6 +41,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
+    OrderLimitError,
     ParameterError,
     ToleranceError,
     WindowError,
@@ -100,7 +101,7 @@ class DividedDifferenceSymbol(Symbol):
 
     def __init__(self, f: FunctionFamily, order: int):
         if order > f.max_order:
-            raise ParameterError(
+            raise OrderLimitError(
                 f"family {f.family_id!r} cannot drive an order-{order} symbol"
             )
         self.f = f

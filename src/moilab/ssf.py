@@ -52,6 +52,7 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     InversionQualityError,
+    OrderLimitError,
     ParameterError,
 )
 from .families import FunctionFamily, _hermite_table, _near_span, _table_levels, monomial
@@ -98,10 +99,6 @@ class SSFGrid:
     imag_residue: float = 0.0
     params: Optional[dict] = None
     seed: Optional[int] = None
-
-    @property
-    def dt(self) -> float:
-        return float(self.t_grid[1] - self.t_grid[0])
 
     def quadrature(self, samples: np.ndarray) -> float:
         """Trapezoid integral of samples * values over the grid."""
@@ -204,10 +201,6 @@ class FourierParams:
     def ds(self) -> float:
         return 2.0 * self.s_max / self.num_s
 
-    @property
-    def s_min_exclusion(self) -> float:
-        return 2.0 * self.ds
-
     @classmethod
     def auto(cls, A, B, n: int) -> "FourierParams":
         """Order-aware defaults sized from the joint spectral hull.
@@ -227,6 +220,10 @@ class FourierParams:
         t_abs = max(abs(lo - pad), abs(hi + pad), 1e-3)
         target = 6.7 * s_max * t_abs
         num_s = 1 << int(math.ceil(math.log2(min(max(target, 16384.0), MAX_NUM_S))))
+        if n == 1:
+            # where the num_s cap binds, narrow the window until the t-range
+            # (num_s / 2) pi / s_max covers the padded hull twice over
+            s_max = min(s_max, (num_s // 2) * math.pi / (2.0 * t_abs))
         return cls(s_max=s_max, num_s=num_s)
 
 
@@ -619,7 +616,7 @@ def verify_trace_formula(
     report = TraceFormulaReport()
     for f in test_functions:
         if f.max_order < n:
-            raise ParameterError(f"test family {f.family_id!r} lacks order {n}")
+            raise OrderLimitError(f"test family {f.family_id!r} lacks order {n}")
         lhs = complex(trace(taylor_remainder(f, A, B, n))).real
         rhs = ssf.quadrature(np.asarray(f.eval(n, ssf.t_grid)))
         rel = abs(lhs - rhs) / max(1.0, abs(lhs))
@@ -664,7 +661,7 @@ def diagonal_symbol_trace(
     if n < 2:
         raise ParameterError("the identity chain needs n >= 2")
     if n > f.max_order:
-        raise ParameterError(f"family {f.family_id!r} lacks order {n}")
+        raise OrderLimitError(f"family {f.family_id!r} lacks order {n}")
     A = require_hermitian(A)
     B = require_hermitian(B)
     EA = eig_hermitian(A)

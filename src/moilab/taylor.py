@@ -315,18 +315,14 @@ def _check_counterexample_budget(dims: Sequence[int]) -> None:
         )
 
 
-def lp_counterexample_demo(
-    p: float,
-    dims: Sequence[int],
-    t0: float = 1.0,
-) -> List[DivergenceRow]:
+def lp_counterexample_demo(p: float, dims: Sequence[int]) -> List[DivergenceRow]:
     """Difference-quotient blowup for an unbounded heavy-tail perturbation.
 
     The model is the normalized weighted diagonal algebra on d atoms of mass
     1/d, with a = 1 and b = diag((k/d)^(-1/(1.5 p))).  The tail exponent puts
     b inside L_p but outside L_2p as d grows, and the weighted p-norm of
 
-        (phi'(t) - phi'(0)) / t      at t = t0 / d
+        (phi'(t) - phi'(0)) / t      at t = 1 / d
 
     then grows without bound, while the bounded control b = 1 settles to a
     constant.  Rows report both columns per dimension.
@@ -340,7 +336,7 @@ def lp_counterexample_demo(
     rows: List[DivergenceRow] = []
     for d in dims:
         weights = np.full(d, 1.0 / d)
-        t = t0 / d
+        t = 1.0 / d
         k = np.arange(1, d + 1, dtype=float)
         out = []
         for heavy in (True, False):

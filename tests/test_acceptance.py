@@ -324,7 +324,7 @@ def test_criterion_9_counterexample():
 
 
 def test_criterion_10_reproducibility(tmp_path):
-    cfg = ExperimentConfig(seed=77, dimension=3, order=2, dims=[16, 64])
+    cfg = ExperimentConfig(seed=77, dimension=3, order=2)
     blobs = []
     for _ in range(2):
         report = run_suite(cfg, "perturbation")

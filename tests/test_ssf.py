@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 
 from moilab import cli
 from moilab import ssf as ssf_module
-from moilab.errors import ParameterError
-from moilab.families import bump, exponential, fourier, gaussian, runge
+from moilab.errors import OrderLimitError, ParameterError
+from moilab.families import bump, exponential, fourier, gaussian, recip_plus, runge
 from moilab.harness import DEFAULT_TOLERANCES, ExperimentConfig, generate_ensemble, run_suite
 from moilab.matrix_io import save_matrix_csv
+from moilab.moi import DividedDifferenceSymbol
 from moilab.rng import SplitMix64
 from moilab.spectral import eig_hermitian, trace
 from moilab.ssf import (
@@ -76,6 +77,21 @@ def _fcalc(f, M):
     return apply_function(f, eig_hermitian(M))
 
 
+def test_auto_order1_window_covers_a_narrow_hull_away_from_zero():
+    # span 0.07 at 1.3: the order-1 window 24000 / span asks for more than
+    # MAX_NUM_S points, so auto narrows it until the t-range (num_s / 2) pi /
+    # s_max covers the padded hull [1.09, 1.56] twice over; the recovery
+    # still meets the suite's order-1 gate
+    lam, b = 1.3649923, -0.07042378
+    params = FourierParams.auto(np.array([[lam]]), np.array([[b]]), 1)
+    assert params.num_s == MAX_NUM_S
+    assert (params.num_s // 2) * math.pi / params.s_max >= 2 * (lam + 0.2)
+    grid = higher_ssf_fourier(np.array([[lam]]), np.array([[b]]), 1)
+    exact = (lam + b > grid.t_grid).astype(float) - (lam > grid.t_grid)
+    l1 = float(np.trapezoid(np.abs(grid.values - exact), grid.t_grid))
+    assert l1 <= DEFAULT_TOLERANCES["fourier_vs_counting_l1"]
+
+
 def test_fourier_params_validation():
     with pytest.raises(ParameterError):
         FourierParams(s_max=10.0, num_s=101)
@@ -86,7 +102,6 @@ def test_fourier_params_validation():
     for num_s in (0, 2, 4):
         with pytest.raises(ParameterError):
             FourierParams(s_max=10.0, num_s=num_s)
-    assert FourierParams(s_max=10.0, num_s=100).s_min_exclusion == pytest.approx(0.4)
     # a t-step pi / s_max wider than the padded hull [-0.2, 0.7]
     with pytest.raises(ParameterError, match="fewer than 2 points"):
         higher_ssf_fourier(np.diag([0.0, 0.5]), np.diag([0.3, 0.0]), 2, FourierParams(1.0, 16))
@@ -210,6 +225,18 @@ def test_identity_chain_needs_two_slots():
     A, B = pair(13, 3)
     with pytest.raises(ParameterError):
         diagonal_symbol_trace(A, B, n=1, f=gaussian())
+
+
+@pytest.mark.parametrize("call", [
+    lambda A, B: DividedDifferenceSymbol(recip_plus(), 3),
+    lambda A, B: verify_trace_formula(A, B, 3, krein_ssf(A, B), [recip_plus()]),
+    lambda A, B: diagonal_symbol_trace(A, B, n=3, f=recip_plus()),
+], ids=["dd_symbol", "verify_trace_formula", "diagonal_symbol_trace"])
+def test_order_above_max_order_is_an_order_limit_error(call):
+    # recip_plus provides derivatives up to order 2
+    A, B = pair(13, 3)
+    with pytest.raises(OrderLimitError, match="recip_plus"):
+        call(A, B)
 
 
 def test_l1_report_zero_and_scalar():
