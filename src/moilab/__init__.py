@@ -22,9 +22,7 @@ del _var
 
 from .errors import (
     ConfigError,
-    ConsistencyError,
     DimensionMismatchError,
-    DomainError,
     InversionQualityError,
     MoiLabError,
     NumericalError,

@@ -22,7 +22,7 @@ from .errors import ConfigError, MoiLabError, ParameterError
 from .families import family_from_spec
 from .harness import SUITES, ExperimentConfig, generate_ensemble, run_suite
 from .ssf import FourierParams, higher_ssf_fourier, krein_ssf, save_ssf
-from .taylor import derivative_moi, finite_difference_oracle, lp_counterexample_demo
+from .taylor import _STENCILS, derivative_moi, finite_difference_oracle, lp_counterexample_demo
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -82,8 +82,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_ssf(args) -> int:
-    A = matrix_io.load_matrix(args.matrix_a)
-    B = matrix_io.load_matrix(args.matrix_b)
+    if args.order < 1:
+        raise ConfigError(f"--order {args.order}: the order must be >= 1")
+    A, B = matrix_io.load_hermitian_pair(args.matrix_a, args.matrix_b)
     if args.method == "counting":
         if args.order != 1:
             raise ConfigError("counting method is first order only")
@@ -110,9 +111,13 @@ def _cmd_deriv(args) -> int:
         fam = family_from_spec({"id": args.f, **json.loads(args.params)})
     except (ValueError, TypeError, ParameterError) as exc:
         raise ConfigError(f"--f {args.f!r} --params {args.params!r}: {exc}") from None
+    if args.k not in _STENCILS:
+        raise ConfigError(f"--k {args.k}: the finite-difference check takes k in "
+                          f"{min(_STENCILS)}..{max(_STENCILS)}")
+    if args.k > fam.max_order:
+        raise ConfigError(f"--k {args.k} exceeds the max_order {fam.max_order} of {args.f!r}")
     if args.matrix_a and args.matrix_b:
-        A = matrix_io.load_matrix(args.matrix_a)
-        B = matrix_io.load_matrix(args.matrix_b)
+        A, B = matrix_io.load_hermitian_pair(args.matrix_a, args.matrix_b)
     elif args.seed is not None:
         cfg = ExperimentConfig(seed=args.seed, dimension=args.dim)
         A, B = generate_ensemble(cfg)

@@ -9,10 +9,6 @@ class OrderLimitError(MoiLabError):
     """A derivative or divided-difference order exceeds the family's max_order."""
 
 
-class DomainError(MoiLabError):
-    """An evaluation point lies outside a function family's declared domain."""
-
-
 class DimensionMismatchError(MoiLabError):
     """Matrix dimensions, operand counts, or symbol arity do not line up."""
 
@@ -33,10 +29,12 @@ class WindowError(MoiLabError):
     """The discretization window [-N/m, N/m] does not cover the spectra."""
 
 
-class ConsistencyError(MoiLabError):
-    """Two evaluation paths that must agree disagreed beyond tolerance.
+class ToleranceError(MoiLabError):
+    """Two evaluation paths that must agree disagreed beyond tolerance, or a
+    bound the contract asserts was exceeded.
 
-    Carries both values so the caller can inspect the disagreement.
+    Carries both sides (lhs, rhs) and, where one is measured, their relative
+    deviation, so the caller can inspect the disagreement.
     """
 
     def __init__(self, message, lhs=None, rhs=None, deviation=None):
@@ -44,10 +42,6 @@ class ConsistencyError(MoiLabError):
         self.lhs = lhs
         self.rhs = rhs
         self.deviation = deviation
-
-
-class ToleranceError(ConsistencyError):
-    """A residual that the contract asserts small exceeded its bound."""
 
 
 class InversionQualityError(MoiLabError):

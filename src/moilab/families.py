@@ -27,7 +27,7 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DomainError, OrderLimitError, ParameterError
+from .errors import OrderLimitError, ParameterError
 
 __all__ = [
     "FunctionFamily",
@@ -64,7 +64,8 @@ def merge_tolerance(nodes) -> float:
 
 
 class FunctionFamily:
-    """A scalar function with derivative evaluators up to a fixed order.
+    """A scalar function on the whole real line with derivative evaluators up
+    to a fixed order.  Real or complex valued, as its evaluator returns.
 
     Parameters
     ----------
@@ -80,7 +81,7 @@ class FunctionFamily:
         Per-order declared kernel class of the k-th divided difference
         ("continuous", "bounded", or None).  Declared, never computed.
     deriv_sup:
-        Optional map k -> sup |f^(k)| over the domain, for orders where it
+        Optional map k -> sup |f^(k)| over the real line, for orders where it
         is known in closed form.
     scale:
         The length over which f changes by O(1); it sets the span below which
@@ -99,9 +100,7 @@ class FunctionFamily:
         bounded_deriv: Dict[int, bool],
         vanishes_at_inf: Dict[int, bool],
         compact_support: bool = False,
-        real_valued: bool = True,
         dd_kernel: Optional[Dict[int, Optional[str]]] = None,
-        domain: Tuple[float, float] = (-math.inf, math.inf),
         deriv_sup: Optional[Dict[int, float]] = None,
         params: Optional[dict] = None,
         scale=1.0,
@@ -114,9 +113,7 @@ class FunctionFamily:
         self.bounded_deriv = dict(bounded_deriv)
         self.vanishes_at_inf = dict(vanishes_at_inf)
         self.compact_support = bool(compact_support)
-        self.real_valued = bool(real_valued)
         self.dd_kernel = dict(dd_kernel or {})
-        self.domain = (float(domain[0]), float(domain[1]))
         self._deriv_sup = dict(deriv_sup or {})
         self.params = dict(params or {})
         self.scale = np.asarray(scale, dtype=float)
@@ -131,32 +128,16 @@ class FunctionFamily:
                 f"family {self.family_id!r} supports derivatives up to order "
                 f"{self.max_order}, got {k}"
             )
-        xa = np.asarray(x, dtype=float)
-        self.check_domain(xa)
-        out = self._evaluator(k, xa)
+        out = self._evaluator(k, np.asarray(x, dtype=float))
         return out if np.ndim(x) else complex(out) if np.iscomplexobj(out) else float(out)
 
-    def check_domain(self, x) -> None:
-        lo, hi = self.domain
-        xa = np.asarray(x, dtype=float)
-        if np.any(xa < lo) or np.any(xa > hi):
-            raise DomainError(
-                f"point outside domain [{lo}, {hi}] of family {self.family_id!r}"
-            )
-
-    def sup_abs_deriv(self, k: int, hull: Optional[Tuple[float, float]] = None) -> float:
-        """Sup of |f^(k)|, from the declared table or a grid estimate on hull."""
+    def sup_abs_deriv(self, k: int, hull: Tuple[float, float]) -> float:
+        """Sup of |f^(k)|, from the declared table or a grid estimate on the
+        hull (lo, hi) padded by a tenth of its width plus one."""
         if k in self._deriv_sup:
             return self._deriv_sup[k]
-        if hull is None:
-            lo, hi = self.domain
-            if not (math.isfinite(lo) and math.isfinite(hi)):
-                lo, hi = -8.0, 8.0
-            hull = (lo, hi)
         pad = 0.1 * (hull[1] - hull[0] + 1.0)
-        lo = max(self.domain[0], hull[0] - pad)
-        hi = min(self.domain[1], hull[1] + pad)
-        grid = np.linspace(lo, hi, 4001)
+        grid = np.linspace(hull[0] - pad, hull[1] + pad, 4001)
         return float(np.max(np.abs(self._evaluator(k, grid))))
 
 
@@ -194,17 +175,19 @@ class NodeList:
                 start = i
         return np.asarray(reps), np.asarray(mults, dtype=int)
 
-    def expanded(self, tol: Optional[float] = None) -> np.ndarray:
-        """Sorted node vector with merged blocks replaced by their representative."""
-        reps, mults = self.merged(tol)
+    def expanded(self) -> np.ndarray:
+        """Sorted node vector with the blocks merged at :func:`merge_tolerance`
+        replaced by their representative."""
+        reps, mults = self.merged()
         return np.repeat(reps, mults)
 
 
-def divided_difference(f: FunctionFamily, nodes, merge_tol: Optional[float] = None) -> complex:
+def divided_difference(f: FunctionFamily, nodes) -> complex:
     """n-th order divided difference of f on len(nodes) = n+1 nodes.
 
-    Symmetric in the node order.  A block of m+1 coincident (or tolerance
-    merged) nodes contributes the confluent value f^(m)(x)/m!.
+    Symmetric in the node order.  A block of m+1 coincident nodes, or of
+    nodes merged within :func:`merge_tolerance`, contributes the confluent
+    value f^(m)(x)/m!.
     """
     nl = nodes if isinstance(nodes, NodeList) else NodeList(nodes)
     order = len(nl) - 1
@@ -213,8 +196,7 @@ def divided_difference(f: FunctionFamily, nodes, merge_tol: Optional[float] = No
             f"divided difference of order {order} needs derivatives the family "
             f"{f.family_id!r} does not provide (max_order={f.max_order})"
         )
-    f.check_domain(np.asarray(nl.nodes))
-    z = nl.expanded(merge_tol)
+    z = nl.expanded()
     n = len(z)
     col = np.array([f._evaluator(0, np.asarray(x)) for x in z], dtype=complex)
     for j in range(1, n):
@@ -257,7 +239,6 @@ def divided_difference_rows(f: FunctionFamily, rows) -> np.ndarray:
             f"divided difference of order {k - 1} needs derivatives the family "
             f"{f.family_id!r} does not provide (max_order={f.max_order})"
         )
-    f.check_domain(z)
     tau = _near_span(f.max_order, f.scale)
     return _hermite_table(f._evaluator, tau, z, _table_levels(z, tau.max(), f.max_order))
 
@@ -495,7 +476,6 @@ def fourier(s: float, max_order: int = 16) -> FunctionFamily:
         ev,
         bounded_deriv={j: True for j in range(1, max_order + 1)},
         vanishes_at_inf={j: False for j in range(1, max_order + 1)},
-        real_valued=False,
         dd_kernel={j: KERNEL_CONTINUOUS for j in range(1, max_order + 1)},
         deriv_sup={j: abs(s) ** j for j in range(0, max_order + 1)},
         params={"s": s},

@@ -187,9 +187,7 @@ def generate_ensemble(config: ExperimentConfig):
     # fixed_matrix_file
     if not config.matrix_a or not config.matrix_b:
         raise ConfigError("fixed_matrix_file ensemble needs matrix_a and matrix_b paths")
-    A = matrix_io.load_matrix(config.matrix_a)
-    B = matrix_io.load_matrix(config.matrix_b)
-    return A, B
+    return matrix_io.load_hermitian_pair(config.matrix_a, config.matrix_b)
 
 
 @dataclass
@@ -418,8 +416,8 @@ def _checks_moi(config: ExperimentConfig) -> _GroupResult:
                 DEFAULT_TOLERANCES["discretized_aligned"])
     )
     # norm ratio, monitored only
-    ops_norm = operands([Es[0]] * 3, [args[0], args[0]], exponents=[4.0, 4.0])
-    ratio = moi_norm_report(dd_symbol(fam, 2), ops_norm, p=2.0).ratio
+    ops_norm = operands([Es[0]] * 3, [args[0], args[0]])
+    ratio = moi_norm_report(dd_symbol(fam, 2), ops_norm, exponents=[4.0, 4.0]).ratio
     out.append(_record("moi_norm_ratio", "norm-bound-monitor", ratio, math.inf))
     return out, []
 

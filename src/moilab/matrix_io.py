@@ -15,9 +15,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DimensionMismatchError, ParameterError
+from .spectral import require_hermitian_pair
 
-__all__ = ["load_matrix", "load_matrix_json", "load_matrix_csv",
+__all__ = ["load_matrix", "load_matrix_json", "load_matrix_csv", "load_hermitian_pair",
            "save_matrix_json", "save_matrix_csv"]
 
 
@@ -89,3 +90,14 @@ def load_matrix(path) -> np.ndarray:
         return loader(path)
     except OSError as exc:
         raise ConfigError(f"{path}: cannot read matrix file: {exc.strerror or exc}") from None
+
+
+def load_hermitian_pair(path_a, path_b):
+    """Load a pair (A, B) of Hermitian matrices of one shape; a file that cannot
+    be read, or a pair that is not of one shape, Hermitian and finite, is a
+    ConfigError."""
+    A, B = load_matrix(path_a), load_matrix(path_b)
+    try:
+        return require_hermitian_pair(A, B)
+    except (DimensionMismatchError, ParameterError) as exc:
+        raise ConfigError(f"{path_a}, {path_b}: {exc}") from None

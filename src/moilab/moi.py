@@ -121,7 +121,7 @@ class FactorTerm:
 
     weight: complex
     factors: Tuple[Callable[[np.ndarray], np.ndarray], ...]
-    factor_sups: Optional[Tuple[float, ...]] = None  # sup |g_i| when known
+    factor_sups: Tuple[float, ...]  # sup |g_i| over the real line
 
 
 class FactorizedSymbol(Symbol):
@@ -148,14 +148,9 @@ class FactorizedSymbol(Symbol):
             out += prod
         return out
 
-    def factorized_bound(self) -> Optional[float]:
-        """Sum over terms of |weight| * prod sup|g_i|, when the sups are declared."""
-        total = 0.0
-        for term in self.terms:
-            if term.factor_sups is None:
-                return None
-            total += abs(term.weight) * float(np.prod(term.factor_sups))
-        return total
+    def factorized_bound(self) -> float:
+        """Sum over terms of |weight| * prod sup|g_i|."""
+        return sum(abs(t.weight) * float(np.prod(t.factor_sups)) for t in self.terms)
 
 
 class DiagonalRestrictedSymbol(Symbol):
@@ -199,11 +194,10 @@ def exponential_symbol(s: float, arity: int) -> FactorizedSymbol:
 
 @dataclass
 class MOIOperands:
-    """Operator tuple (n+1 eigen-systems), argument matrices (n), exponents."""
+    """Operator tuple (n+1 eigen-systems) and argument matrices (n)."""
 
     operators: List[EigenSystem]
     arguments: List[np.ndarray]
-    exponents: Optional[List[float]] = None
 
     def __post_init__(self):
         if len(self.operators) != len(self.arguments) + 1:
@@ -216,11 +210,6 @@ class MOIOperands:
         dims |= {M.shape[1] for M in self.arguments}
         if len(dims) != 1:
             raise DimensionMismatchError(f"inconsistent operand dimensions {sorted(dims)}")
-        if self.exponents is not None:
-            if len(self.exponents) != len(self.arguments):
-                raise ParameterError("need one exponent per argument")
-            if any(p <= 1.0 for p in self.exponents):
-                raise ParameterError("argument exponents must satisfy p > 1")
 
     @property
     def dim(self) -> int:
@@ -230,21 +219,15 @@ class MOIOperands:
     def n_args(self) -> int:
         return len(self.arguments)
 
-    def one_over_p(self) -> Optional[float]:
-        if self.exponents is None:
-            return None
-        return sum(1.0 / p for p in self.exponents)
-
 
 def operands(
     operators: Sequence[Union[EigenSystem, np.ndarray]],
     arguments: Sequence[np.ndarray],
-    exponents: Optional[Sequence[float]] = None,
 ) -> MOIOperands:
     """Build operands, eigendecomposing any raw Hermitian matrices."""
     ops = [E if isinstance(E, EigenSystem) else eig_hermitian(E) for E in operators]
     args = [np.asarray(M, dtype=complex) for M in arguments]
-    return MOIOperands(ops, args, list(exponents) if exponents is not None else None)
+    return MOIOperands(ops, args)
 
 
 @dataclass
@@ -412,110 +395,83 @@ class NormReport:
     ratio: float
     norm_value: float
     denominator: float
-    factorized_bound: Optional[float] = None
-    within_factorized_bound: Optional[bool] = None
+    factorized_bound: Optional[float] = None  # set for factorized symbols
 
 
-def moi_norm_report(symbol: Symbol, ops: MOIOperands, p: float) -> NormReport:
+def moi_norm_report(symbol: Symbol, ops: MOIOperands, exponents: Sequence[float]) -> NormReport:
     """Measured ratio ||T(b)||_p / (sup|f^(n)| * prod ||b_i||_{p_i}).
 
-    The ratio is recorded for monitoring only; no universal constant is
-    asserted.  For factorized symbols with declared factor sups the product
-    bound sum |w| prod sup|g_i| is checked as a hard inequality.
+    exponents holds one Schatten exponent p_i > 1 per argument b_i, and p
+    follows from the Hoelder condition 1/p = sum 1/p_i; it must satisfy
+    1 < p < inf.  The ratio is recorded for monitoring only; no universal
+    constant is asserted.  For factorized symbols the product bound
+    sum |w| prod sup|g_i| is checked as a hard inequality, and a violation
+    raises :class:`ToleranceError`.
     """
-    if ops.exponents is None:
-        raise ParameterError("norm report needs argument exponents")
-    inv_p = ops.one_over_p()
-    if not math.isclose(inv_p, 1.0 / p, rel_tol=1e-12):
+    exponents = [float(q) for q in exponents]
+    if len(exponents) != ops.n_args:
         raise ParameterError(
-            f"exponents are inconsistent: sum 1/p_i = {inv_p}, expected 1/p = {1.0 / p}"
+            f"need one exponent per argument: {ops.n_args} arguments, {len(exponents)} exponents"
         )
-    if not 1.0 < p < math.inf:
-        raise ParameterError("norm report needs 1 < p < inf")
-    hull_lo = min(E.eigenvalues[0] for E in ops.operators)
-    hull_hi = max(E.eigenvalues[-1] for E in ops.operators)
+    if not all(q > 1.0 for q in exponents):
+        raise ParameterError(f"argument exponents must satisfy p_i > 1, got {exponents}")
+    inv_p = sum(1.0 / q for q in exponents)
+    if not 0.0 < inv_p < 1.0:
+        raise ParameterError(f"norm report needs 1 < p < inf, got 1/p = sum 1/p_i = {inv_p}")
+    p = 1.0 / inv_p
     if isinstance(symbol, DividedDifferenceSymbol):
         if not symbol.f.bounded_deriv.get(symbol.order, False):
             raise ParameterError(
                 f"family {symbol.f.family_id!r} does not declare a bounded "
                 f"derivative of order {symbol.order}"
             )
-        sup = symbol.f.sup_abs_deriv(symbol.order, (hull_lo, hull_hi))
+        hull = (min(E.eigenvalues[0] for E in ops.operators),
+                max(E.eigenvalues[-1] for E in ops.operators))
+        sup = symbol.f.sup_abs_deriv(symbol.order, hull)
     elif isinstance(symbol, FactorizedSymbol):
         sup = symbol.factorized_bound()
-        if sup is None:
-            grid = np.linspace(hull_lo, hull_hi, 512)
-            sup = sum(
-                abs(t.weight) * float(np.prod([np.max(np.abs(g(grid))) for g in t.factors]))
-                for t in symbol.terms
-            )
     else:
         raise ParameterError("norm report supports divided-difference and factorized symbols")
     value = moi_projection_sum(symbol, ops).value
     tnorm = schatten_norm(value, p)
-    arg_norms = [
-        schatten_norm(M, pk) for M, pk in zip(ops.arguments, ops.exponents)
-    ]
+    arg_norms = [schatten_norm(M, q) for M, q in zip(ops.arguments, exponents)]
     denom = sup * float(np.prod(arg_norms))
     ratio = 0.0 if denom == 0 else tnorm / denom
     report = NormReport(ratio=ratio, norm_value=tnorm, denominator=denom)
     if isinstance(symbol, FactorizedSymbol):
-        bound = symbol.factorized_bound()
-        if bound is not None:
-            limit = bound * float(np.prod(arg_norms))
-            report.factorized_bound = bound
-            report.within_factorized_bound = tnorm <= limit * (1.0 + 1e-9) + 1e-15
-            if not report.within_factorized_bound:
-                raise ToleranceError(
-                    "factorized norm bound violated", lhs=tnorm, rhs=limit
-                )
+        # sup is the factorized bound, so denom is its limit on ||T(b)||_p
+        report.factorized_bound = sup
+        if not tnorm <= denom * (1.0 + 1e-9) + 1e-15:
+            raise ToleranceError("factorized norm bound violated", lhs=tnorm, rhs=denom)
     return report
 
 
 def _rotated_factorized_trace(
     symbol: Symbol, ops: MOIOperands, closing: np.ndarray
 ) -> Optional[complex]:
-    """Trace evaluated through the cyclically rotated factorized product.
-
-    For a plain factorized symbol the last factor wraps around the closing
-    matrix; for a diagonally restricted factorized symbol the wrapped factor
-    multiplies the first slot directly, which is a genuinely different
-    evaluation path from the projection sum.
+    """Trace evaluated through the cyclically rotated factorized product, in
+    which the last factor wraps around the closing matrix; None for a symbol
+    that is not factorized.
     """
-    if isinstance(symbol, FactorizedSymbol):
-        total = 0.0 + 0.0j
-        last = symbol.arity - 1
-        for term in symbol.terms:
-            acc = apply_callable(term.factors[last], ops.operators[last]) @ closing
-            acc = acc @ apply_callable(term.factors[0], ops.operators[0])
-            for k in range(ops.n_args):
-                acc = acc @ ops.arguments[k]
-                if k + 1 < last:
-                    acc = acc @ apply_callable(term.factors[k + 1], ops.operators[k + 1])
-            total += complex(term.weight) * trace(acc)
-        return total
-    if isinstance(symbol, DiagonalRestrictedSymbol) and isinstance(
-        symbol.base, FactorizedSymbol
-    ):
-        total = 0.0 + 0.0j
-        for term in symbol.base.terms:
-            first = apply_callable(term.factors[-1], ops.operators[0]) @ apply_callable(
-                term.factors[0], ops.operators[0]
-            )
-            acc = first
-            for k in range(ops.n_args):
-                acc = acc @ ops.arguments[k] @ apply_callable(
-                    term.factors[k + 1], ops.operators[k + 1]
-                )
-            total += complex(term.weight) * trace(acc @ closing)
-        return total
-    return None
+    if not isinstance(symbol, FactorizedSymbol):
+        return None
+    total = 0.0 + 0.0j
+    last = symbol.arity - 1
+    for term in symbol.terms:
+        acc = apply_callable(term.factors[last], ops.operators[last]) @ closing
+        acc = acc @ apply_callable(term.factors[0], ops.operators[0])
+        for k in range(ops.n_args):
+            acc = acc @ ops.arguments[k]
+            if k + 1 < last:
+                acc = acc @ apply_callable(term.factors[k + 1], ops.operators[k + 1])
+        total += complex(term.weight) * trace(acc)
+    return total
 
 
 def moi_trace(symbol: Symbol, ops: MOIOperands, closing: np.ndarray) -> complex:
     """trace(T(b_1..b_n) * closing).
 
-    When the symbol carries a factorized form, the cyclically rotated
+    When the symbol is a FactorizedSymbol, the cyclically rotated
     factorized evaluation is computed as well and must agree to 1e-9
     relative; disagreement raises :class:`ToleranceError` with both values.
     """

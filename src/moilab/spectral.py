@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from .errors import (
 __all__ = [
     "EigenSystem",
     "require_hermitian",
+    "require_hermitian_pair",
     "eig_hermitian",
     "apply_function",
     "apply_callable",
@@ -44,6 +46,17 @@ def require_hermitian(A) -> np.ndarray:
     if np.linalg.norm(M - M.conj().T) > 1e-12 * scale:
         raise DimensionMismatchError("matrix is not Hermitian within tolerance")
     return M.copy()
+
+
+def require_hermitian_pair(A, B) -> Tuple[np.ndarray, np.ndarray]:
+    """Validate and return complex Hermitian copies of a pair (A, B) of one shape."""
+    A = require_hermitian(A)
+    B = require_hermitian(B)
+    if A.shape != B.shape:
+        raise DimensionMismatchError(
+            f"A and B must share a dimension, got shapes {A.shape} and {B.shape}"
+        )
+    return A, B
 
 
 @dataclass
@@ -98,15 +111,12 @@ def apply_callable(g, E: EigenSystem) -> np.ndarray:
 
 
 def apply_function(f, E: EigenSystem) -> np.ndarray:
-    """Functional calculus f(A) from the eigensystem of A.
+    """Functional calculus f(A) from the eigensystem of A, for a FunctionFamily f
+    (:func:`apply_callable` takes a plain scalar callable).
 
-    ``f`` is a FunctionFamily (domain checked) or any scalar callable.
     The result is Hermitian to rounding when f is real valued.
     """
-    if hasattr(f, "eval"):
-        f.check_domain(E.eigenvalues)
-        return apply_callable(lambda x: f.eval(0, x), E)
-    return apply_callable(f, E)
+    return apply_callable(lambda x: f.eval(0, x), E)
 
 
 def trace(X) -> complex:

@@ -50,7 +50,6 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import (
-    DimensionMismatchError,
     InversionQualityError,
     OrderLimitError,
     ParameterError,
@@ -66,7 +65,14 @@ from .moi import (
     moi_trace,
     projection_trace_weights,
 )
-from .spectral import EigenSystem, eig_hermitian, require_hermitian, schatten_norm, trace
+from .spectral import (
+    EigenSystem,
+    eig_hermitian,
+    require_hermitian,
+    require_hermitian_pair,
+    schatten_norm,
+    trace,
+)
 from .taylor import taylor_remainder
 
 __all__ = [
@@ -116,10 +122,7 @@ def _spectra_hull(EA, EAB) -> Tuple[float, float]:
 
 def krein_ssf(A, B) -> SSFGrid:
     """First-order shift function by exact eigenvalue counting, on 2001 points."""
-    A = require_hermitian(A)
-    B = require_hermitian(B)
-    if A.shape != B.shape:
-        raise DimensionMismatchError("A and B must share a dimension")
+    A, B = require_hermitian_pair(A, B)
     lam = eig_hermitian(A).eigenvalues
     mu = eig_hermitian(A + B).eigenvalues
     lo = float(min(lam[0], mu[0]))
@@ -211,8 +214,9 @@ class FourierParams:
         moderate window.  num_s keeps the spacing fine against the slowest
         eta-hat oscillation, capped to bound the FFT size.
         """
-        EA = eig_hermitian(require_hermitian(A))
-        EAB = eig_hermitian(require_hermitian(np.asarray(A) + np.asarray(B)))
+        A, B = require_hermitian_pair(A, B)
+        EA = eig_hermitian(A)
+        EAB = eig_hermitian(A + B)
         lo, hi = _spectra_hull(EA, EAB)
         span = max(hi - lo, 1e-6)
         s_max = (24000.0 if n == 1 else 600.0) / span
@@ -300,6 +304,20 @@ def _multisets(at: np.ndarray, W: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return rows[starts], np.add.reduceat(W.ravel()[order], starts)
 
 
+def _sweep_step(d: int, n: int) -> int:
+    """s-points per chunk of the order-n sweep at dimension d.
+
+    Its largest table holds per_s complex entries per s-point, and a chunk's
+    tables at most _SWEEP_ENTRIES (one s-point's where per_s is more); an
+    order whose per_s is past _CHUNK_ENTRIES raises ParameterError.
+    """
+    per_s = max(2 * d, (n - 1) * d ** (n - 1))
+    if per_s > _CHUNK_ENTRIES:
+        raise ParameterError(f"order {n} at dimension {d} needs {per_s} entries "
+                             f"per s-point, more than the {_CHUNK_ENTRIES} of one chunk")
+    return max(1, _SWEEP_ENTRIES // per_s)
+
+
 def _remainder_trace_exponential(
     EA: EigenSystem, EAB: EigenSystem, B: np.ndarray, n: int, ds: float, k_lo: int,
     k_hi: int, step: int, out: np.ndarray,
@@ -317,9 +335,8 @@ def _remainder_trace_exponential(
     O(d^{n-1}) work per s-point, in chunks of ``step`` s-points, written into
     out (complex, k_hi - k_lo), which is returned.  Each chunk builds its own
     s = ds * k, so no s-array is longer than a chunk; :func:`higher_ssf_fourier`
-    passes step = max(1, _SWEEP_ENTRIES // per_s) for the per_s complex entries
-    per s-point of the largest table, so that a chunk's tables hold at most
-    2^14 entries (per_s of them where per_s is larger).
+    passes step = :func:`_sweep_step`, so that a chunk's tables hold at most
+    2^14 entries (one s-point's where that is more).
 
     Every node of every term is an eigenvalue of A or of A + B, so each chunk
     takes the rows exp(isx) of the at most 2d distinct nodes from one table
@@ -495,7 +512,7 @@ def higher_ssf_fourier(
     padded hull (:func:`_band_dft`).
 
     Memory: etahat, h + 1 complex values, plus chunk-sized buffers.  The
-    sweep writes F straight into etahat, a chunk of max(1, 2^14 // per_s)
+    sweep writes F straight into etahat, a chunk of :func:`_sweep_step`
     s-points at a time; the fit takes its 7 quotients from a copy, and the
     quotient and taper then run in place over 2^14 s-points at a time
     (:func:`_divide_and_taper`), so no other array is as long as the s-grid;
@@ -507,13 +524,8 @@ def higher_ssf_fourier(
     """
     if n < 1:
         raise ParameterError("order must be >= 1")
-    A = require_hermitian(A)
-    B = require_hermitian(B)
-    # complex entries per s-point in the sweep's largest table
-    per_s = max(2 * len(A), (n - 1) * len(A) ** (n - 1))
-    if per_s > _CHUNK_ENTRIES:
-        raise ParameterError(f"order {n} at dimension {len(A)} needs {per_s} entries "
-                             f"per s-point, more than the {_CHUNK_ENTRIES} of one chunk")
+    A, B = require_hermitian_pair(A, B)
+    step = _sweep_step(len(A), n)
     if params is None:
         params = FourierParams.auto(A, B, n)
     EA = eig_hermitian(A)
@@ -543,7 +555,6 @@ def higher_ssf_fourier(
     ds = params.ds
     etahat = np.empty(h + 1, dtype=complex)
     etahat[h] = 0.0
-    step = max(1, _SWEEP_ENTRIES // per_s)
     _remainder_trace_exponential(EA, EAB, B, n, ds, 2, h, step, etahat[2:h])
 
     # anchor: zeroth moment of eta_n equals trace(B^n)/n!; the fit reads the
@@ -611,8 +622,7 @@ def verify_trace_formula(
     k = 0, 1, 2 compare the k-th grid moment with
     k!/(n+k)! * trace(remainder_n(x^{n+k})).
     """
-    A = require_hermitian(A)
-    B = require_hermitian(B)
+    A, B = require_hermitian_pair(A, B)
     report = TraceFormulaReport()
     for f in test_functions:
         if f.max_order < n:
@@ -662,8 +672,7 @@ def diagonal_symbol_trace(
         raise ParameterError("the identity chain needs n >= 2")
     if n > f.max_order:
         raise OrderLimitError(f"family {f.family_id!r} lacks order {n}")
-    A = require_hermitian(A)
-    B = require_hermitian(B)
+    A, B = require_hermitian_pair(A, B)
     EA = eig_hermitian(A)
     EAB = eig_hermitian(A + B)
     sym = dd_symbol(f, n)

@@ -25,7 +25,7 @@ from .spectral import (
     EigenSystem,
     apply_function,
     eig_hermitian,
-    require_hermitian,
+    require_hermitian_pair,
     weighted_diagonal_norm,
 )
 
@@ -108,8 +108,7 @@ def _derivative_moi(f: FunctionFamily, A, B, k: int, t: float) -> MOIResult:
     if k < 1:
         raise ParameterError("derivative order must be >= 1")
     _warn_missing_flags(f, k)
-    A = require_hermitian(A)
-    B = require_hermitian(B)
+    A, B = require_hermitian_pair(A, B)
     E = eig_hermitian(A + t * B)
     ops = operands([E] * (k + 1), [B] * k)
     result = moi_projection_sum(dd_symbol(f, k), ops)
@@ -134,8 +133,7 @@ def finite_difference_oracle(
         raise ParameterError(f"finite differences implemented for k in {sorted(_STENCILS)}")
     if levels < 0:
         raise ParameterError("levels must be >= 0")
-    A = require_hermitian(A)
-    B = require_hermitian(B)
+    A, B = require_hermitian_pair(A, B)
     if h is None:
         h = default_fd_step(k, B)
     if h <= 0:
@@ -191,8 +189,7 @@ def remainder_two_path(f: FunctionFamily, A, B, n: int) -> Tuple[np.ndarray, np.
         raise ParameterError("remainder order must be >= 1")
     if n > f.max_order:
         raise OrderLimitError(f"remainder order {n} exceeds {f.family_id!r} support")
-    A = require_hermitian(A)
-    B = require_hermitian(B)
+    A, B = require_hermitian_pair(A, B)
     EA = eig_hermitian(A)
     EAB = eig_hermitian(A + B)
     sigma = apply_function(f, EAB) - apply_function(f, EA)
@@ -214,8 +211,7 @@ def perturbation_first_order(f: FunctionFamily, A, B) -> float:
             "holds at finite dimension",
             stacklevel=2,
         )
-    A = require_hermitian(A)
-    B = require_hermitian(B)
+    A, B = require_hermitian_pair(A, B)
     EA, EB = eig_hermitian(A), eig_hermitian(B)
     lhs = moi_projection_sum(dd_symbol(f, 1), operands([EA, EB], [A - B])).value
     rhs = apply_function(f, EA) - apply_function(f, EB)
@@ -243,8 +239,7 @@ def perturbation_higher_order(
         raise ParameterError(f"slot j must lie in 1..{k + 1}")
     if len(a_list) != k or len(x_list) != k:
         raise ParameterError("need k operator slots and k arguments")
-    A = require_hermitian(A)
-    B = require_hermitian(B)
+    A, B = require_hermitian_pair(A, B)
     EA, EB = eig_hermitian(A), eig_hermitian(B)
     Es = [X if isinstance(X, EigenSystem) else eig_hermitian(X) for X in a_list]
     xs = [np.asarray(x, dtype=complex) for x in x_list]
@@ -273,8 +268,7 @@ def telescoping_check(f: FunctionFamily, A, B, n: int, t: float, j: int) -> floa
         raise OrderLimitError("telescoping needs derivatives up to order n")
     if not 1 <= j <= n:
         raise ParameterError(f"slot count j must lie in 1..{n}")
-    A = require_hermitian(A)
-    B = require_hermitian(B)
+    A, B = require_hermitian_pair(A, B)
     EA = eig_hermitian(A)
     Et = eig_hermitian(A + t * B)
     sym_lo = dd_symbol(f, n - 1)

@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 
 from moilab.rng import SplitMix64
 
@@ -9,15 +8,9 @@ def random_hermitian(gen: SplitMix64, d: int) -> np.ndarray:
     return (X + X.conj().T) / 2.0
 
 
-@pytest.fixture
-def herm_pair():
-    """Seeded (A, B) pair factory; B normalized to unit operator norm."""
-
-    def make(seed: int, d: int, b_scale: float = 1.0):
-        gen = SplitMix64(seed)
-        A = random_hermitian(gen, d)
-        B = random_hermitian(gen, d)
-        B *= b_scale / np.linalg.norm(B, 2)
-        return A, B
-
-    return make
+def pair(seed: int, d: int, scale: float = 1.0):
+    """Seeded Hermitian (A, B) pair; B has operator norm scale."""
+    gen = SplitMix64(seed)
+    A = random_hermitian(gen, d)
+    B = random_hermitian(gen, d)
+    return A, scale * B / np.linalg.norm(B, 2)

@@ -48,7 +48,7 @@ from moilab.taylor import (
     taylor_remainder,
     telescoping_check,
 )
-from conftest import random_hermitian
+from conftest import pair, random_hermitian
 
 
 def _verdict(num, label, worst, tol, passed=None):
@@ -56,13 +56,6 @@ def _verdict(num, label, worst, tol, passed=None):
     print(f"{'PASS' if ok else 'FAIL'} criterion {num}: {label} "
           f"(worst={worst:.3e}, tol={tol:.3e})")
     assert ok, f"criterion {num}: {label}: worst={worst} tol={tol}"
-
-
-def _pair(seed, d, scale=1.0):
-    gen = SplitMix64(seed)
-    A = random_hermitian(gen, d)
-    B = random_hermitian(gen, d)
-    return A, scale * B / np.linalg.norm(B, 2)
 
 
 def _rel(x, y):
@@ -81,7 +74,7 @@ def ssf_cases():
     """Shared Fourier densities: (A, B, n) -> grid, reused by criteria 7 and 8."""
     cases = {}
     for n, d, seed in ((2, 6, 8), (3, 4, 8)):
-        A, B = _pair(seed, d)
+        A, B = pair(seed, d)
         cases[n] = (A, B, higher_ssf_fourier(A, B, n=n))
     return cases
 
@@ -182,7 +175,7 @@ def test_criterion_3_derivative_formula():
     for fam in (gaussian(), runge(), bump(halfwidth=3.0)):
         for k in (1, 2, 3):
             for d, seed in ((6, 200), (16, 201)):
-                A, B = _pair(seed, d)
+                A, B = pair(seed, d)
                 D = gateaux_derivative(fam, A, B, k=k, t=0.1)
                 F = finite_difference_oracle(fam, A, B, k=k, t=0.1)
                 worst = max(worst, _rel(D, F))
@@ -190,7 +183,7 @@ def test_criterion_3_derivative_formula():
 
     windows = {1: (1e-2, 1e-4), 2: (3e-2, 1e-3), 3: (1e-1, 1e-2)}
     worst_slope_dev = 0.0
-    A, B = _pair(202, 4)
+    A, B = pair(202, 4)
     for k in (1, 2, 3):
         exact = gateaux_derivative(gaussian(), A, B, k=k)
         hs = np.geomspace(*windows[k], 5)
@@ -208,7 +201,7 @@ def test_criterion_4_remainder_identity():
     worst = 0.0
     for n in (1, 2, 3):
         for fam in (gaussian(), runge()):
-            A, B = _pair(300 + n, 4)
+            A, B = pair(300 + n, 4)
             EA = eig_hermitian(A)
             EAB = eig_hermitian(A + B)
             sigma = apply_function(fam, EAB) - apply_function(fam, EA)
@@ -228,7 +221,7 @@ def test_criterion_4_remainder_identity():
 def test_criterion_5_perturbation_identities():
     worst_first = 0.0
     for fam in (gaussian(), runge()):
-        A, B = _pair(400, 6)
+        A, B = pair(400, 6)
         worst_first = max(worst_first, perturbation_first_order(fam, A, B))
     _verdict(5, "first-order perturbation identity", worst_first, 1e-9)
 
@@ -248,7 +241,7 @@ def test_criterion_5_perturbation_identities():
     _verdict(5, "slot-replacement perturbation identity", worst_higher, 1e-8)
 
     worst_tel = 0.0
-    A, B = _pair(402, 4)
+    A, B = pair(402, 4)
     for n, t, j in ((2, 0.9, 1), (3, 0.7, 2), (3, -0.4, 3)):
         worst_tel = max(worst_tel, telescoping_check(gaussian(), A, B, n=n, t=t, j=j))
     _verdict(5, "telescoped difference identity", worst_tel, 1e-8)
@@ -257,7 +250,7 @@ def test_criterion_5_perturbation_identities():
 def test_criterion_6_first_order_ssf():
     worst_pair = 0.0
     for seed, d in ((500, 4), (501, 8)):
-        A, B = _pair(seed, d)
+        A, B = pair(seed, d)
         grid = krein_ssf(A, B)
         for fam in (exponential(), gaussian()):
             lhs = float(np.real(
@@ -268,7 +261,7 @@ def test_criterion_6_first_order_ssf():
             worst_pair = max(worst_pair, abs(lhs - rhs) / max(1.0, abs(lhs)))
     _verdict(6, "exact Krein breakpoint trace formula", worst_pair, 1e-10)
 
-    A, B = _pair(5, 4)
+    A, B = pair(5, 4)
     four = higher_ssf_fourier(A, B, n=1)
     count = krein_ssf(A, B)
     lam = np.asarray(count.params["spectrum_base"])

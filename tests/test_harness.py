@@ -261,25 +261,41 @@ def test_cli_config_error_exit_code(tmp_path):
         "missing_matrix.json": {"seed": 1, "ensemble": "fixed_matrix_file",
                                 "matrix_a": "nope_a.json", "matrix_b": "nope_b.csv"},
     }
+    # a matrix pair that is not of one shape, Hermitian and finite
+    bad_b = {"b1.csv": [[0.5]], "nonherm.csv": [[0.0, 1.0], [0.0, 0.0]],
+             "nan.csv": [[0.0, np.nan], [np.nan, 1.0]]}
+    configs.update({f"pair_{name}.json": {"seed": 1, "ensemble": "fixed_matrix_file",
+                                          "matrix_a": "A.csv", "matrix_b": name}
+                    for name in bad_b})
     for name, payload in configs.items():
         (tmp_path / name).write_text(json.dumps(payload))
     deriv = ["deriv", "--k", "1", "--seed", "5"]
     missing = ["--matrix-a", "nope_a.json", "--matrix-b", "nope_b.csv"]
     save_matrix_csv(tmp_path / "A.csv", np.diag([0.0, 1.0]))
     save_matrix_csv(tmp_path / "B.csv", np.diag([0.5, 0.0]))
+    for name, M in bad_b.items():
+        save_matrix_csv(tmp_path / name, np.array(M))
     ssf = ["ssf", "--matrix-a", "A.csv", "--matrix-b", "B.csv", "--order", "2", "--out", "e.csv"]
+    bad_pairs = [["--matrix-a", "A.csv", "--matrix-b", name] for name in bad_b]
     cases = [
         ["run", "--config", "nope.json", "--suite", "counterexample", "--out", "o"],
         ["counterexample", "--p", "2.0", "--dims", "16,abc"],
         ["counterexample", "--p", "2", "--dims", "0,16"],
         ["counterexample", "--p", "2", "--dims", "16,1099511627776"],  # 8 TiB per array
-        *(["run", "--config", name, "--suite", "counterexample", "--out", "o"]
-          for name in list(configs)[:-1]),
-        ["run", "--config", "missing_matrix.json", "--suite", "derivatives", "--out", "o"],
+        # the matrix files are read by the groups that draw the ensemble
+        *(["run", "--config", name, "--suite",
+           "derivatives" if name.startswith(("missing_", "pair_")) else "counterexample",
+           "--out", "o"] for name in configs),
         ["ssf", *missing, "--order", "2", "--out", "eta.csv"],
         *([*ssf, f"--s-max={v}"] for v in ("nan", "inf", "-inf", "0")),
         [*ssf, "--num-s", "7"],
+        ["ssf", "--matrix-a", "A.csv", "--matrix-b", "B.csv", "--order", "0", "--out", "e.csv"],
+        *(["ssf", *pair, "--order", "2", "--out", "e.csv"] for pair in bad_pairs),
+        *(["deriv", "--k", "1", "--f", "gaussian", *pair] for pair in bad_pairs),
         ["deriv", "--k", "1", "--f", "gaussian", *missing],
+        # --k outside the stencils 1..4 or past the family's max_order
+        *(["deriv", "--f", "gaussian", "--k", k, "--seed", "7"] for k in ("0", "5", "9")),
+        ["deriv", "--f", "recip_plus", "--k", "3", "--seed", "7"],
         [*deriv, "--f", "gaussian", "--params", "{bad"],
         [*deriv, "--f", "gaussian", "--params", "[1]"],
         [*deriv, "--f", "gaussian", "--params", '{"foo": 1}'],

@@ -10,12 +10,11 @@ from hypothesis import strategies as st
 
 from moilab import cli
 from moilab import ssf as ssf_module
-from moilab.errors import OrderLimitError, ParameterError
+from moilab.errors import DimensionMismatchError, OrderLimitError, ParameterError
 from moilab.families import bump, exponential, fourier, gaussian, recip_plus, runge
 from moilab.harness import DEFAULT_TOLERANCES, ExperimentConfig, generate_ensemble, run_suite
 from moilab.matrix_io import save_matrix_csv
 from moilab.moi import DividedDifferenceSymbol
-from moilab.rng import SplitMix64
 from moilab.spectral import eig_hermitian, trace
 from moilab.ssf import (
     MAX_NUM_S,
@@ -30,14 +29,7 @@ from moilab.ssf import (
     verify_trace_formula,
 )
 from moilab.taylor import taylor_remainder
-from conftest import random_hermitian
-
-
-def pair(seed, d, scale=1.0):
-    gen = SplitMix64(seed)
-    A = random_hermitian(gen, d)
-    B = random_hermitian(gen, d)
-    return A, scale * B / np.linalg.norm(B, 2)
+from conftest import pair
 
 
 def test_krein_scalar_step():
@@ -239,6 +231,25 @@ def test_order_above_max_order_is_an_order_limit_error(call):
         call(A, B)
 
 
+_A2, _B1 = np.diag([0.0, 1.0]), np.array([[0.5]])
+
+
+@pytest.mark.parametrize("swap", [False, True])
+@pytest.mark.parametrize("call", [
+    krein_ssf,
+    lambda A, B: higher_ssf_fourier(A, B, 2),
+    lambda A, B: FourierParams.auto(A, B, 2),
+    lambda A, B: verify_trace_formula(A, B, 2, krein_ssf(_A2, _A2), [gaussian()]),
+    lambda A, B: diagonal_symbol_trace(A, B, n=2, f=gaussian()),
+], ids=["krein_ssf", "higher_ssf_fourier", "FourierParams.auto", "verify_trace_formula",
+        "diagonal_symbol_trace"])
+def test_a_pair_of_different_shapes_is_a_dimension_mismatch(call, swap):
+    # A + B would broadcast a 1 x 1 matrix against the other
+    A, B = (_B1, _A2) if swap else (_A2, _B1)
+    with pytest.raises(DimensionMismatchError, match="share a dimension"):
+        call(A, B)
+
+
 def test_l1_report_zero_and_scalar():
     A, _ = pair(14, 3)
     grid = krein_ssf(A, np.zeros((3, 3)))
@@ -336,11 +347,6 @@ def _sweep(EA, EAB, B, n, ds, k_lo, k_hi, step):
         EA, EAB, B, n, ds, k_lo, k_hi, step, np.empty(k_hi - k_lo, dtype=complex))
 
 
-def _sweep_step(d, n):
-    """The s-points per chunk that higher_ssf_fourier sweeps with."""
-    return max(1, ssf_module._SWEEP_ENTRIES // max(2 * d, (n - 1) * d ** (n - 1)))
-
-
 def _sweep_and_oracle(A, B, n, full=False):
     """F on the first s past the exclusion zone, a middle s and the last s, by
     both routes, swept in higher_ssf_fourier's chunks.  The sweep runs on the
@@ -352,7 +358,7 @@ def _sweep_and_oracle(A, B, n, full=False):
     idx = np.array([0, len(grid) // 7, len(grid) - 1])
     s_vals = grid[idx]
     EA, EAB = eig_hermitian(A), eig_hermitian(A + B)
-    got = _sweep(EA, EAB, B, n, p.ds, 2, k_hi, _sweep_step(len(A), n))[idx]
+    got = _sweep(EA, EAB, B, n, p.ds, 2, k_hi, ssf_module._sweep_step(len(A), n))[idx]
     want = np.array([complex(trace(taylor_remainder(fourier(x), A, B, n))) for x in s_vals])
     return s_vals, got, want
 
@@ -474,7 +480,7 @@ def _fourier_whole_array(A, B, n):
     h, ds = p.num_s // 2, p.ds
     s = ds * np.arange(2, h)
     etahat = np.zeros(h + 1, dtype=complex)
-    etahat[2:h] = _sweep(EA, EAB, B, n, ds, 2, h, _sweep_step(len(A), n))
+    etahat[2:h] = _sweep(EA, EAB, B, n, ds, 2, h, ssf_module._sweep_step(len(A), n))
     etahat[2:h] /= s ** n
     etahat[2:h] *= (-1j) ** n
     eta0 = float(np.trace(np.linalg.matrix_power(B, n)).real) / math.factorial(n)

@@ -5,7 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from moilab.errors import OrderLimitError, ParameterError, ToleranceError
+from moilab.errors import (
+    DimensionMismatchError,
+    OrderLimitError,
+    ParameterError,
+    ToleranceError,
+)
 from moilab.families import bump, exponential, fourier, gaussian, monomial, recip_plus, runge
 from moilab.rng import SplitMix64
 from moilab.taylor import (
@@ -19,14 +24,7 @@ from moilab.taylor import (
     taylor_remainder,
     telescoping_check,
 )
-from conftest import random_hermitian
-
-
-def pair(seed, d, scale=1.0):
-    gen = SplitMix64(seed)
-    A = random_hermitian(gen, d)
-    B = random_hermitian(gen, d)
-    return A, scale * B / np.linalg.norm(B, 2)
+from conftest import pair, random_hermitian
 
 
 def test_first_derivative_of_square_is_anticommutator():
@@ -219,6 +217,29 @@ def test_remainder_rejects_out_of_range_order():
     A, B = pair(13, 3)
     with pytest.raises(OrderLimitError):
         taylor_remainder(recip_plus(), A, B, n=3)
+
+
+_A2, _B1 = np.diag([0.0, 1.0]), np.array([[0.5]])
+
+
+@pytest.mark.parametrize("swap", [False, True])
+@pytest.mark.parametrize("call", [
+    lambda A, B: gateaux_derivative(gaussian(), A, B, 1),
+    lambda A, B: derivative_moi(gaussian(), A, B, 1),
+    lambda A, B: finite_difference_oracle(gaussian(), A, B, 1),
+    lambda A, B: remainder_two_path(gaussian(), A, B, 2),
+    lambda A, B: taylor_remainder(gaussian(), A, B, 2),
+    lambda A, B: perturbation_first_order(gaussian(), A, B),
+    lambda A, B: perturbation_higher_order(gaussian(), A, B, [_A2], [np.eye(2)], k=1, j=1),
+    lambda A, B: telescoping_check(gaussian(), A, B, n=2, t=0.5, j=1),
+], ids=["gateaux_derivative", "derivative_moi", "finite_difference_oracle",
+        "remainder_two_path", "taylor_remainder", "perturbation_first_order",
+        "perturbation_higher_order", "telescoping_check"])
+def test_a_pair_of_different_shapes_is_a_dimension_mismatch(call, swap):
+    # A + tB would broadcast a 1 x 1 matrix against the other
+    A, B = (_B1, _A2) if swap else (_A2, _B1)
+    with pytest.raises(DimensionMismatchError, match="share a dimension"):
+        call(A, B)
 
 
 def test_perturbation_first_order_square_polynomial():
