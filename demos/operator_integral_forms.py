@@ -61,7 +61,7 @@ ops = MOIOperands(Es, args)
 exact = value.value
 print("\ndiscretized sum error vs bin density m:")
 for m in (16, 64, 256, 1024, 4096):
-    approx = moi_discretized(dd_symbol(f, n), ops, m=m, N=64 * m)
+    approx = moi_discretized(dd_symbol(f, n), ops, m=m)
     err = np.linalg.norm(approx.value - exact)
     print(f"  m = {m:5d}   bins hit = {approx.diagnostics['bins_hit']:3d}   "
           f"err = {err:.3e}")

@@ -68,6 +68,6 @@ print("                full trace      ", f"{chain.full_trace.real:+.10f}")
 print("                chain deviation ", f"{chain.chain_deviation:.1e}")
 print("                pairing errors  ", tuple(f"{e:.1e}" for e in chain.pairing_errors))
 
-rep = ssf_l1_report(A, B, 2, eta2)
+rep = ssf_l1_report(B, 2, eta2)
 print("\nL1 mass / perturbation budget:", f"{rep['l1_norm']:.4f} / {rep['b_norm_pow']:.4f}"
       f"  (ratio {rep['ratio']:.3f})")

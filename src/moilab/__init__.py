@@ -29,7 +29,6 @@ from .errors import (
     OrderLimitError,
     ParameterError,
     ToleranceError,
-    WindowError,
 )
 from .families import (
     AdmissibilityReport,

@@ -25,10 +25,6 @@ class NumericalError(MoiLabError):
         self.residual = residual
 
 
-class WindowError(MoiLabError):
-    """The discretization window [-N/m, N/m] does not cover the spectra."""
-
-
 class ToleranceError(MoiLabError):
     """Two evaluation paths that must agree disagreed beyond tolerance, or a
     bound the contract asserts was exceeded.

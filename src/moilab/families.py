@@ -7,15 +7,18 @@ The flags are metadata, not computed facts: they gate which operator-level
 results a family is allowed to certify, and :func:`classify` turns them into
 a report.
 
-Divided differences come from a confluent (Hermite) table.
-:func:`divided_difference_rows` runs it for many node tuples at once and backs
-the operator integrals; it merges no nodes, and is accurate at any node gap
-(its docstring states the rule and the bound).  The part of the table that
-does not depend on f (:func:`_table_levels`) is split from its evaluation
-(:func:`_hermite_table`), so that the Fourier sweep builds it once and
-evaluates it for every chunk of its s-grid.  :func:`divided_difference`
-runs it for one tuple after merging nodes closer than :func:`merge_tolerance`;
-it is the tests' independent oracle, accurate away from that tolerance.
+Divided differences come from a confluent (Hermite) table run over index
+rows: each row names its nodes by their indices into the sorted distinct
+nodes (:func:`_distinct_nodes`), and f^(j) is evaluated once per distinct
+node and order and gathered (:func:`_gathered`).
+:func:`divided_difference_tensor` backs the operator integrals; it merges no
+nodes, and is accurate at any node gap (its docstring states the rule and the
+bound).  The part of the table that does not depend on f
+(:func:`_table_levels`) is split from its evaluation (:func:`_hermite_table`),
+so that the Fourier sweep builds it once and evaluates it for every chunk of
+its s-grid.  :func:`divided_difference` runs it for one tuple after merging
+nodes closer than :func:`merge_tolerance`; it is the tests' independent
+oracle, accurate away from that tolerance.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ __all__ = [
     "NodeList",
     "AdmissibilityReport",
     "divided_difference",
-    "divided_difference_rows",
     "divided_difference_tensor",
     "classify",
     "merge_tolerance",
@@ -84,11 +86,8 @@ class FunctionFamily:
         Optional map k -> sup |f^(k)| over the real line, for orders where it
         is known in closed form.
     scale:
-        The length over which f changes by O(1); it sets the span below which
-        :func:`divided_difference_rows` uses Taylor series.  A family whose
-        values carry a trailing parameter axis may give one length per entry;
-        its evaluator then also takes ``evaluator(k, x, cols)`` and returns
-        only the entries ``cols`` of that axis.
+        The length over which f changes by O(1), one float; it sets the span
+        below which :func:`divided_difference_tensor` uses Taylor series.
     """
 
     def __init__(
@@ -103,7 +102,7 @@ class FunctionFamily:
         dd_kernel: Optional[Dict[int, Optional[str]]] = None,
         deriv_sup: Optional[Dict[int, float]] = None,
         params: Optional[dict] = None,
-        scale=1.0,
+        scale: float = 1.0,
     ):
         if max_order < 0:
             raise ParameterError("max_order must be nonnegative")
@@ -116,7 +115,7 @@ class FunctionFamily:
         self.dd_kernel = dict(dd_kernel or {})
         self._deriv_sup = dict(deriv_sup or {})
         self.params = dict(params or {})
-        self.scale = np.asarray(scale, dtype=float)
+        self.scale = float(scale)
 
     def __repr__(self):
         return f"FunctionFamily({self.family_id!r}, max_order={self.max_order})"
@@ -210,43 +209,35 @@ def divided_difference(f: FunctionFamily, nodes) -> complex:
     return complex(col[0])
 
 
-def divided_difference_rows(f: FunctionFamily, rows) -> np.ndarray:
-    """divided_difference(f, row) for every row of an (M, n+1) node array.
-
-    Each row is sorted and run through the Hermite table column by column,
-    with no node merged.  The level-j entry over z_i <= ... <= z_{i+j} has
-    span h = z_{i+j} - z_i, and with M = f.max_order and
-    tau = eps^(1/(M+1)) * f.scale (:func:`_near_span`) it is
-
-    - f^(j)(z_i)/j! where h = 0;
-    - the Taylor series about z_i where 0 < h < tau (:func:`_taylor_entries`);
-    - the difference quotient of two level-(j-1) entries where h >= tau.
-
-    Truncation leaves about (h/scale)^(M+1-j) of the entry, and a quotient
-    divides by a span of at least tau, so an order-k value is good to about
-    (eps + eps^(1-k/(M+1))) times the scale of f's order-k Taylor coefficients,
-    sup|f^(k)|/k!.  A trailing axis of the evaluator's values (one function per
-    entry of a parameter vector, such as exp(isx) over an s-grid) carries
-    through, and f.scale may hold one length per entry of it.
-    """
-    z = np.asarray(rows, dtype=float)
-    if z.ndim != 2 or z.shape[1] == 0:
-        raise ParameterError(f"expected an (M, n+1) node array, got shape {z.shape}")
-    z = np.sort(z, axis=1)
-    k = z.shape[1]
-    if k - 1 > f.max_order:
-        raise OrderLimitError(
-            f"divided difference of order {k - 1} needs derivatives the family "
-            f"{f.family_id!r} does not provide (max_order={f.max_order})"
-        )
-    tau = _near_span(f.max_order, f.scale)
-    return _hermite_table(f._evaluator, tau, z, _table_levels(z, tau.max(), f.max_order))
-
-
-def _near_span(max_order: int, scale) -> np.ndarray:
+def _near_span(max_order: int, scale):
     """tau = eps^(1/(M+1)) * scale: the span below which an entry of the
     Hermite table of a family with M = max_order takes its Taylor series."""
-    return np.finfo(float).eps ** (1.0 / (max_order + 1)) * np.asarray(scale, dtype=float)
+    return np.finfo(float).eps ** (1.0 / (max_order + 1)) * scale
+
+
+def _distinct_nodes(*lists) -> Tuple[np.ndarray, list]:
+    """The distinct values of the lists in ascending order, and each list as
+    indices into them: np.unique by a sort and a compare of neighbours,
+    without np.unique's import of numpy.ma."""
+    x = np.sort(np.concatenate(lists))
+    keep = np.empty(len(x), dtype=bool)
+    keep[:1] = True
+    np.not_equal(x[1:], x[:-1], out=keep[1:])
+    nodes = x[keep]
+    return nodes, [np.searchsorted(nodes, l) for l in lists]
+
+
+def _gathered(f: FunctionFamily, nodes: np.ndarray):
+    """ev(j, x) = f^(j) at the nodes of index x, from f^(j) evaluated once at
+    every node, on the first ask for order j."""
+    values = {}
+
+    def ev(j, x):
+        if j not in values:
+            values[j] = f._evaluator(j, nodes)
+        return values[j][x]
+
+    return ev
 
 
 @dataclass
@@ -273,7 +264,7 @@ def _table_levels(z: np.ndarray, near_below: float, max_order: int):
     None of it depends on the values of f, so a caller that evaluates many
     families over the same rows (the Fourier sweep, one per chunk of s)
     keeps the list, and takes the entries below each family's tau as a
-    prefix; :func:`divided_difference_rows` takes one level at a time.
+    prefix; :func:`divided_difference_tensor` takes one level at a time.
     """
     for j in range(1, z.shape[1]):
         gap = z[:, j:] - z[:, :-j]
@@ -293,17 +284,15 @@ def _table_levels(z: np.ndarray, near_below: float, max_order: int):
         yield _TableLevel(gap, (gap == 0).nonzero(), r, i, gap[r, i], h)
 
 
-def _hermite_table(ev, tau: np.ndarray, at: np.ndarray, levels) -> np.ndarray:
-    """The top entries of the Hermite table of ev over sorted rows, given by
-    their :func:`_table_levels`: ev(k, x) is f^(k) at the nodes named by x,
-    at names the nodes of the rows (their values, or any array in step with
-    them that ev reads, such as indices into a table of values), and tau is
-    :func:`_near_span` of the family.  Where tau varies along a trailing axis
-    of ev's values, ev(k, x, cols) returns only the entries cols of it.
+def _hermite_table(ev, tau, at: np.ndarray, levels) -> np.ndarray:
+    """The top entries of the Hermite table of ev over the sorted index rows
+    at, given by their :func:`_table_levels`: ev(k, x) is f^(k) at the nodes
+    of index x, and tau is :func:`_near_span` of the family, or one per entry
+    of a trailing axis of ev's values.
     """
     col = np.asarray(ev(0, at), dtype=complex)
     trailing = (Ellipsis,) + (None,) * (col.ndim - 2)
-    tau_max = tau.max()
+    tau_max = np.max(tau)
     for j, level in enumerate(levels, 1):
         with np.errstate(divide="ignore", invalid="ignore"):
             col = (col[:, 1:] - col[:, :-1]) / level.gap[trailing]
@@ -327,25 +316,27 @@ def _taylor_entries(ev, at, j, level, near, col, tau, trailing) -> None:
         f[z_i..z_{i+j}] = sum_{m <= M-j} f^(j+m)(c)/(j+m)! h_m(z_i-c, .., z_{i+j}-c)
 
     where h_m is the complete homogeneous symmetric polynomial of degree m.
-    Where tau varies along the trailing axis, the series is evaluated only on
-    the entries of that axis where some span is below tau, and an entry takes
-    it only where its own span is.
+    Where tau varies along the trailing axis, the series is evaluated on all
+    of it, and an entry takes it only where its own span is below tau.
     """
     r, i, span = level.r[:near], level.i[:near], level.span[:near]
     c = at[r, i]
-    if tau.ndim:
-        cols = np.flatnonzero(tau > span.min())
-        args = (c, cols)
-    else:
-        args = (c,)
     val = 0.0
     for m in reversed(range(len(level.h))):  # the smallest terms first
-        val = val + ev(j + m, *args) * (level.h[m, :near] / math.factorial(j + m))[trailing]
-    if tau.ndim:
-        dest = (r[:, None], i[:, None], cols)
-        col[dest] = np.where(span[:, None] < tau[cols], val, col[dest])
-    else:
-        col[r, i] = val
+        val = val + ev(j + m, c) * (level.h[m, :near] / math.factorial(j + m))[trailing]
+    if np.ndim(tau):
+        val = np.where(span[trailing] < tau, val, col[r, i])
+    col[r, i] = val
+
+
+def _indexed_divided_differences(f: FunctionFamily, nodes: np.ndarray, rows: np.ndarray):
+    """divided_difference(f, nodes[row]) for every row of the (M, n+1) array
+    rows of indices into the sorted distinct nodes, by the rule of
+    :func:`divided_difference_tensor`; rows is sorted along axis 1 in place."""
+    rows.sort(axis=1)
+    tau = _near_span(f.max_order, f.scale)
+    levels = _table_levels(nodes[rows], tau, f.max_order)
+    return _hermite_table(_gathered(f, nodes), tau, rows, levels)
 
 
 def divided_difference_tensor(
@@ -353,8 +344,22 @@ def divided_difference_tensor(
 ) -> np.ndarray:
     """Entry (i_0,...,i_n) = divided_difference(f, (lists[0][i_0],...,lists[n][i_n])).
 
-    Evaluated by :func:`divided_difference_rows` over the rows of the
-    Cartesian product of the lists.
+    The rows of the Cartesian product name their nodes by indices into the
+    sorted distinct nodes of the lists, so f^(j) is evaluated once per
+    distinct node and order.  Each row is sorted and run through the Hermite
+    table column by column, with no node merged.  The level-j entry over
+    z_i <= ... <= z_{i+j} has span h = z_{i+j} - z_i, and with
+    M = f.max_order and tau = eps^(1/(M+1)) * f.scale (:func:`_near_span`)
+    it is
+
+    - f^(j)(z_i)/j! where h = 0;
+    - the Taylor series about z_i where 0 < h < tau (:func:`_taylor_entries`);
+    - the difference quotient of two level-(j-1) entries where h >= tau.
+
+    Truncation leaves about (h/scale)^(M+1-j) of the entry, and a quotient
+    divides by a span of at least tau, so an order-k value is good to about
+    (eps + eps^(1-k/(M+1))) times the scale of f's order-k Taylor coefficients,
+    sup|f^(k)|/k!.
     """
     if len(node_lists) != order + 1:
         raise ParameterError(f"expected {order + 1} node lists, got {len(node_lists)}")
@@ -366,8 +371,9 @@ def divided_difference_tensor(
     for l in lists:
         if l.size == 0:
             raise ParameterError("empty node list")
-    rows = np.stack(np.meshgrid(*lists, indexing="ij"), axis=-1).reshape(-1, order + 1)
-    return divided_difference_rows(f, rows).reshape([len(l) for l in lists])
+    nodes, index = _distinct_nodes(*lists)
+    rows = np.stack(np.meshgrid(*index, indexing="ij"), axis=-1).reshape(-1, order + 1)
+    return _indexed_divided_differences(f, nodes, rows).reshape([len(l) for l in lists])
 
 
 @dataclass

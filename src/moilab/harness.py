@@ -395,7 +395,7 @@ def _checks_moi(config: ExperimentConfig) -> _GroupResult:
     exact = moi_projection_sum(dd_symbol(fam, 2), ops2).value
     errs = []
     for m in [2 ** j for j in range(4, 13)]:
-        approx = moi_discretized(dd_symbol(fam, 2), ops2, m=m, N=64 * m).value
+        approx = moi_discretized(dd_symbol(fam, 2), ops2, m=m).value
         errs.append(float(np.linalg.norm(approx - exact)))
     worst_ratio = max(e2 / e1 for e1, e2 in zip(errs, errs[1:]))
     out.append(
@@ -408,7 +408,7 @@ def _checks_moi(config: ExperimentConfig) -> _GroupResult:
     opsg = MOIOperands([Eg, Eg, Eg], [Bg, Bg])
     ex = moi_projection_sum(dd_symbol(fam, 2), opsg).value
     worst = max(
-        float(np.linalg.norm(moi_discretized(dd_symbol(fam, 2), opsg, m=2 ** j, N=64 * 2 ** j).value - ex))
+        float(np.linalg.norm(moi_discretized(dd_symbol(fam, 2), opsg, m=2 ** j).value - ex))
         for j in range(4, 13)
     )
     out.append(
@@ -483,7 +483,7 @@ def _checks_ssf(config: ExperimentConfig) -> _GroupResult:
         _record(f"identity_chain_pairing_n{n}", "restricted-symbol-chain",
                 max(chain.pairing_errors), DEFAULT_TOLERANCES["chain_pairing"])
     )
-    l1rep = ssf_l1_report(A, B, n, grid)
+    l1rep = ssf_l1_report(B, n, grid)
     out.append(_record("ssf_l1_ratio", "l1-bound-monitor", l1rep["ratio"], math.inf))
     return out, []
 

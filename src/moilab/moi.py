@@ -32,7 +32,6 @@ across runs.
 
 from __future__ import annotations
 
-import math
 import string
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple, Union
@@ -44,11 +43,11 @@ from .errors import (
     OrderLimitError,
     ParameterError,
     ToleranceError,
-    WindowError,
 )
 from .families import (
     FunctionFamily,
-    divided_difference_rows,
+    _distinct_nodes,
+    _indexed_divided_differences,
     divided_difference_tensor,
 )
 from .spectral import EigenSystem, apply_callable, eig_hermitian, schatten_norm, trace
@@ -164,9 +163,11 @@ class DiagonalRestrictedSymbol(Symbol):
 
     def tensor(self, reps):
         if isinstance(self.base, DividedDifferenceSymbol):
-            rows = np.stack(np.meshgrid(*reps, indexing="ij"), axis=-1).reshape(-1, self.arity)
+            nodes, index = _distinct_nodes(*reps)
+            rows = np.stack(np.meshgrid(*index, indexing="ij"), axis=-1).reshape(-1, self.arity)
             rows = np.concatenate([rows, rows[:, :1]], axis=1)
-            return divided_difference_rows(self.base.f, rows).reshape([len(r) for r in reps])
+            return _indexed_divided_differences(self.base.f, nodes, rows).reshape(
+                [len(r) for r in reps])
         wrapped = self.base.tensor(list(reps) + [reps[0]])
         return np.moveaxis(np.diagonal(wrapped, axis1=0, axis2=-1), -1, 0)
 
@@ -258,30 +259,14 @@ def _chunk_rows(d: int, n: int) -> int:
     return _CHUNK_ENTRIES // per_row
 
 
-def _sorted_distinct(x: np.ndarray) -> np.ndarray:
-    """The distinct values of x in ascending order: np.unique by a sort and a
-    compare of neighbours, without np.unique's import of numpy.ma."""
-    x = np.sort(x)
-    keep = np.empty(len(x), dtype=bool)
-    keep[:1] = True
-    np.not_equal(x[1:], x[:-1], out=keep[1:])
-    return x[keep]
-
-
-def _binned(ops: MOIOperands, m: int, N: int) -> Tuple[List[np.ndarray], int]:
+def _binned(ops: MOIOperands, m: int) -> Tuple[List[np.ndarray], int]:
     """Per slot, the bin corner floor(lambda * m)/m of each eigen-index; and the bins hit."""
     corners = []
     hit = 0
     for E in ops.operators:
-        scaled = E.eigenvalues * m
-        reach = float(np.max(np.abs(scaled), initial=0.0))
-        if reach > N:
-            raise WindowError(
-                f"window [-{N}/{m}, {N}/{m}] misses spectrum; need N >= {math.ceil(reach)}"
-            )
-        bins = np.floor(scaled)
+        bins = np.floor(E.eigenvalues * m)
         corners.append(bins / m)
-        hit += len(_sorted_distinct(bins))
+        hit += len(_distinct_nodes(bins)[0])
     return corners, hit
 
 
@@ -349,18 +334,17 @@ def moi_projection_sum(symbol: Symbol, ops: MOIOperands) -> MOIResult:
     )
 
 
-def moi_discretized(symbol: Symbol, ops: MOIOperands, m: int, N: int) -> MOIResult:
+def moi_discretized(symbol: Symbol, ops: MOIOperands, m: int) -> MOIResult:
     """Discretized sum over spectral bins [l/m, (l+1)/m), symbol at bin corners.
 
-    Finite spectra make the window limit exact: once [-N/m, N/m] covers every
-    eigenvalue (|lambda * m| <= N) the sum is complete, and a too-small window
-    raises :class:`WindowError` instead of silently truncating.  Eigenvalues
-    that share a bin share its corner: a repeated, confluent node.
+    The window is the spectrum's own reach: every eigenvalue falls in its bin,
+    so the finite sum is the window limit, and nothing is truncated.
+    Eigenvalues that share a bin share its corner: a repeated, confluent node.
     """
     _check_symbol(symbol, ops)
     if m < 1:
         raise ParameterError("bin density m must be >= 1")
-    corners, bins_hit = _binned(ops, m, N)
+    corners, bins_hit = _binned(ops, m)
     value, n_evals = _contract(symbol, ops, corners)
     return MOIResult(
         value=value,
@@ -503,8 +487,8 @@ def projection_trace_weights(
     trace of the operator integral against C is then
     sum over multi-indices of phi(eigenvalues) * W.
 
-    Returns (list of per-slot eigenvalue arrays, complex array W whose axis s
-    runs over the eigen-indices of slot s).
+    Returns the complex array W, whose axis s runs over the eigen-indices of
+    slot s.
     """
     d, n = ops.dim, ops.n_args
     step = _chunk_rows(d, n)
@@ -521,4 +505,4 @@ def projection_trace_weights(
             W[rows] = Cwrap[rows, rows]
         else:
             W[rows] = np.einsum(spec, C[0][rows], *C[1:], Cwrap[:, rows])
-    return [E.eigenvalues.copy() for E in ops.operators], W
+    return W

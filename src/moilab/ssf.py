@@ -54,10 +54,16 @@ from .errors import (
     OrderLimitError,
     ParameterError,
 )
-from .families import FunctionFamily, _hermite_table, _near_span, _table_levels, monomial
+from .families import (
+    FunctionFamily,
+    _distinct_nodes,
+    _hermite_table,
+    _near_span,
+    _table_levels,
+    monomial,
+)
 from .moi import (
     _CHUNK_ENTRIES,
-    _sorted_distinct,
     DiagonalRestrictedSymbol,
     MOIOperands,
     dd_symbol,
@@ -215,9 +221,11 @@ class FourierParams:
         eta-hat oscillation, capped to bound the FFT size.
         """
         A, B = require_hermitian_pair(A, B)
-        EA = eig_hermitian(A)
-        EAB = eig_hermitian(A + B)
-        lo, hi = _spectra_hull(EA, EAB)
+        return cls._for_hull(*_spectra_hull(eig_hermitian(A), eig_hermitian(A + B)), n)
+
+    @classmethod
+    def _for_hull(cls, lo: float, hi: float, n: int) -> "FourierParams":
+        """:meth:`auto` for the joint spectral hull [lo, hi] of A and A + B."""
         span = max(hi - lo, 1e-6)
         s_max = (24000.0 if n == 1 else 600.0) / span
         pad = T_PAD_FRAC * max(span, 1.0)
@@ -373,11 +381,10 @@ def _remainder_trace_exponential(
     form leaves the rows about eps s x off a direct exp, and failed the
     sweep's remainder-oracle test at 3.6 times its bound (d = 1, n = 1, s_max).
     """
-    nodes = _sorted_distinct(np.concatenate([EA.eigenvalues, EAB.eigenvalues]))
-    at = np.searchsorted(nodes, EA.eigenvalues)
+    nodes, (at, at_ab) = _distinct_nodes(EA.eigenvalues, EAB.eigenvalues)
     # the k = 0 and k = 1 terms as weights on the nodes
     w01 = np.zeros((2, len(nodes)), dtype=complex)
-    np.add.at(w01[0], np.searchsorted(nodes, EAB.eigenvalues), 1.0)
+    np.add.at(w01[0], at_ab, 1.0)
     np.add.at(w01[0], at, -1.0)
     # exp(isx) has every derivative; 16 put tau at eps^(1/17)/s = 0.12/s,
     # where neither the series nor a quotient loses more than rounding
@@ -386,7 +393,7 @@ def _remainder_trace_exponential(
     near_below = tau_1 * (1.0 / np.float64(ds * k_lo))  # the largest tau, at the first s
     terms = []
     for k in range(1, n):
-        _, W = projection_trace_weights(MOIOperands([EA] * k, [B] * (k - 1)), closing=B)
+        W = projection_trace_weights(MOIOperands([EA] * k, [B] * (k - 1)), closing=B)
         if k == 1:
             np.add.at(w01[1], at, W)
             continue
@@ -397,14 +404,14 @@ def _remainder_trace_exponential(
         sc = ds * np.arange(lo, min(lo + step, k_hi))
         E = exp_table(sc)
 
-        def phase(j, x, cols=slice(None)):
+        def phase(j, x):
             # (is)^j exp(isx) at the nodes of index x, for the s of the chunk
-            # (those in cols) as a trailing axis, gathered from the rows and
-            # scaled in place.  (is)^j has an exact zero part, so each
-            # product is one rounding in any order.
-            e = E[:, cols][x]
+            # as a trailing axis, gathered from the rows and scaled in place.
+            # (is)^j has an exact zero part, so each product is one rounding
+            # in any order.
+            e = E[x]
             if j:
-                e *= (1j * sc[cols]) ** j
+                e *= (1j * sc) ** j
             return e
 
         w0, w1 = w01 @ E
@@ -526,11 +533,11 @@ def higher_ssf_fourier(
         raise ParameterError("order must be >= 1")
     A, B = require_hermitian_pair(A, B)
     step = _sweep_step(len(A), n)
-    if params is None:
-        params = FourierParams.auto(A, B, n)
     EA = eig_hermitian(A)
     EAB = eig_hermitian(A + B)
     lo, hi = _spectra_hull(EA, EAB)
+    if params is None:
+        params = FourierParams._for_hull(lo, hi, n)
     span = max(hi - lo, 1e-6)
     pad = T_PAD_FRAC * max(span, 1.0)
     t_lo, t_hi = lo - pad, hi + pad
@@ -692,7 +699,7 @@ def diagonal_symbol_trace(
     return report
 
 
-def ssf_l1_report(A, B, n: int, ssf: SSFGrid) -> dict:
+def ssf_l1_report(B, n: int, ssf: SSFGrid) -> dict:
     """Pair (l1 mass of the density, n-norm of B to the n-th power) plus ratio."""
     B = require_hermitian(B)
     bn = schatten_norm(B, float(n)) ** n

@@ -153,7 +153,7 @@ def test_criterion_2_moi_cross_forms():
     sym = dd_symbol(gaussian(), 2)
     exact = moi_projection_sum(sym, ops).value
     errs = [
-        float(np.linalg.norm(moi_discretized(sym, ops, m=2 ** k, N=64 * 2 ** k).value - exact))
+        float(np.linalg.norm(moi_discretized(sym, ops, m=2 ** k).value - exact))
         for k in range(4, 13)
     ]
     worst_ratio = max(e2 / e1 for e1, e2 in zip(errs, errs[1:]))
@@ -164,7 +164,7 @@ def test_criterion_2_moi_cross_forms():
     opsg = MOIOperands([Eg, Eg, Eg], [Bg, Bg])
     exg = moi_projection_sum(sym, opsg).value
     final = max(
-        float(np.linalg.norm(moi_discretized(sym, opsg, m=2 ** k, N=64 * 2 ** k).value - exg))
+        float(np.linalg.norm(moi_discretized(sym, opsg, m=2 ** k).value - exg))
         for k in range(4, 13)
     )
     _verdict(2, "discretized final error on resolved spectra", final, 1e-8)

@@ -15,7 +15,6 @@ from moilab.families import (
     bump,
     classify,
     divided_difference,
-    divided_difference_rows,
     divided_difference_tensor,
     exponential,
     family_from_spec,
@@ -25,6 +24,7 @@ from moilab.families import (
     recip_plus,
     runge,
 )
+from moilab.families import _hermite_table, _near_span, _table_levels
 
 # dd of exp(-x^2) on nodes (0.1, 0.2, 0.3), computed with the mpmath table
 # recursion at 60 significant digits (mp_confluent_dd); frozen here.
@@ -280,20 +280,51 @@ def test_vectorized_tensor_matches_scalar_near_tolerances(fam, order, base, offs
 
 
 def test_rows_carry_the_trailing_axes_of_a_vector_family():
-    # one family per entry of s, evaluated at once, against one fourier(s) each
+    # the Fourier sweep's use of the table: exp(isx) over several s at once as
+    # a trailing axis, tau = eps^(1/17)/s per entry, against one fourier(s) each;
+    # the spans 0.07 take the series at s = 0.3 and 1.3 and quotients at s = 40
     s = np.array([0.3, 1.3, 40.0])
-    vec = FunctionFamily(
-        "fourier_vec", fourier(1.0).max_order,
-        lambda j, x, cols=slice(None):
-            (1j * s[cols]) ** j * np.exp(1j * np.multiply.outer(x, s[cols])),
-        bounded_deriv={}, vanishes_at_inf={}, scale=1.0 / s,
-    )
-    offsets = [0.0, 1e-12, 5e-8, 1.1e-7, 0.3]
-    rows = 0.4 + 1.4 * np.array(list(itertools.product(offsets, repeat=4)))
-    got = divided_difference_rows(vec, rows)
+    offsets = [0.0, 1e-12, 5e-8, 1.1e-7, 0.05, 0.3]
+    nodes = 0.4 + 1.4 * np.array(offsets)
+    M = fourier(1.0).max_order
+    rows = np.array(list(itertools.product(range(len(nodes)), repeat=4)))
+    rows.sort(axis=1)
+    tau = _near_span(M, 1.0) * (1.0 / s)
+    levels = _table_levels(nodes[rows], tau.max(), M)
+    E = np.exp(1j * np.multiply.outer(nodes, s))
+
+    def phase(j, x):
+        e = E[x]
+        if j:
+            e *= (1j * s) ** j
+        return e
+
+    got = _hermite_table(phase, tau, rows, levels)
     assert got.shape == (len(rows), len(s))
     for j, sj in enumerate(s):
-        np.testing.assert_array_equal(got[:, j], divided_difference_rows(fourier(sj), rows))
+        want = divided_difference_tensor(fourier(sj), 3, [nodes] * 4)
+        np.testing.assert_array_equal(got[:, j], want.ravel())
+
+
+@pytest.mark.parametrize("fam", [gaussian(), fourier(40.0)])
+def test_tensor_evaluates_each_derivative_once_per_distinct_node(fam):
+    # repeated, near-confluent and distinct nodes across the slots: every
+    # order the table asks for is evaluated at no more points than there
+    # are distinct nodes
+    points = {}
+
+    def counting(j, x):
+        points[j] = points.get(j, 0) + np.size(x)
+        return fam._evaluator(j, x)
+
+    counted = FunctionFamily(fam.family_id, fam.max_order, counting, bounded_deriv={},
+                             vanishes_at_inf={}, scale=fam.scale)
+    lists = [[0.1, 0.1 + 1e-9, 0.5, 0.1], [0.5, 0.1, 0.1 + 1e-12], [0.1, 0.3, 0.5]]
+    t = divided_difference_tensor(counted, 2, lists)
+    distinct = len({x for l in lists for x in l})
+    assert set(points) >= {0, 2}  # confluent entries and Taylor series were taken
+    assert max(points.values()) <= distinct, points
+    np.testing.assert_array_equal(t, divided_difference_tensor(fam, 2, lists))
 
 
 @pytest.mark.parametrize("fam,k", [(gaussian(), 3), (runge(), 3), (bump(halfwidth=2.0), 3),

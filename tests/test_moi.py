@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from moilab.errors import (
     DimensionMismatchError,
     ParameterError,
-    WindowError,
 )
 from moilab import moi
 from moilab.families import divided_difference, exponential, gaussian, monomial, runge
@@ -167,7 +166,7 @@ def test_discretized_exact_when_spectra_on_grid():
     ops = operands([E, E], [B])
     exact = moi_projection_sum(sym, ops).value
     for m in (4, 8, 64):
-        got = moi_discretized(sym, ops, m=m, N=10 * m).value
+        got = moi_discretized(sym, ops, m=m).value
         assert np.linalg.norm(got - exact) <= 1e-12 * max(1.0, np.linalg.norm(exact))
 
 
@@ -177,28 +176,16 @@ def test_discretized_scalar_case_uses_bin_corner():
     b = np.array([[2.0 + 1.0j]])
     sym = CustomSymbol(lambda nodes: nodes[0] + 10 * nodes[1], arity=2)
     m = 8
-    got = moi_discretized(sym, operands([E, E], [b]), m=m, N=100).value
+    got = moi_discretized(sym, operands([E, E], [b]), m=m).value
     corner = np.floor(a * m) / m
     assert got[0, 0] == pytest.approx((corner + 10 * corner) * b[0, 0])
 
 
-def test_discretized_window_error():
-    E = eig_hermitian(np.diag([5.0, -3.0]))
-    sym = dd_symbol(gaussian(), 1)
-    with pytest.raises(WindowError):
-        moi_discretized(sym, operands([E, E], [np.eye(2)]), m=4, N=10)
-
-
 def test_discretized_window_is_symmetric():
-    # the window is [-N/m, N/m] on both sides: 2.6 * 4 = 10.4 lies outside N = 10
+    # eigenvalues on a bin edge, one on each side of 0, fall in two bins per slot
     sym = dd_symbol(gaussian(), 1)
-    for lam in ([2.6, -1.0], [-2.6, 1.0]):
-        ops = operands([eig_hermitian(np.diag(lam))] * 2, [np.eye(2)])
-        with pytest.raises(WindowError, match="need N >= 11"):
-            moi_discretized(sym, ops, m=4, N=10)
-        moi_discretized(sym, ops, m=4, N=11)
     edge = operands([eig_hermitian(np.diag([2.5, -2.5]))] * 2, [np.eye(2)])
-    assert moi_discretized(sym, edge, m=4, N=10).diagnostics["bins_hit"] == 4
+    assert moi_discretized(sym, edge, m=4).diagnostics["bins_hit"] == 4
 
 
 def test_discretized_shared_bin_is_a_confluent_node():
@@ -213,7 +200,7 @@ def test_discretized_shared_bin_is_a_confluent_node():
     ops = operands([(Q * lam) @ Q.conj().T for Q in (bases[0], bases[1], bases[0])],
                    [rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)) for _ in range(2)])
     f = gaussian()
-    got = moi_discretized(dd_symbol(f, 2), ops, m=2, N=10)
+    got = moi_discretized(dd_symbol(f, 2), ops, m=2)
     binned = [EigenSystem(corners, E.basis, 0.0) for E in ops.operators]
     want = brute_force_moi(f, binned, ops.arguments)
     assert np.linalg.norm(got.value - want) <= 1e-10 * np.linalg.norm(want)
@@ -233,7 +220,7 @@ def test_discretized_self_convergence_seeded():
     exact = moi_projection_sum(sym, ops).value
     errs = []
     for m in [2 ** k for k in range(4, 13)]:
-        approx = moi_discretized(sym, ops, m=m, N=64 * m).value
+        approx = moi_discretized(sym, ops, m=m).value
         errs.append(np.linalg.norm(approx - exact))
     ratios = [e2 / e1 for e1, e2 in zip(errs, errs[1:])]
     assert all(r <= 0.75 for r in ratios), ratios
@@ -251,7 +238,7 @@ def test_discretized_never_grows_beyond_slack_across_seeds():
         ops = operands([eig_hermitian(A + B), eig_hermitian(A), eig_hermitian(A)], [B, B])
         exact = moi_projection_sum(sym, ops).value
         errs = [
-            np.linalg.norm(moi_discretized(sym, ops, m=2 ** k, N=64 * 2 ** k).value - exact)
+            np.linalg.norm(moi_discretized(sym, ops, m=2 ** k).value - exact)
             for k in range(4, 13)
         ]
         ratios = [e2 / e1 for e1, e2 in zip(errs, errs[1:])]
@@ -432,7 +419,8 @@ def test_projection_trace_weights_reproduce_moi_trace():
     EAB = eig_hermitian(A + B)
     ops = operands([EAB, EA, EA], [B, B])
     f = gaussian()
-    reps, weights = projection_trace_weights(ops)
+    reps = [E.eigenvalues for E in ops.operators]
+    weights = projection_trace_weights(ops)
     assert weights.shape == tuple(len(r) for r in reps)
     total = 0.0 + 0.0j
     for key, w in np.ndenumerate(weights):
@@ -512,13 +500,13 @@ def test_kernel_chunked_and_unchunked_agree(seed, n, rows):
     ops = operands(Es, args)
     sym = dd_symbol(gaussian(), n)
     whole = moi_projection_sum(sym, ops)
-    binned = moi_discretized(sym, ops, m=8, N=200)
-    _, weights = projection_trace_weights(ops)
+    binned = moi_discretized(sym, ops, m=8)
+    weights = projection_trace_weights(ops)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(moi, "_CHUNK_ENTRIES", rows * d ** n)
         chunked = moi_projection_sum(sym, ops)
-        chunked_binned = moi_discretized(sym, ops, m=8, N=200)
-        _, chunked_weights = projection_trace_weights(ops)
+        chunked_binned = moi_discretized(sym, ops, m=8)
+        chunked_weights = projection_trace_weights(ops)
     for a, b in ((whole, chunked), (binned, chunked_binned)):
         assert np.linalg.norm(a.value - b.value) <= 1e-13 * max(1.0, np.linalg.norm(a.value))
     assert whole.diagnostics["cluster_counts"] == chunked.diagnostics["cluster_counts"]
@@ -541,7 +529,7 @@ def test_kernel_budget_error_before_allocation():
         with pytest.raises(ParameterError, match="one chunk may hold"):
             moi_projection_sum(CustomSymbol(never, n + 1), ops)
         with pytest.raises(ParameterError, match="one chunk may hold"):
-            moi_discretized(dd_symbol(gaussian(), n), ops, m=4, N=10 ** 6)
+            moi_discretized(dd_symbol(gaussian(), n), ops, m=4)
         with pytest.raises(ParameterError, match="one chunk may hold"):
             projection_trace_weights(ops)
         peak = tracemalloc.get_traced_memory()[1]

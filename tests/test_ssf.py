@@ -253,13 +253,31 @@ def test_a_pair_of_different_shapes_is_a_dimension_mismatch(call, swap):
 def test_l1_report_zero_and_scalar():
     A, _ = pair(14, 3)
     grid = krein_ssf(A, np.zeros((3, 3)))
-    rep = ssf_l1_report(A, np.zeros((3, 3)), 1, grid)
+    rep = ssf_l1_report(np.zeros((3, 3)), 1, grid)
     assert rep["l1_norm"] == 0.0 and rep["b_norm_pow"] == 0.0
     # scalar order-2 closed form integrates to 1/2 with unit perturbation
     grid2 = higher_ssf_fourier(np.array([[0.0]]), np.array([[1.0]]), n=2)
-    rep2 = ssf_l1_report(np.array([[0.0]]), np.array([[1.0]]), 2, grid2)
+    rep2 = ssf_l1_report(np.array([[1.0]]), 2, grid2)
     assert rep2["l1_norm"] == pytest.approx(0.5, abs=2e-2)
     assert rep2["b_norm_pow"] == pytest.approx(1.0)
+
+
+def test_auto_grid_reuses_the_eigensolves_of_the_call(monkeypatch):
+    # with params=None the grid is sized from the hull the call computes
+    # anyway: one eigensolve of A and one of A + B, not two of each
+    A, B = generate_ensemble(ExperimentConfig(seed=7, dimension=16, order=2))
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(len(args[0]))
+        return eig_hermitian(*args, **kwargs)
+
+    monkeypatch.setattr(ssf_module, "eig_hermitian", counting)
+    grid = higher_ssf_fourier(A, B, 2)
+    assert calls == [16, 16]
+    monkeypatch.undo()
+    p = FourierParams.auto(A, B, 2)
+    assert grid.params == {"s_max": p.s_max, "num_s": p.num_s}
 
 
 def test_remainder_trace_is_linear_in_function():
