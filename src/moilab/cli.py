@@ -6,6 +6,10 @@
     moi-lab counterexample --p 2.0 --dims 16,64,256,1024,4096 --out table.csv
 
 Exit codes: 0 all checks passed, 1 at least one failed, 2 configuration error.
+
+Importing this module loads only the standard library and moilab.errors; each
+command imports the modules it runs when it starts, so ``ssf`` never loads
+the check harness, the RNG or the Taylor module.
 """
 
 from __future__ import annotations
@@ -15,14 +19,7 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import matrix_io
 from .errors import ConfigError, MoiLabError, ParameterError
-from .families import family_from_spec
-from .harness import SUITES, ExperimentConfig, generate_ensemble, run_suite
-from .ssf import FourierParams, higher_ssf_fourier, krein_ssf, save_ssf
-from .taylor import _STENCILS, derivative_moi, finite_difference_oracle, lp_counterexample_demo
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -36,7 +33,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="execute a check suite from a JSON config")
     p_run.add_argument("--config", required=True)
-    p_run.add_argument("--suite", required=True, choices=SUITES)
+    p_run.add_argument("--suite", required=True,
+                       help="a check group, or all; see harness.SUITES")
     p_run.add_argument("--out", required=True, help="output directory for report and artifacts")
 
     p_ssf = sub.add_parser("ssf", help="compute a spectral shift function")
@@ -69,6 +67,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
+    from .harness import ExperimentConfig, run_suite
+
     config = ExperimentConfig.from_json(args.config)
     config.out_dir = args.out
     report = run_suite(config, args.suite)
@@ -82,6 +82,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_ssf(args) -> int:
+    from . import matrix_io
+    from .ssf import FourierParams, higher_ssf_fourier, krein_ssf, save_ssf
+
     if args.order < 1:
         raise ConfigError(f"--order {args.order}: the order must be >= 1")
     A, B = matrix_io.load_hermitian_pair(args.matrix_a, args.matrix_b)
@@ -90,15 +93,13 @@ def _cmd_ssf(args) -> int:
             raise ConfigError("counting method is first order only")
         grid = krein_ssf(A, B)
     else:
-        params = None
-        if args.s_max is not None or args.num_s is not None:
-            base = FourierParams.auto(A, B, args.order)
-            s_max = args.s_max if args.s_max is not None else base.s_max
-            num_s = args.num_s if args.num_s is not None else base.num_s
-            try:
-                params = FourierParams(s_max=s_max, num_s=num_s)
-            except ParameterError as exc:
-                raise ConfigError(f"--s-max {s_max!r} --num-s {num_s!r}: {exc}") from None
+        # a flag left out is sized from the hull of the call's own eigensolves
+        try:
+            params = FourierParams(s_max=args.s_max, num_s=args.num_s)
+        except ParameterError as exc:
+            given = {"--s-max": args.s_max, "--num-s": args.num_s}
+            flags = " ".join(f"{k} {v!r}" for k, v in given.items() if v is not None)
+            raise ConfigError(f"{flags}: {exc}") from None
         grid = higher_ssf_fourier(A, B, n=args.order, params=params, seed=args.seed)
     sidecar = args.sidecar or (args.out + ".json")
     save_ssf(grid, args.out, sidecar)
@@ -107,6 +108,12 @@ def _cmd_ssf(args) -> int:
 
 
 def _cmd_deriv(args) -> int:
+    import numpy as np
+
+    from . import matrix_io
+    from .families import family_from_spec
+    from .taylor import _STENCILS, derivative_moi, finite_difference_oracle
+
     try:  # ValueError: invalid JSON; TypeError: JSON that is not an object
         fam = family_from_spec({"id": args.f, **json.loads(args.params)})
     except (ValueError, TypeError, ParameterError) as exc:
@@ -119,6 +126,8 @@ def _cmd_deriv(args) -> int:
     if args.matrix_a and args.matrix_b:
         A, B = matrix_io.load_hermitian_pair(args.matrix_a, args.matrix_b)
     elif args.seed is not None:
+        from .harness import ExperimentConfig, generate_ensemble
+
         cfg = ExperimentConfig(seed=args.seed, dimension=args.dim)
         A, B = generate_ensemble(cfg)
     else:
@@ -136,6 +145,8 @@ def _cmd_deriv(args) -> int:
 
 
 def _cmd_counterexample(args) -> int:
+    from .taylor import lp_counterexample_demo
+
     try:
         dims = [int(x) for x in args.dims.split(",") if x]
     except ValueError:

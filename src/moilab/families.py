@@ -517,18 +517,27 @@ def gaussian(max_order: int = 8) -> FunctionFamily:
 
 
 def _bump_numerators(max_order: int):
-    """Polynomials P_j with f^(j) = f * P_j(u) / (1-u^2)^(2j) on |u| < 1."""
-    from numpy.polynomial import Polynomial
-
-    one_minus = Polynomial([1.0, 0.0, -1.0])  # 1 - u^2
-    polys = [Polynomial([1.0])]
+    """Coefficients, lowest degree first, of the polynomials P_j with
+    f^(j) = f * P_j(u) / (1-u^2)^(2j) on |u| < 1.  They are small integers,
+    so every sum and product below is exact."""
+    one_minus_sq = np.array([1.0, 0.0, -2.0, 0.0, 1.0])  # (1 - u^2)^2
+    polys = [np.array([1.0])]
     for j in range(1, max_order + 1):
-        p = polys[-1]
-        # P_{j} from P_{j-1}: quotient rule plus the chain factor -2u/(1-u^2)^2
-        p_next = p.deriv() * one_minus ** 2 + (4 * (j - 1)) * Polynomial([0.0, 1.0]) * one_minus * p \
-            + Polynomial([0.0, -2.0]) * p
-        polys.append(p_next)
+        p = np.append(polys[-1], 0.0)  # a spare degree, so that P' is never empty
+        # P_j from P_{j-1}: quotient rule plus the chain factor -2u/(1-u^2)^2,
+        # P_j = P' (1-u^2)^2 + (4(j-1) u (1-u^2) - 2u) P
+        p_next = np.convolve(p[1:] * np.arange(1, len(p)), one_minus_sq) \
+            + np.convolve(p, [0.0, 4.0 * j - 6.0, 0.0, -4.0 * (j - 1)])
+        polys.append(np.trim_zeros(p_next, "b"))
     return polys
+
+
+def _horner(coef: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The polynomial with coefficients coef (lowest degree first) at x."""
+    out = coef[-1] + x * 0
+    for c in coef[-2::-1]:
+        out = c + out * x
+    return out
 
 
 def bump(center: float = 0.0, halfwidth: float = 1.0, max_order: int = 6) -> FunctionFamily:
@@ -545,7 +554,7 @@ def bump(center: float = 0.0, halfwidth: float = 1.0, max_order: int = 6) -> Fun
         inside = np.abs(u) < 1.0
         ui = u[inside]
         core = np.exp(-1.0 / (1.0 - ui ** 2))
-        out[inside] = core * polys[j](ui) / (1.0 - ui ** 2) ** (2 * j) / w ** j
+        out[inside] = core * _horner(polys[j], ui) / (1.0 - ui ** 2) ** (2 * j) / w ** j
         return out.reshape(xa.shape)
 
     fam = FunctionFamily(

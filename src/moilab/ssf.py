@@ -79,7 +79,6 @@ from .spectral import (
     schatten_norm,
     trace,
 )
-from .taylor import taylor_remainder
 
 __all__ = [
     "SSFGrid",
@@ -191,19 +190,24 @@ class FourierParams:
     and its number of steps num_s.  The s-grid is periodic, s_k = k ds for the
     integer offsets -num_s/2 <= k < num_s/2 with ds = 2 s_max / num_s; the
     exclusion zone |s| < 2 ds is the offsets |k| <= 1, and the density is
-    sampled at t-step pi / s_max."""
+    sampled at t-step pi / s_max.
 
-    s_max: float
-    num_s: int
+    A field left None is sized by :func:`higher_ssf_fourier` as :meth:`auto`
+    would size it, from the eigensolves the call makes anyway; each given
+    field is checked here, on its own."""
+
+    s_max: Optional[float] = None
+    num_s: Optional[int] = None
 
     def __post_init__(self):
-        if self.num_s % 2:
+        num_s, s_max = self.num_s, self.s_max
+        if num_s is not None and num_s % 2:
             raise ParameterError("num_s must be even")
-        if self.num_s > MAX_NUM_S:
-            raise ParameterError(f"num_s = {self.num_s} exceeds the cap {MAX_NUM_S}")
-        if not (math.isfinite(self.s_max) and self.s_max > 0):
-            raise ParameterError(f"s_max must be finite and positive, got {self.s_max!r}")
-        if self.num_s <= 4:
+        if num_s is not None and num_s > MAX_NUM_S:
+            raise ParameterError(f"num_s = {num_s} exceeds the cap {MAX_NUM_S}")
+        if s_max is not None and not (math.isfinite(s_max) and s_max > 0):
+            raise ParameterError(f"s_max must be finite and positive, got {s_max!r}")
+        if num_s is not None and num_s <= 4:
             raise ParameterError("num_s must exceed 4, so that the exclusion 2 ds < s_max")
 
     @property
@@ -237,6 +241,14 @@ class FourierParams:
             # (num_s / 2) pi / s_max covers the padded hull twice over
             s_max = min(s_max, (num_s // 2) * math.pi / (2.0 * t_abs))
         return cls(s_max=s_max, num_s=num_s)
+
+    def _filled(self, lo: float, hi: float, n: int) -> "FourierParams":
+        """These params with each field left None taken from :meth:`_for_hull`."""
+        if self.s_max is not None and self.num_s is not None:
+            return self
+        auto = self._for_hull(lo, hi, n)
+        return FourierParams(s_max=auto.s_max if self.s_max is None else self.s_max,
+                             num_s=auto.num_s if self.num_s is None else self.num_s)
 
 
 class _ExpTable:
@@ -510,7 +522,9 @@ def higher_ssf_fourier(
     few eps times d (1 + s ||B||)^(n-1) against a block-triangular expm.
 
     The s-grid is periodic: s_k = k ds for the integer offsets -h <= k < h,
-    h = num_s / 2, ds = 2 s_max / num_s.  Only s >= 0 is held, since
+    h = num_s / 2, ds = 2 s_max / num_s; params None, or a field of it left
+    None, is sized from the hull of the call's own two eigensolves, as
+    :meth:`FourierParams.auto` sizes it.  Only s >= 0 is held, since
     etahat(-s) = conj etahat(s); the taper is exactly 0 at s = +-s_max, so
     leaving out s = +s_max changes nothing.  F is swept at k >= 2 and
     divided by (is)^n there; the exclusion zone |k| <= 1 (|s| < 2 ds) is
@@ -536,8 +550,7 @@ def higher_ssf_fourier(
     EA = eig_hermitian(A)
     EAB = eig_hermitian(A + B)
     lo, hi = _spectra_hull(EA, EAB)
-    if params is None:
-        params = FourierParams._for_hull(lo, hi, n)
+    params = (FourierParams() if params is None else params)._filled(lo, hi, n)
     span = max(hi - lo, 1e-6)
     pad = T_PAD_FRAC * max(span, 1.0)
     t_lo, t_hi = lo - pad, hi + pad
@@ -629,6 +642,8 @@ def verify_trace_formula(
     k = 0, 1, 2 compare the k-th grid moment with
     k!/(n+k)! * trace(remainder_n(x^{n+k})).
     """
+    from .taylor import taylor_remainder  # the one user of taylor here
+
     A, B = require_hermitian_pair(A, B)
     report = TraceFormulaReport()
     for f in test_functions:

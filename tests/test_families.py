@@ -24,7 +24,7 @@ from moilab.families import (
     recip_plus,
     runge,
 )
-from moilab.families import _hermite_table, _near_span, _table_levels
+from moilab.families import _bump_numerators, _hermite_table, _horner, _near_span, _table_levels
 
 # dd of exp(-x^2) on nodes (0.1, 0.2, 0.3), computed with the mpmath table
 # recursion at 60 significant digits (mp_confluent_dd); frozen here.
@@ -358,6 +358,30 @@ def test_real_families_return_real_values():
     for fam in (gaussian(), runge(), bump(), monomial(3), recip_plus()):
         v = divided_difference(fam, (0.1, 0.3))
         assert abs(v.imag) == 0.0
+
+
+def test_bump_numerators_match_numpy_polynomial():
+    # the bump's numerators P_j are coefficient arrays evaluated by Horner's
+    # rule; numpy.polynomial, a test-only oracle here, builds the same
+    # recurrence: the coefficients agree exactly, the values bit for bit
+    from numpy.polynomial import Polynomial
+
+    one_minus = Polynomial([1.0, 0.0, -1.0])
+    ref = [Polynomial([1.0])]
+    for j in range(1, 7):
+        p = ref[-1]
+        ref.append(p.deriv() * one_minus ** 2
+                   + (4 * (j - 1)) * Polynomial([0.0, 1.0]) * one_minus * p
+                   + Polynomial([0.0, -2.0]) * p)
+    polys = _bump_numerators(6)
+    x = np.linspace(-3.0, 3.0, 20005)
+    for center, halfwidth in ((0.0, 1.0), (0.3, 0.7)):
+        u = (x - center) / halfwidth
+        u = u[np.abs(u) < 1.0]
+        for j in range(7):
+            np.testing.assert_array_equal(polys[j], ref[j].coef)
+            got, want = _horner(polys[j], u), ref[j](u)
+            assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_classify_bump_admits_everything():

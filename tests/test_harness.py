@@ -277,8 +277,10 @@ def test_cli_config_error_exit_code(tmp_path):
         save_matrix_csv(tmp_path / name, np.array(M))
     ssf = ["ssf", "--matrix-a", "A.csv", "--matrix-b", "B.csv", "--order", "2", "--out", "e.csv"]
     bad_pairs = [["--matrix-a", "A.csv", "--matrix-b", name] for name in bad_b]
+    (tmp_path / "ok.json").write_text('{"seed": 1}')
     cases = [
         ["run", "--config", "nope.json", "--suite", "counterexample", "--out", "o"],
+        ["run", "--config", "ok.json", "--suite", "nosuch", "--out", "o_nosuch"],
         ["counterexample", "--p", "2.0", "--dims", "16,abc"],
         ["counterexample", "--p", "2", "--dims", "0,16"],
         ["counterexample", "--p", "2", "--dims", "16,1099511627776"],  # 8 TiB per array
@@ -318,6 +320,7 @@ def test_cli_config_error_exit_code(tmp_path):
         # time, so that a loaded machine does not fail it
         cpu = after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime
         assert cpu < 1.0, (argv, cpu)
+    assert not (tmp_path / "o_nosuch").exists()  # an unknown suite writes nothing
 
 
 def test_cli_commands_do_not_import_numpy_ma(tmp_path):
@@ -337,6 +340,65 @@ def test_cli_commands_do_not_import_numpy_ma(tmp_path):
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          cwd=tmp_path, env=_child_env(), timeout=120)
     assert res.returncode == 0, res.stderr
+
+
+def _run_child(code, cwd, env=None):
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         cwd=cwd, env=env or _child_env(), timeout=120)
+    assert res.returncode == 0, res.stderr
+    return res.stdout
+
+
+def test_import_cli_loads_no_numpy_and_no_other_moilab_module(tmp_path):
+    # the command module holds the standard library and moilab.errors alone;
+    # importing it still sets the BLAS thread default, before numpy loads
+    env = _child_env()
+    for var in BLAS_THREAD_VARS:
+        env.pop(var, None)
+    code = (
+        "import os, sys\n"
+        "import moilab.cli\n"
+        "print(*sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'moilab')))\n"
+        "print(os.environ['OPENBLAS_NUM_THREADS'])\n"
+    )
+    loaded, threads = _run_child(code, tmp_path, env).splitlines()
+    assert loaded.split() == ["moilab", "moilab.cli", "moilab.errors"]
+    assert threads == "1"
+
+
+def test_cli_ssf_loads_only_the_modules_it_runs(tmp_path):
+    save_matrix_csv(tmp_path / "A.csv", np.diag([0.0, 1.0, 2.5]))
+    save_matrix_csv(tmp_path / "B.csv", np.full((3, 3), 0.3))
+    code = (
+        "import sys\n"
+        "from moilab.cli import main\n"
+        "assert main(['ssf', '--matrix-a', 'A.csv', '--matrix-b', 'B.csv', '--order', '2',"
+        " '--out', 'eta.csv']) == 0\n"
+        "print(*(m for m in ('moilab.harness', 'moilab.rng', 'moilab.taylor', 'numpy.polynomial')"
+        " if m in sys.modules))\n"
+    )
+    assert _run_child(code, tmp_path).splitlines()[-1] == ""
+
+
+def test_package_names_resolve_to_their_modules(tmp_path):
+    # every exported name is the object its own module defines; star and
+    # submodule imports still work in a fresh process; an unknown name raises
+    for name in moilab.__all__:
+        obj = getattr(moilab, name)
+        assert getattr(sys.modules[obj.__module__], name) is obj, name
+        assert obj.__module__.startswith("moilab."), name
+    assert set(moilab.__all__) <= set(dir(moilab))
+    with pytest.raises(AttributeError, match="nosuch"):
+        moilab.nosuch
+    code = (
+        "from moilab import *\n"
+        "from moilab import harness\n"
+        "import moilab\n"
+        "assert all(globals()[name] is getattr(moilab, name) for name in moilab.__all__)\n"
+        "assert harness.run_suite is run_suite\n"
+        "print(len(moilab.__all__))\n"
+    )
+    assert _run_child(code, tmp_path).strip() == str(len(moilab.__all__))
 
 
 def test_cli_ssf_and_deriv(tmp_path):

@@ -280,6 +280,34 @@ def test_auto_grid_reuses_the_eigensolves_of_the_call(monkeypatch):
     assert grid.params == {"s_max": p.s_max, "num_s": p.num_s}
 
 
+def test_cli_grid_override_reuses_the_eigensolves_of_the_call(monkeypatch, tmp_path):
+    # --num-s or --s-max alone: the other is sized from the hull of the
+    # call's own two eigensolves, not from two more; the density is the one
+    # the fully given grid yields
+    A, B = generate_ensemble(ExperimentConfig(seed=7, dimension=16, order=2))
+    save_matrix_csv(tmp_path / "A.csv", A)
+    save_matrix_csv(tmp_path / "B.csv", B)
+    auto = FourierParams.auto(A, B, 2)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(len(args[0]))
+        return eig_hermitian(*args, **kwargs)
+
+    monkeypatch.setattr(ssf_module, "eig_hermitian", counting)
+    for flag, value, params in (("--num-s", "16384", FourierParams(auto.s_max, 16384)),
+                                ("--s-max", "35.5", FourierParams(35.5, auto.num_s))):
+        calls.clear()
+        out = tmp_path / f"eta{flag}.csv"
+        argv = ["ssf", "--matrix-a", str(tmp_path / "A.csv"), "--matrix-b",
+                str(tmp_path / "B.csv"), "--order", "2", flag, value, "--out", str(out)]
+        assert cli.main(argv) == 0
+        assert calls == [16, 16]
+        grid = load_ssf(out, str(out) + ".json")
+        assert grid.params == {"s_max": params.s_max, "num_s": params.num_s}
+        np.testing.assert_array_equal(grid.values, higher_ssf_fourier(A, B, 2, params).values)
+
+
 def test_remainder_trace_is_linear_in_function():
     # trace(remainder(a1 f1 + a2 f2)) equals the combination of the parts
     from moilab.families import FunctionFamily
