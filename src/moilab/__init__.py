@@ -40,11 +40,11 @@ _EXPORTS = {
         "fourier", "gaussian", "monomial", "recip_plus", "runge",
     ),
     "harness": ("ExperimentConfig", "Report", "generate_ensemble", "run_suite"),
+    "kernels": ("MOIOperands", "projection_trace_weights"),
     "moi": (
         "DiagonalRestrictedSymbol", "DividedDifferenceSymbol", "FactorTerm", "FactorizedSymbol",
-        "MOIOperands", "MOIResult", "Symbol", "dd_symbol", "exponential_symbol",
-        "moi_discretized", "moi_factorized", "moi_norm_report", "moi_projection_sum",
-        "moi_trace", "operands", "projection_trace_weights",
+        "MOIResult", "Symbol", "dd_symbol", "exponential_symbol", "moi_discretized",
+        "moi_factorized", "moi_norm_report", "moi_projection_sum", "moi_trace", "operands",
     ),
     "rng": ("SplitMix64",),
     "spectral": ("EigenSystem", "apply_function", "eig_hermitian", "schatten_norm", "trace"),

@@ -9,7 +9,9 @@ Exit codes: 0 all checks passed, 1 at least one failed, 2 configuration error.
 
 Importing this module loads only the standard library and moilab.errors; each
 command imports the modules it runs when it starts, so ``ssf`` never loads
-the check harness, the RNG or the Taylor module.
+the check harness, the RNG, the Taylor module, the function families or the
+operator-integral forms, and ``deriv --seed`` draws its pair from the RNG
+without the check harness.
 """
 
 from __future__ import annotations
@@ -126,10 +128,10 @@ def _cmd_deriv(args) -> int:
     if args.matrix_a and args.matrix_b:
         A, B = matrix_io.load_hermitian_pair(args.matrix_a, args.matrix_b)
     elif args.seed is not None:
-        from .harness import ExperimentConfig, generate_ensemble
+        from .rng import check_draw, gue_like_pair
 
-        cfg = ExperimentConfig(seed=args.seed, dimension=args.dim)
-        A, B = generate_ensemble(cfg)
+        check_draw(args.seed, args.dim)
+        A, B = gue_like_pair(args.seed, args.dim)
     else:
         raise ConfigError("deriv needs either --matrix-a/--matrix-b or --seed")
     D = derivative_moi(fam, A, B, k=args.k, t=args.t)

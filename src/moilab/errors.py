@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the memory budget whose
+excess the allocation-heavy steps report before they allocate."""
+
+# Memory one allocation-heavy step may ask for: the heavy-tail counterexample
+# (taylor.lp_counterexample_demo) and the gue_like draw (rng.check_draw).
+_MEMORY_BUDGET_BYTES = 256 << 20
 
 
 class MoiLabError(Exception):

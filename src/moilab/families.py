@@ -7,18 +7,15 @@ The flags are metadata, not computed facts: they gate which operator-level
 results a family is allowed to certify, and :func:`classify` turns them into
 a report.
 
-Divided differences come from a confluent (Hermite) table run over index
-rows: each row names its nodes by their indices into the sorted distinct
-nodes (:func:`_distinct_nodes`), and f^(j) is evaluated once per distinct
-node and order and gathered (:func:`_gathered`).
+Divided differences come from the confluent (Hermite) table of
+:mod:`moilab.kernels`, run over index rows into the sorted distinct nodes, so
+that f^(j) is evaluated once per distinct node and order.
 :func:`divided_difference_tensor` backs the operator integrals; it merges no
 nodes, and is accurate at any node gap (its docstring states the rule and the
-bound).  The part of the table that does not depend on f
-(:func:`_table_levels`) is split from its evaluation (:func:`_hermite_table`),
-so that the Fourier sweep builds it once and evaluates it for every chunk of
-its s-grid.  :func:`divided_difference` runs it for one tuple after merging
-nodes closer than :func:`merge_tolerance`; it is the tests' independent
-oracle, accurate away from that tolerance.
+bound).  :func:`divided_difference` runs a table of its own for one tuple
+after merging nodes closer than :func:`merge_tolerance`; it is the tests'
+independent oracle, accurate away from that tolerance, and shares no code
+with the kernel.
 """
 
 from __future__ import annotations
@@ -31,6 +28,7 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import OrderLimitError, ParameterError
+from .kernels import _distinct_nodes, _index_rows, _indexed_divided_differences
 
 __all__ = [
     "FunctionFamily",
@@ -209,136 +207,6 @@ def divided_difference(f: FunctionFamily, nodes) -> complex:
     return complex(col[0])
 
 
-def _near_span(max_order: int, scale):
-    """tau = eps^(1/(M+1)) * scale: the span below which an entry of the
-    Hermite table of a family with M = max_order takes its Taylor series."""
-    return np.finfo(float).eps ** (1.0 / (max_order + 1)) * scale
-
-
-def _distinct_nodes(*lists) -> Tuple[np.ndarray, list]:
-    """The distinct values of the lists in ascending order, and each list as
-    indices into them: np.unique by a sort and a compare of neighbours,
-    without np.unique's import of numpy.ma."""
-    x = np.sort(np.concatenate(lists))
-    keep = np.empty(len(x), dtype=bool)
-    keep[:1] = True
-    np.not_equal(x[1:], x[:-1], out=keep[1:])
-    nodes = x[keep]
-    return nodes, [np.searchsorted(nodes, l) for l in lists]
-
-
-def _gathered(f: FunctionFamily, nodes: np.ndarray):
-    """ev(j, x) = f^(j) at the nodes of index x, from f^(j) evaluated once at
-    every node, on the first ask for order j."""
-    values = {}
-
-    def ev(j, x):
-        if j not in values:
-            values[j] = f._evaluator(j, nodes)
-        return values[j][x]
-
-    return ev
-
-
-@dataclass
-class _TableLevel:
-    """What level j of the Hermite table over sorted rows z needs besides f:
-    the spans gap = z[:, j:] - z[:, :-j], the (r, i) of the zero spans, and
-    the (r, i) of the positive spans below a bound in ascending order of span,
-    with those spans and the complete homogeneous polynomials h[m] of their
-    offsets that their Taylor series take (:func:`_taylor_entries`)."""
-
-    gap: np.ndarray
-    confluent: Tuple[np.ndarray, np.ndarray]
-    r: np.ndarray
-    i: np.ndarray
-    span: np.ndarray
-    h: np.ndarray
-
-
-def _table_levels(z: np.ndarray, near_below: float, max_order: int):
-    """The levels j = 1..k-1 of the Hermite table over the sorted (M, k) rows z
-    whose Taylor entries are the spans below near_below, for a family of
-    max_order M (series of M - j + 1 terms at level j).
-
-    None of it depends on the values of f, so a caller that evaluates many
-    families over the same rows (the Fourier sweep, one per chunk of s)
-    keeps the list, and takes the entries below each family's tau as a
-    prefix; :func:`divided_difference_tensor` takes one level at a time.
-    """
-    for j in range(1, z.shape[1]):
-        gap = z[:, j:] - z[:, :-j]
-        r, i = ((gap > 0) & (gap < near_below)).nonzero()
-        h = np.zeros((max_order - j + 1, len(r)))
-        if len(r):
-            order = np.argsort(gap[r, i], kind="stable")
-            r, i = r[order], i[order]
-            # the Taylor series of each about its left node c (McCurdy, Ng &
-            # Parlett, Math. Comp. 43, 1984): h_m of the offsets, which are
-            # nonnegative, so h_m involves no cancellation
-            nodes = z[r[:, None], i[:, None] + np.arange(j + 1)]
-            h[0] = 1.0
-            for x in (nodes[:, 1:] - nodes[:, :1]).T:
-                for m in range(1, len(h)):
-                    h[m] += x * h[m - 1]
-        yield _TableLevel(gap, (gap == 0).nonzero(), r, i, gap[r, i], h)
-
-
-def _hermite_table(ev, tau, at: np.ndarray, levels) -> np.ndarray:
-    """The top entries of the Hermite table of ev over the sorted index rows
-    at, given by their :func:`_table_levels`: ev(k, x) is f^(k) at the nodes
-    of index x, and tau is :func:`_near_span` of the family, or one per entry
-    of a trailing axis of ev's values.
-    """
-    col = np.asarray(ev(0, at), dtype=complex)
-    trailing = (Ellipsis,) + (None,) * (col.ndim - 2)
-    tau_max = np.max(tau)
-    for j, level in enumerate(levels, 1):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            col = (col[:, 1:] - col[:, :-1]) / level.gap[trailing]
-        if len(level.confluent[0]):
-            deriv = np.asarray(ev(j, at[:, :-j][level.confluent]), dtype=complex)
-            fact = math.factorial(j)
-            col.real[level.confluent] = deriv.real / fact
-            col.imag[level.confluent] = deriv.imag / fact
-        # spans below the largest tau; rows with none keep the quotients
-        near = level.span.searchsorted(tau_max) if len(level.span) else 0
-        if near:
-            _taylor_entries(ev, at, j, level, near, col, tau, trailing)
-    return col[:, 0]
-
-
-def _taylor_entries(ev, at, j, level, near, col, tau, trailing) -> None:
-    """Overwrite the first near Taylor entries of the level by their series.
-
-    About the left node c = z_i (McCurdy, Ng & Parlett, Math. Comp. 43, 1984):
-
-        f[z_i..z_{i+j}] = sum_{m <= M-j} f^(j+m)(c)/(j+m)! h_m(z_i-c, .., z_{i+j}-c)
-
-    where h_m is the complete homogeneous symmetric polynomial of degree m.
-    Where tau varies along the trailing axis, the series is evaluated on all
-    of it, and an entry takes it only where its own span is below tau.
-    """
-    r, i, span = level.r[:near], level.i[:near], level.span[:near]
-    c = at[r, i]
-    val = 0.0
-    for m in reversed(range(len(level.h))):  # the smallest terms first
-        val = val + ev(j + m, c) * (level.h[m, :near] / math.factorial(j + m))[trailing]
-    if np.ndim(tau):
-        val = np.where(span[trailing] < tau, val, col[r, i])
-    col[r, i] = val
-
-
-def _indexed_divided_differences(f: FunctionFamily, nodes: np.ndarray, rows: np.ndarray):
-    """divided_difference(f, nodes[row]) for every row of the (M, n+1) array
-    rows of indices into the sorted distinct nodes, by the rule of
-    :func:`divided_difference_tensor`; rows is sorted along axis 1 in place."""
-    rows.sort(axis=1)
-    tau = _near_span(f.max_order, f.scale)
-    levels = _table_levels(nodes[rows], tau, f.max_order)
-    return _hermite_table(_gathered(f, nodes), tau, rows, levels)
-
-
 def divided_difference_tensor(
     f: FunctionFamily, order: int, node_lists: Sequence[Sequence[float]]
 ) -> np.ndarray:
@@ -349,11 +217,11 @@ def divided_difference_tensor(
     distinct node and order.  Each row is sorted and run through the Hermite
     table column by column, with no node merged.  The level-j entry over
     z_i <= ... <= z_{i+j} has span h = z_{i+j} - z_i, and with
-    M = f.max_order and tau = eps^(1/(M+1)) * f.scale (:func:`_near_span`)
+    M = f.max_order and tau = eps^(1/(M+1)) * f.scale (:func:`kernels._near_span`)
     it is
 
     - f^(j)(z_i)/j! where h = 0;
-    - the Taylor series about z_i where 0 < h < tau (:func:`_taylor_entries`);
+    - the Taylor series about z_i where 0 < h < tau (:func:`kernels._taylor_entries`);
     - the difference quotient of two level-(j-1) entries where h >= tau.
 
     Truncation leaves about (h/scale)^(M+1-j) of the entry, and a quotient
@@ -372,8 +240,8 @@ def divided_difference_tensor(
         if l.size == 0:
             raise ParameterError("empty node list")
     nodes, index = _distinct_nodes(*lists)
-    rows = np.stack(np.meshgrid(*index, indexing="ij"), axis=-1).reshape(-1, order + 1)
-    return _indexed_divided_differences(f, nodes, rows).reshape([len(l) for l in lists])
+    return _indexed_divided_differences(f, nodes, _index_rows(index)).reshape(
+        [len(l) for l in lists])
 
 
 @dataclass

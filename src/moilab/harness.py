@@ -14,7 +14,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import numbers
 import resource
 import sys
 import time
@@ -37,7 +36,7 @@ from .moi import (
     moi_projection_sum,
     operands,
 )
-from .rng import SplitMix64
+from .rng import SplitMix64, _hermitian_from, _is_int, check_draw, gue_like_pair
 from .spectral import apply_function, eig_hermitian, trace
 from .ssf import (
     counting_pairing,
@@ -48,7 +47,6 @@ from .ssf import (
     verify_trace_formula,
 )
 from .taylor import (
-    _MEMORY_BUDGET_BYTES,
     finite_difference_oracle,
     gateaux_derivative,
     lp_counterexample_demo,
@@ -101,10 +99,6 @@ _HEAVY_TAIL_P = 2.0
 _COUNTEREXAMPLE_DIMS = (16, 64, 256, 1024, 4096)
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
-
-
 @dataclass
 class ExperimentConfig:
     seed: int
@@ -118,17 +112,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.seed is None:
             raise ConfigError("seed is required; there is no entropy default")
-        if not (_is_int(self.seed) and 0 <= self.seed < 1 << 64):
-            raise ConfigError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
+        check_draw(self.seed, self.dimension)
         self.seed = int(self.seed)
-        if not (_is_int(self.dimension) and self.dimension >= 1):
-            raise ConfigError(f"dimension must be an integer >= 1, got {self.dimension!r}")
-        # the 4 d^2 normals of the two gue_like matrices: d = 2896 is the largest
-        if 4 * self.dimension ** 2 * 8 > _MEMORY_BUDGET_BYTES:
-            raise ConfigError(
-                f"dimension {self.dimension} needs {4 * self.dimension ** 2} normals, more "
-                f"than the {_MEMORY_BUDGET_BYTES >> 20} MiB memory budget holds"
-            )
         if not (_is_int(self.order) and self.order >= 1):
             raise ConfigError(f"order must be an integer >= 1, got {self.order!r}")
         if self.ensemble not in _ENSEMBLES:
@@ -164,22 +149,11 @@ class ExperimentConfig:
         return asdict(self)
 
 
-def _hermitian_from(gen: SplitMix64, d: int) -> np.ndarray:
-    X = gen.complex_normals((d, d))
-    return (X + X.conj().T) / 2.0
-
-
 def generate_ensemble(config: ExperimentConfig):
     """Deterministic (A, B) pair from the config."""
     d = config.dimension
     if config.ensemble == "gue_like":
-        gen = SplitMix64(config.seed)
-        A = _hermitian_from(gen, d)
-        B = _hermitian_from(gen, d)
-        bnorm = float(np.linalg.norm(B, 2))
-        if bnorm > 0:
-            B = B / bnorm
-        return A, B
+        return gue_like_pair(config.seed, d)
     if config.ensemble == "diagonal_heavy_tail":
         k = np.arange(1, d + 1, dtype=float)
         b = (k / d) ** (-1.0 / (1.5 * _HEAVY_TAIL_P))
@@ -325,6 +299,9 @@ def _checks_perturbation(config: ExperimentConfig) -> _GroupResult:
 
 
 def _brute_force_moi(f, eigsystems, args) -> np.ndarray:
+    """The projection-sum definition, unclustered: every eigen-index tuple's
+    rank-one projections, weighted by the scalar divided_difference oracle.
+    It shares no code with the contraction kernel or its table."""
     d = eigsystems[0].dim
     n = len(args)
     out = np.zeros((d, d), dtype=complex)

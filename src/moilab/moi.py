@@ -24,15 +24,19 @@ per-slot node vectors (:meth:`Symbol.tensor`), one node per eigen-index: the
 eigenvalue, or in the discretized form the corner of its spectral bin; and a
 single ``einsum`` contracts it with the C_k.  The work is O(d^{n+1}), which is
 the size of Phi itself.  The kernel runs over chunks of i_0 so that
-no chunk holds more than ``_CHUNK_ENTRIES`` complex entries, and an order
-whose single i_0 slice is larger raises :class:`ParameterError` before
+no chunk holds more than ``kernels._CHUNK_ENTRIES`` complex entries, and an
+order whose single i_0 slice is larger raises :class:`ParameterError` before
 anything is allocated.  Summation order is fixed, making results bit-stable
 across runs.
+
+The operand tuple (:class:`MOIOperands`), the chain C_k, the chunking and the
+trace structure weights ``projection_trace_weights`` live in
+:mod:`moilab.kernels`, which the Fourier sweep shares; this module holds the
+symbols and the operations.
 """
 
 from __future__ import annotations
 
-import string
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
@@ -44,11 +48,15 @@ from .errors import (
     ParameterError,
     ToleranceError,
 )
-from .families import (
-    FunctionFamily,
+from .families import FunctionFamily, divided_difference_tensor
+from .kernels import (
+    MOIOperands,
+    _chain,
+    _chain_subscripts,
+    _chunk_rows,
     _distinct_nodes,
+    _index_rows,
     _indexed_divided_differences,
-    divided_difference_tensor,
 )
 from .spectral import EigenSystem, apply_callable, eig_hermitian, schatten_norm, trace
 
@@ -60,7 +68,6 @@ __all__ = [
     "DiagonalRestrictedSymbol",
     "dd_symbol",
     "exponential_symbol",
-    "MOIOperands",
     "MOIResult",
     "NormReport",
     "operands",
@@ -69,7 +76,6 @@ __all__ = [
     "moi_factorized",
     "moi_norm_report",
     "moi_trace",
-    "projection_trace_weights",
 ]
 
 
@@ -164,7 +170,7 @@ class DiagonalRestrictedSymbol(Symbol):
     def tensor(self, reps):
         if isinstance(self.base, DividedDifferenceSymbol):
             nodes, index = _distinct_nodes(*reps)
-            rows = np.stack(np.meshgrid(*index, indexing="ij"), axis=-1).reshape(-1, self.arity)
+            rows = _index_rows(index)
             rows = np.concatenate([rows, rows[:, :1]], axis=1)
             return _indexed_divided_differences(self.base.f, nodes, rows).reshape(
                 [len(r) for r in reps])
@@ -193,34 +199,6 @@ def exponential_symbol(s: float, arity: int) -> FactorizedSymbol:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class MOIOperands:
-    """Operator tuple (n+1 eigen-systems) and argument matrices (n)."""
-
-    operators: List[EigenSystem]
-    arguments: List[np.ndarray]
-
-    def __post_init__(self):
-        if len(self.operators) != len(self.arguments) + 1:
-            raise DimensionMismatchError(
-                f"{len(self.operators)} operators need {len(self.operators) - 1} "
-                f"arguments, got {len(self.arguments)}"
-            )
-        dims = {E.dim for E in self.operators}
-        dims |= {M.shape[0] for M in self.arguments}
-        dims |= {M.shape[1] for M in self.arguments}
-        if len(dims) != 1:
-            raise DimensionMismatchError(f"inconsistent operand dimensions {sorted(dims)}")
-
-    @property
-    def dim(self) -> int:
-        return self.operators[0].dim
-
-    @property
-    def n_args(self) -> int:
-        return len(self.arguments)
-
-
 def operands(
     operators: Sequence[Union[EigenSystem, np.ndarray]],
     arguments: Sequence[np.ndarray],
@@ -242,23 +220,6 @@ class MOIResult:
 # ---------------------------------------------------------------------------
 
 
-# Complex entries one chunk of the kernel may hold (4 MiB as complex128).  A
-# chunk is a run of i_0 whose slab of Phi, d^n entries per i_0, fits in this
-# bound; the symbol tensor it is broadcast from is no larger.
-_CHUNK_ENTRIES = 1 << 18
-
-
-def _chunk_rows(d: int, n: int) -> int:
-    """Number of i_0 per chunk; raises ParameterError when one i_0 slice is too large."""
-    per_row = d ** n
-    if per_row > _CHUNK_ENTRIES:
-        raise ParameterError(
-            f"an order-{n} operator integral at dimension {d} needs {per_row} complex "
-            f"entries per eigen-index, more than the {_CHUNK_ENTRIES} one chunk may hold"
-        )
-    return _CHUNK_ENTRIES // per_row
-
-
 def _binned(ops: MOIOperands, m: int) -> Tuple[List[np.ndarray], int]:
     """Per slot, the bin corner floor(lambda * m)/m of each eigen-index; and the bins hit."""
     corners = []
@@ -268,20 +229,6 @@ def _binned(ops: MOIOperands, m: int) -> Tuple[List[np.ndarray], int]:
         corners.append(bins / m)
         hit += len(_distinct_nodes(bins)[0])
     return corners, hit
-
-
-def _chain(ops: MOIOperands) -> List[np.ndarray]:
-    """C_k = V_k* b_{k+1} V_{k+1}: the arguments in the eigenbases of their neighbours."""
-    return [
-        ops.operators[k].basis.conj().T @ ops.arguments[k] @ ops.operators[k + 1].basis
-        for k in range(ops.n_args)
-    ]
-
-
-def _chain_subscripts(n: int) -> Tuple[str, List[str]]:
-    """einsum letters of i_0..i_n and of C_0..C_{n-1}."""
-    idx = string.ascii_letters[: n + 1]
-    return idx, [idx[k:k + 2] for k in range(n)]
 
 
 def _contract(symbol: Symbol, ops: MOIOperands, nodes) -> Tuple[np.ndarray, int]:
@@ -475,34 +422,3 @@ def moi_trace(symbol: Symbol, ops: MOIOperands, closing: np.ndarray) -> complex:
                 deviation=abs(direct - rotated) / scale,
             )
     return direct
-
-
-def projection_trace_weights(
-    ops: MOIOperands, closing: Optional[np.ndarray] = None
-):
-    """Structure weights W(i_0..i_n) = trace(P_{i_0} b_1 P_{i_1} ... b_n P_{i_n} C).
-
-    Separating these weights from the symbol lets a caller sweep a symbol
-    family over the same operator tuple at the cost of one contraction: the
-    trace of the operator integral against C is then
-    sum over multi-indices of phi(eigenvalues) * W.
-
-    Returns the complex array W, whose axis s runs over the eigen-indices of
-    slot s.
-    """
-    d, n = ops.dim, ops.n_args
-    step = _chunk_rows(d, n)
-    closing = np.eye(d) if closing is None else np.asarray(closing, dtype=complex)
-    Cwrap = ops.operators[-1].basis.conj().T @ closing @ ops.operators[0].basis
-    C = _chain(ops)
-    idx, pairs = _chain_subscripts(n)
-    # w[i_0..i_n] = C_0[i_0, i_1] ... C_{n-1}[i_{n-1}, i_n] Cwrap[i_n, i_0]
-    spec = ",".join(pairs + [idx[-1] + idx[0]]) + "->" + idx
-    W = np.empty((d,) * (n + 1), dtype=complex)
-    for lo in range(0, d, step):
-        rows = np.arange(lo, min(lo + step, d))
-        if n == 0:
-            W[rows] = Cwrap[rows, rows]
-        else:
-            W[rows] = np.einsum(spec, C[0][rows], *C[1:], Cwrap[:, rows])
-    return W

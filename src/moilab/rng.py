@@ -12,13 +12,19 @@ u lies in (0, 1].  Gaussians come from the Box-Muller transform applied to
 consecutive uniform pairs, with the sine sample cached.  Every ensemble in
 this package is a pure function of the 64-bit seed, so any implementation
 of this recipe in another language reproduces the same matrices bit for bit.
+
+The gue_like pair (:func:`gue_like_pair`) is drawn here, and its request is
+checked by :func:`check_draw`, so a seeded derivative needs no check harness.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
+
+from .errors import _MEMORY_BUDGET_BYTES, ConfigError
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -64,3 +70,39 @@ class SplitMix64:
         re = self.normals(shape)
         im = self.normals(shape)
         return re + 1j * im
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def check_draw(seed, dimension) -> None:
+    """Raise ConfigError unless seed is an integer in [0, 2**64) and dimension
+    an integer >= 1 whose gue_like pair fits the memory budget."""
+    if not (_is_int(seed) and 0 <= seed < 1 << 64):
+        raise ConfigError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    if not (_is_int(dimension) and dimension >= 1):
+        raise ConfigError(f"dimension must be an integer >= 1, got {dimension!r}")
+    # the 4 d^2 normals of the two gue_like matrices: d = 2896 is the largest
+    if 4 * dimension ** 2 * 8 > _MEMORY_BUDGET_BYTES:
+        raise ConfigError(
+            f"dimension {dimension} needs {4 * dimension ** 2} normals, more "
+            f"than the {_MEMORY_BUDGET_BYTES >> 20} MiB memory budget holds"
+        )
+
+
+def _hermitian_from(gen: SplitMix64, d: int) -> np.ndarray:
+    X = gen.complex_normals((d, d))
+    return (X + X.conj().T) / 2.0
+
+
+def gue_like_pair(seed: int, d: int):
+    """The gue_like (A, B) of the seed: two Hermitian d x d draws of one
+    SplitMix64 stream, B scaled to unit 2-norm (unless it is 0)."""
+    gen = SplitMix64(seed)
+    A = _hermitian_from(gen, d)
+    B = _hermitian_from(gen, d)
+    bnorm = float(np.linalg.norm(B, 2))
+    if bnorm > 0:
+        B = B / bnorm
+    return A, B

@@ -37,6 +37,12 @@ is more, and makes its twiddles for 2^12 entries at a time.  So the order-1
 call at num_s = 2^18 peaks at about 2.7 MiB under tracemalloc, the d = 4
 order-2 call at 0.8 MiB, and the order-3 calls at d = 32 and 64 at 0.7 and
 1.2 MiB.
+
+The sweep's divided-difference tables and trace weights come from
+:mod:`moilab.kernels`.  The function catalogue, the operator-integral forms
+and the Taylor module are imported by the two checks that run them
+(:func:`verify_trace_formula` and :func:`diagonal_symbol_trace`) when they
+are called, so a recovery loads neither ``families`` nor ``moi``.
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -54,21 +60,14 @@ from .errors import (
     OrderLimitError,
     ParameterError,
 )
-from .families import (
-    FunctionFamily,
+from .kernels import (
+    _CHUNK_ENTRIES,
+    MOIOperands,
     _distinct_nodes,
     _hermite_table,
+    _index_rows,
     _near_span,
     _table_levels,
-    monomial,
-)
-from .moi import (
-    _CHUNK_ENTRIES,
-    DiagonalRestrictedSymbol,
-    MOIOperands,
-    dd_symbol,
-    moi_projection_sum,
-    moi_trace,
     projection_trace_weights,
 )
 from .spectral import (
@@ -79,6 +78,9 @@ from .spectral import (
     schatten_norm,
     trace,
 )
+
+if TYPE_CHECKING:
+    from .families import FunctionFamily
 
 __all__ = [
     "SSFGrid",
@@ -314,7 +316,7 @@ def _multisets(at: np.ndarray, W: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     tuples of the k-axis weight array W, in lexicographic order, and the sum
     of W over the tuples of each."""
     k = W.ndim
-    rows = np.stack(np.meshgrid(*[at] * k, indexing="ij"), axis=-1).reshape(-1, k)
+    rows = _index_rows([at] * k)
     rows.sort(axis=1)
     order = np.lexsort(rows.T[::-1])
     rows = rows[order]
@@ -364,7 +366,7 @@ def _remainder_trace_exponential(
     for r < b, times 1 + i phi for the rounding.  The terms k = 0
     and k = 1 need nothing but these rows, so their weights are summed per
     node once and F starts as w_0 @ E - is (w_1 @ E).  The terms k >= 2 take
-    their divided-difference tables (:func:`families._hermite_table`, M = 16,
+    their divided-difference tables (:func:`kernels._hermite_table`, M = 16,
     scale 1/s) from the same rows: the Taylor series where the nodes span
     less than eps^(1/17)/s, so an order-k value is good to about
     (eps + eps^(1-k/17)) s^k/k! at any eigenvalue gap.
@@ -642,7 +644,8 @@ def verify_trace_formula(
     k = 0, 1, 2 compare the k-th grid moment with
     k!/(n+k)! * trace(remainder_n(x^{n+k})).
     """
-    from .taylor import taylor_remainder  # the one user of taylor here
+    from .families import monomial
+    from .taylor import taylor_remainder
 
     A, B = require_hermitian_pair(A, B)
     report = TraceFormulaReport()
@@ -690,6 +693,8 @@ def diagonal_symbol_trace(
     single slot the last operator is A + B and the wrap does not close.
     The report carries their relative deviation for the caller to judge.
     """
+    from .moi import DiagonalRestrictedSymbol, dd_symbol, moi_projection_sum, moi_trace
+
     if n < 2:
         raise ParameterError("the identity chain needs n >= 2")
     if n > f.max_order:

@@ -18,7 +18,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import OrderLimitError, ParameterError, ToleranceError
+from .errors import _MEMORY_BUDGET_BYTES, OrderLimitError, ParameterError, ToleranceError
 from .families import FunctionFamily, recip_plus
 from .moi import MOIOperands, MOIResult, dd_symbol, moi_projection_sum, operands
 from .spectral import (
@@ -293,10 +293,9 @@ class DivergenceRow:
     r_bounded: float
 
 
-# Memory one allocation-heavy step may ask for.  lp_counterexample_demo keeps
-# about 10 float arrays of its largest dimension alive (tracemalloc: 9.1 * 8
-# bytes per atom), so dims[-1] = 3355443 is the largest it takes.
-_MEMORY_BUDGET_BYTES = 256 << 20
+# lp_counterexample_demo keeps about 10 float arrays of its largest dimension
+# alive (tracemalloc: 9.1 * 8 bytes per atom), so under the memory budget
+# dims[-1] = 3355443 is the largest it takes.
 _COUNTEREXAMPLE_BYTES_PER_ATOM = 10 * 8
 
 

@@ -24,7 +24,8 @@ from moilab.families import (
     recip_plus,
     runge,
 )
-from moilab.families import _bump_numerators, _hermite_table, _horner, _near_span, _table_levels
+from moilab.families import _bump_numerators, _horner
+from moilab.kernels import _hermite_table, _near_span, _table_levels
 
 # dd of exp(-x^2) on nodes (0.1, 0.2, 0.3), computed with the mpmath table
 # recursion at 60 significant digits (mp_confluent_dd); frozen here.

@@ -298,6 +298,9 @@ def test_cli_config_error_exit_code(tmp_path):
         # --k outside the stencils 1..4 or past the family's max_order
         *(["deriv", "--f", "gaussian", "--k", k, "--seed", "7"] for k in ("0", "5", "9")),
         ["deriv", "--f", "recip_plus", "--k", "3", "--seed", "7"],
+        # the seed range, --dim >= 1 and the 4 d^2 draw budget
+        *([*deriv, "--f", "gaussian", *more] for more in (
+            ["--seed", "-1"], ["--seed", str(2 ** 64)], ["--dim", "0"], ["--dim", "2897"])),
         [*deriv, "--f", "gaussian", "--params", "{bad"],
         [*deriv, "--f", "gaussian", "--params", "[1]"],
         [*deriv, "--f", "gaussian", "--params", '{"foo": 1}'],
@@ -367,17 +370,45 @@ def test_import_cli_loads_no_numpy_and_no_other_moilab_module(tmp_path):
 
 
 def test_cli_ssf_loads_only_the_modules_it_runs(tmp_path):
+    # neither the function families nor the operator-integral forms: the
+    # sweep's tables and trace weights come from moilab.kernels; order 3 runs
+    # the k >= 2 table path.  One line per command, of what is loaded after it
     save_matrix_csv(tmp_path / "A.csv", np.diag([0.0, 1.0, 2.5]))
     save_matrix_csv(tmp_path / "B.csv", np.full((3, 3), 0.3))
+    runs = [["--order", "2"], ["--order", "1"], ["--order", "3"],
+            ["--order", "1", "--method", "counting"]]
     code = (
         "import sys\n"
         "from moilab.cli import main\n"
-        "assert main(['ssf', '--matrix-a', 'A.csv', '--matrix-b', 'B.csv', '--order', '2',"
+        f"for extra in {runs!r}:\n"
+        "    assert main(['ssf', '--matrix-a', 'A.csv', '--matrix-b', 'B.csv', *extra,"
         " '--out', 'eta.csv']) == 0\n"
-        "print(*(m for m in ('moilab.harness', 'moilab.rng', 'moilab.taylor', 'numpy.polynomial')"
-        " if m in sys.modules))\n"
+        "    print(*(m for m in ('moilab.families', 'moilab.moi', 'moilab.harness', 'moilab.rng',"
+        " 'moilab.taylor', 'numpy.polynomial') if m in sys.modules))\n"
+    )
+    lines = [l for l in _run_child(code, tmp_path).splitlines() if not l.startswith("wrote ")]
+    assert lines == [""] * len(runs)
+
+
+def test_cli_deriv_seed_loads_no_check_harness(tmp_path):
+    # the seeded pair comes from moilab.rng, not from the harness and its ssf
+    code = (
+        "import sys\n"
+        "from moilab.cli import main\n"
+        "assert main(['deriv', '--f', 'gaussian', '--k', '2', '--seed', '7']) == 0\n"
+        "print(*(m for m in ('moilab.harness', 'moilab.ssf') if m in sys.modules))\n"
     )
     assert _run_child(code, tmp_path).splitlines()[-1] == ""
+
+
+def test_import_kernels_loads_only_errors_and_spectral(tmp_path):
+    code = (
+        "import sys\n"
+        "import moilab.kernels\n"
+        "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'moilab'))\n"
+    )
+    assert _run_child(code, tmp_path).split() == [
+        "moilab", "moilab.errors", "moilab.kernels", "moilab.spectral"]
 
 
 def test_package_names_resolve_to_their_modules(tmp_path):

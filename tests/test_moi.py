@@ -1,6 +1,5 @@
 """Cross-form consistency of the multiple operator integral implementations."""
 
-import itertools
 import tracemalloc
 
 import numpy as np
@@ -12,8 +11,10 @@ from moilab.errors import (
     DimensionMismatchError,
     ParameterError,
 )
-from moilab import moi
+from moilab import kernels
 from moilab.families import divided_difference, exponential, gaussian, monomial, runge
+from moilab.harness import _brute_force_moi
+from moilab.kernels import projection_trace_weights
 from moilab.moi import (
     DiagonalRestrictedSymbol,
     FactorizedSymbol,
@@ -27,7 +28,6 @@ from moilab.moi import (
     moi_projection_sum,
     moi_trace,
     operands,
-    projection_trace_weights,
 )
 from moilab.rng import SplitMix64
 from moilab.spectral import EigenSystem, eig_hermitian, trace
@@ -48,23 +48,6 @@ class CustomSymbol(Symbol):
         for idx in np.ndindex(shape):
             out[idx] = complex(self.fn(tuple(float(reps[s][i]) for s, i in enumerate(idx))))
         return out
-
-
-def brute_force_moi(f, eigsystems, args):
-    """Unclustered sum over all eigen-index tuples via rank-one projections."""
-    d = eigsystems[0].dim
-    n = len(args)
-    out = np.zeros((d, d), dtype=complex)
-    for idx in itertools.product(range(d), repeat=n + 1):
-        nodes = tuple(eigsystems[s].eigenvalues[idx[s]] for s in range(n + 1))
-        w = divided_difference(f, nodes)
-        v = eigsystems[0].basis[:, idx[0]]
-        acc = np.outer(v, v.conj())
-        for k in range(n):
-            u = eigsystems[k + 1].basis[:, idx[k + 1]]
-            acc = acc @ args[k] @ np.outer(u, u.conj())
-        out += w * acc
-    return out
 
 
 def test_diagonal_operators_give_schur_product():
@@ -109,7 +92,7 @@ def test_projection_sum_matches_brute_force_exp():
     f = exponential()
     Es = [eig_hermitian(X) for X in (A1, A2, A3)]
     got = moi_projection_sum(dd_symbol(f, 2), operands(Es, [B1, B2])).value
-    want = brute_force_moi(f, Es, [B1, B2])
+    want = _brute_force_moi(f, Es, [B1, B2])
     assert np.linalg.norm(got - want) <= 1e-10 * max(1.0, np.linalg.norm(want))
 
 
@@ -120,7 +103,7 @@ def test_projection_sum_matches_brute_force_gaussian_n3():
     f = gaussian()
     Es = [eig_hermitian(X) for X in mats]
     got = moi_projection_sum(dd_symbol(f, 3), operands(Es, args)).value
-    want = brute_force_moi(f, Es, args)
+    want = _brute_force_moi(f, Es, args)
     assert np.linalg.norm(got - want) <= 1e-10 * max(1.0, np.linalg.norm(want))
 
 
@@ -202,7 +185,7 @@ def test_discretized_shared_bin_is_a_confluent_node():
     f = gaussian()
     got = moi_discretized(dd_symbol(f, 2), ops, m=2)
     binned = [EigenSystem(corners, E.basis, 0.0) for E in ops.operators]
-    want = brute_force_moi(f, binned, ops.arguments)
+    want = _brute_force_moi(f, binned, ops.arguments)
     assert np.linalg.norm(got.value - want) <= 1e-10 * np.linalg.norm(want)
     assert got.diagnostics["bins_hit"] == 9
 
@@ -439,7 +422,7 @@ def _unitary(gen, d):
 
 def _assert_matches_brute_force(f, Es, args):
     got = moi_projection_sum(dd_symbol(f, len(args)), operands(Es, args)).value
-    want = brute_force_moi(f, Es, args)
+    want = _brute_force_moi(f, Es, args)
     assert np.linalg.norm(got - want) <= 1e-10 * max(1.0, np.linalg.norm(want))
 
 
@@ -503,7 +486,7 @@ def test_kernel_chunked_and_unchunked_agree(seed, n, rows):
     binned = moi_discretized(sym, ops, m=8)
     weights = projection_trace_weights(ops)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(moi, "_CHUNK_ENTRIES", rows * d ** n)
+        mp.setattr(kernels, "_CHUNK_ENTRIES", rows * d ** n)
         chunked = moi_projection_sum(sym, ops)
         chunked_binned = moi_discretized(sym, ops, m=8)
         chunked_weights = projection_trace_weights(ops)
