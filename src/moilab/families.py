@@ -9,7 +9,8 @@ a report.
 
 Divided differences come from the confluent (Hermite) table of
 :mod:`moilab.kernels`, run over index rows into the sorted distinct nodes, so
-that f^(j) is evaluated once per distinct node and order.
+that f^(j) is evaluated once per distinct node and order, and the table once
+per distinct multiset of nodes.
 :func:`divided_difference_tensor` backs the operator integrals; it merges no
 nodes, and is accurate at any node gap (its docstring states the rule and the
 bound).  :func:`divided_difference` runs a table of its own for one tuple
@@ -214,8 +215,10 @@ def divided_difference_tensor(
 
     The rows of the Cartesian product name their nodes by indices into the
     sorted distinct nodes of the lists, so f^(j) is evaluated once per
-    distinct node and order.  Each row is sorted and run through the Hermite
-    table column by column, with no node merged.  The level-j entry over
+    distinct node and order.  Each row is sorted, and the Hermite table runs
+    column by column, with no node merged, once per distinct multiset of
+    nodes; rows with the same multiset share its value, bit for bit.  The
+    level-j entry over
     z_i <= ... <= z_{i+j} has span h = z_{i+j} - z_i, and with
     M = f.max_order and tau = eps^(1/(M+1)) * f.scale (:func:`kernels._near_span`)
     it is

@@ -12,7 +12,8 @@ the operations that use them, so that a caller of one loads neither:
   evaluates it for every chunk of its s-grid.
   :func:`_indexed_divided_differences` runs it for the rows of
   ``families.divided_difference_tensor`` and of the restricted symbol, whose
-  docstring states the accuracy rule.
+  docstring states the accuracy rule, once per distinct multiset of nodes:
+  the sorted rows are told apart by their colex rank (:func:`_colex_ranks`).
 - The operand tuple of a multiple operator integral (:class:`MOIOperands`),
   its arguments in the eigenbases of their neighbours (:func:`_chain`), the
   chunking over i_0 that bounds every contraction (:func:`_chunk_rows`), and
@@ -49,7 +50,11 @@ __all__ = ["MOIOperands", "projection_trace_weights"]
 def _index_rows(index: Sequence[np.ndarray]) -> np.ndarray:
     """The (M, k) rows (index[0][i_0], ..., index[k-1][i_{k-1}]) over every
     tuple of positions, the last position running fastest."""
-    return np.stack(np.meshgrid(*index, indexing="ij"), axis=-1).reshape(-1, len(index))
+    k = len(index)
+    rows = np.empty([len(x) for x in index] + [k], dtype=np.result_type(*index))
+    for c, x in enumerate(index):
+        rows[..., c] = x.reshape((-1,) + (1,) * (k - 1 - c))
+    return rows.reshape(-1, k)
 
 
 def _near_span(max_order: int, scale):
@@ -172,15 +177,80 @@ def _taylor_entries(ev, at, j, level, near, col, tau, trailing) -> None:
     col[r, i] = val
 
 
+def _colex_ranks(rows: np.ndarray, n: int) -> np.ndarray:
+    """The colex rank sum_c C(i_c + c, c + 1) of each nondecreasing row
+    i_0 <= ... <= i_{k-1} of the (M, k) array rows of indices below n.
+
+    This is the combinatorial number system (Knuth, TAOCP 4A, 7.2.1.3): it
+    numbers the C(n+k-1, k) multisets of k indices 0, 1, ... in colex
+    order, one to one.  The binomials are k running sums down Pascal's
+    triangle over the indices m < n: from 0 at m = 0 and 1 elsewhere, the
+    (c+1)-th running sum holds C(m + c, c + 1) = sum_{j < m} C(j + c, c).
+
+    The ranks are int64 and stay below C(n+k-1, k), so they cannot
+    overflow where that bound is below 2^63.  The rows of an operator
+    integral keep it many orders of magnitude under: its k slots hold d
+    nodes each, so n <= k d, and at d = 64, k = 5 the bound is
+    C(324, 5) < 2^35, where the d^5 index rows alone would take 40 GiB.  Only
+    lists of very unequal lengths pass 2^63 (one list of 20,000 nodes and
+    four of one node, k = 5), so :func:`_distinct_rows` checks the bound.
+    """
+    column = np.ones(n, dtype=np.int64)
+    column[0] = 0
+    rank = np.zeros(len(rows), dtype=np.int64)
+    for c in range(rows.shape[1]):
+        np.cumsum(column, out=column)  # now C(m + c, c + 1)
+        rank += column[rows[:, c]]
+    return rank
+
+
+def _distinct_rows(rows: np.ndarray, n: int):
+    """The distinct rows of the sorted (M, k) index rows below n, in ascending
+    colex rank, and the index of each row into them: one stable argsort of
+    the ranks and a compare of neighbours, as :func:`_distinct_nodes`.
+
+    Returns (rows, None) where no two rows are equal, and where the ranks
+    could pass int64 (see :func:`_colex_ranks`).
+    """
+    k = rows.shape[1]
+    if math.comb(n + k - 1, k) > np.iinfo(np.int64).max:
+        return rows, None
+    rank = _colex_ranks(rows, n)
+    order = np.argsort(rank, kind="stable")
+    rank = rank[order]
+    new = np.empty(len(rank), dtype=bool)
+    new[:1] = True
+    np.not_equal(rank[1:], rank[:-1], out=new[1:])
+    first = order[new]
+    if len(first) == len(rows):
+        return rows, None
+    inverse = np.empty(len(rows), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return rows[first], inverse
+
+
 def _indexed_divided_differences(f: FunctionFamily, nodes: np.ndarray, rows: np.ndarray):
     """divided_difference(f, nodes[row]) for every row of the (M, n+1) array
     rows of indices into the sorted distinct nodes, by the rule of
     ``families.divided_difference_tensor``; rows is sorted along axis 1 in
-    place."""
+    place.
+
+    A divided difference depends only on the multiset of its nodes, so the
+    table runs once per distinct sorted row, found by its colex rank
+    (:func:`_colex_ranks`), and the values are gathered back along axis 0;
+    a family whose values carry trailing axes keeps them.  Which entries of
+    a sorted row take the confluent value or the Taylor series depends only
+    on that row's spans and tau, so every value has the bits it has when
+    each row is run on its own.  Where the ranks could pass int64 (lists
+    of very unequal lengths, see :func:`_colex_ranks`), or where no two rows
+    share a multiset, the rows are run as they are.
+    """
     rows.sort(axis=1)
+    rows, inverse = _distinct_rows(rows, len(nodes))
     tau = _near_span(f.max_order, f.scale)
-    levels = _table_levels(nodes[rows], tau, f.max_order)
-    return _hermite_table(_gathered(f, nodes), tau, rows, levels)
+    levels = _table_levels(nodes[rows], np.max(tau), f.max_order)
+    col = _hermite_table(_gathered(f, nodes), tau, rows, levels)
+    return col if inverse is None else col[inverse]
 
 
 # ---------------------------------------------------------------------------

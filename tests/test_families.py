@@ -2,12 +2,14 @@
 
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from moilab import kernels
 from moilab.errors import OrderLimitError, ParameterError
 from moilab.families import (
     FunctionFamily,
@@ -25,7 +27,15 @@ from moilab.families import (
     runge,
 )
 from moilab.families import _bump_numerators, _horner
-from moilab.kernels import _hermite_table, _near_span, _table_levels
+from moilab.kernels import (
+    _colex_ranks,
+    _gathered,
+    _hermite_table,
+    _indexed_divided_differences,
+    _near_span,
+    _table_levels,
+)
+from moilab.rng import gue_like_pair
 
 # dd of exp(-x^2) on nodes (0.1, 0.2, 0.3), computed with the mpmath table
 # recursion at 60 significant digits (mp_confluent_dd); frozen here.
@@ -305,6 +315,79 @@ def test_rows_carry_the_trailing_axes_of_a_vector_family():
     for j, sj in enumerate(s):
         want = divided_difference_tensor(fourier(sj), 3, [nodes] * 4)
         np.testing.assert_array_equal(got[:, j], want.ravel())
+
+
+def _table_per_row(f, nodes, rows):
+    """The Hermite table run over every sorted row, with no row shared."""
+    rows = np.sort(rows, axis=1)
+    tau = _near_span(f.max_order, f.scale)
+    levels = _table_levels(nodes[rows], np.max(tau), f.max_order)
+    return _hermite_table(_gathered(f, nodes), tau, rows, levels)
+
+
+def _vector_fourier(s):
+    """exp(isx) over several s at once as a trailing axis, tau per entry:
+    the family the Fourier sweep runs the table for."""
+    def ev(j, x):
+        return np.exp(1j * np.multiply.outer(x, s)) * (1j * s) ** j
+    return SimpleNamespace(max_order=fourier(1.0).max_order, scale=1.0 / s, _evaluator=ev)
+
+
+@pytest.mark.parametrize("fam", [gaussian(), runge(), bump(),
+                                 _vector_fourier(np.array([0.3, 1.3, 40.0]))])
+def test_shared_rows_keep_the_bits_of_the_table_run_per_row(fam):
+    # repeated nodes (confluent entries), nodes 1e-15 apart, spans just below
+    # and just above tau (the smallest tau of the vector family), and clear
+    # gaps; every row of the order-4 product against the table run over each
+    # row on its own
+    tau = np.min(_near_span(fam.max_order, fam.scale))
+    nodes = np.sort(0.4 + np.array([0.0, 1e-15, 0.999 * tau, 1.001 * tau, 0.05, 0.3]))
+    rows = np.array(list(itertools.product(range(len(nodes)), repeat=5)))
+    want = _table_per_row(fam, nodes, rows)
+    got = _indexed_divided_differences(fam, nodes, rows.copy())
+    assert got.shape == want.shape == (len(rows),) + np.shape(fam.scale)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n,k", [(n, k) for n in range(1, 8) for k in range(1, 7)])
+def test_colex_ranks_number_the_multisets_in_order(n, k):
+    rows = sorted(itertools.combinations_with_replacement(range(n), k), key=lambda r: r[::-1])
+    ranks = _colex_ranks(np.array(rows, dtype=np.intp).reshape(-1, k), n)
+    assert ranks.dtype == np.int64
+    assert np.array_equal(ranks, np.arange(math.comb(n + k - 1, k)))
+
+
+def _counting_table_rows(monkeypatch):
+    """The rows that reach kernels._table_levels, one count per table."""
+    counts = []
+    levels = kernels._table_levels
+
+    def counting(z, near_below, max_order):
+        counts.append(len(z))
+        return levels(z, near_below, max_order)
+
+    monkeypatch.setattr(kernels, "_table_levels", counting)
+    return counts
+
+
+def test_table_runs_once_per_distinct_multiset(monkeypatch):
+    # five slots of one d = 6 spectrum: 6^5 = 7776 rows, C(10, 5) = 252 multisets
+    EA = np.linalg.eigvalsh(gue_like_pair(7, 6)[0])
+    counts = _counting_table_rows(monkeypatch)
+    t = divided_difference_tensor(gaussian(), 4, [EA] * 5)
+    assert counts == [math.comb(10, 5)]
+    assert np.array_equal(t, np.transpose(t, (4, 2, 0, 3, 1)))
+
+
+def test_lists_past_the_int64_rank_run_every_row(monkeypatch):
+    # 20,001 distinct nodes in five slots: C(20005, 5) > 2^63 multisets, so the
+    # rows are run as they are, and give the bits of a list short enough to rank
+    x = np.linspace(0.0, 1.0, 20000)
+    counts = _counting_table_rows(monkeypatch)
+    big = divided_difference_tensor(gaussian(), 4, [x] + [[0.5]] * 4)
+    small = divided_difference_tensor(gaussian(), 4, [x[:50]] + [[0.5]] * 4)
+    assert counts == [20000, 50]
+    assert np.array_equal(big[:50], small)
 
 
 @pytest.mark.parametrize("fam", [gaussian(), fourier(40.0)])

@@ -1,6 +1,7 @@
 """Derivative formula, remainders, perturbation identities, divergence demo."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from moilab.errors import (
     ToleranceError,
 )
 from moilab.families import bump, exponential, fourier, gaussian, monomial, recip_plus, runge
+from moilab.harness import DEFAULT_TOLERANCES, ExperimentConfig, generate_ensemble
 from moilab.rng import SplitMix64
 from moilab.taylor import (
     derivative_moi,
@@ -290,6 +292,20 @@ def test_telescoping_identity():
     assert telescoping_check(gaussian(), A, B, n=3, t=0.7, j=2) <= 1e-8
     assert telescoping_check(monomial(3), A, B, n=2, t=0.9, j=1) <= 1e-11
     assert telescoping_check(gaussian(), A, B, n=2, t=0.0, j=2) <= 1e-12
+
+
+def test_telescoping_d16_order4_memory_regression():
+    # the perturbation group's call at the pinned stress config {7, 16, 3}; a
+    # table run per index row, not per multiset, peaks at 71.5 MiB here
+    A, B = generate_ensemble(ExperimentConfig(seed=7, dimension=16, order=3))
+    tracemalloc.start()
+    try:
+        residual = telescoping_check(gaussian(), A, B, n=4, t=0.7, j=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert residual <= DEFAULT_TOLERANCES["telescoping"]
+    assert peak <= 45 * 2 ** 20, peak / 2 ** 20
 
 
 def test_telescoping_validates_slots():
