@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -125,6 +126,8 @@ def _cmd_deriv(args) -> int:
                           f"{min(_STENCILS)}..{max(_STENCILS)}")
     if args.k > fam.max_order:
         raise ConfigError(f"--k {args.k} exceeds the max_order {fam.max_order} of {args.f!r}")
+    if not math.isfinite(args.t):
+        raise ConfigError(f"--t {args.t!r}: t must be finite")
     if args.matrix_a and args.matrix_b:
         A, B = matrix_io.load_hermitian_pair(args.matrix_a, args.matrix_b)
     elif args.seed is not None:

@@ -13,11 +13,12 @@ the operations that use them, so that a caller of one loads neither:
   :func:`_indexed_divided_differences` runs it for the rows of
   ``families.divided_difference_tensor`` and of the restricted symbol, whose
   docstring states the accuracy rule, once per distinct multiset of nodes:
-  the sorted rows are told apart by their colex rank (:func:`_colex_ranks`).
+  the sorted rows are told apart by colex rank in :func:`_distinct_rows`,
+  which finds the Fourier sweep's multisets too.
 - The operand tuple of a multiple operator integral (:class:`MOIOperands`),
   its arguments in the eigenbases of their neighbours (:func:`_chain`), the
-  chunking over i_0 that bounds every contraction (:func:`_chunk_rows`), and
-  the trace structure weights (:func:`projection_trace_weights`).
+  width of ``moi``'s chunks over i_0 (:func:`_chunk_rows`), and the trace
+  structure weights (:func:`projection_trace_weights`), made whole.
 
 :func:`_index_rows` builds the rows of a Cartesian product of index vectors
 for both.  A function family is used only through ``max_order``, ``scale``
@@ -33,7 +34,7 @@ from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DimensionMismatchError, ParameterError
+from .errors import _MEMORY_BUDGET_BYTES, DimensionMismatchError, ParameterError
 from .spectral import EigenSystem
 
 if TYPE_CHECKING:
@@ -205,13 +206,14 @@ def _colex_ranks(rows: np.ndarray, n: int) -> np.ndarray:
 
 
 def _distinct_rows(rows: np.ndarray, n: int):
-    """The distinct rows of the sorted (M, k) index rows below n, in ascending
-    colex rank, and the index of each row into them: one stable argsort of
-    the ranks and a compare of neighbours, as :func:`_distinct_nodes`.
+    """The distinct rows of the (M, k) index rows below n, sorted in place,
+    in ascending colex rank, and the index of each row into them: one stable
+    argsort of the ranks and a compare of neighbours, as :func:`_distinct_nodes`.
 
     Returns (rows, None) where no two rows are equal, and where the ranks
     could pass int64 (see :func:`_colex_ranks`).
     """
+    rows.sort(axis=1)
     k = rows.shape[1]
     if math.comb(n + k - 1, k) > np.iinfo(np.int64).max:
         return rows, None
@@ -245,7 +247,6 @@ def _indexed_divided_differences(f: FunctionFamily, nodes: np.ndarray, rows: np.
     of very unequal lengths, see :func:`_colex_ranks`), or where no two rows
     share a multiset, the rows are run as they are.
     """
-    rows.sort(axis=1)
     rows, inverse = _distinct_rows(rows, len(nodes))
     tau = _near_span(f.max_order, f.scale)
     levels = _table_levels(nodes[rows], np.max(tau), f.max_order)
@@ -328,21 +329,16 @@ def projection_trace_weights(
     sum over multi-indices of phi(eigenvalues) * W.
 
     Returns the complex array W, whose axis s runs over the eigen-indices of
-    slot s.
+    slot s; one einsum makes it, after a check of its size against the memory budget.
     """
     d, n = ops.dim, ops.n_args
-    step = _chunk_rows(d, n)
+    if 16 * d ** (n + 1) > _MEMORY_BUDGET_BYTES:
+        raise ParameterError(f"the order-{n} trace weights at dimension {d} need "
+                             f"{d ** (n + 1)} complex entries, more than the "
+                             f"{_MEMORY_BUDGET_BYTES >> 20} MiB memory budget holds")
     closing = np.eye(d) if closing is None else np.asarray(closing, dtype=complex)
     Cwrap = ops.operators[-1].basis.conj().T @ closing @ ops.operators[0].basis
-    C = _chain(ops)
     idx, pairs = _chain_subscripts(n)
-    # w[i_0..i_n] = C_0[i_0, i_1] ... C_{n-1}[i_{n-1}, i_n] Cwrap[i_n, i_0]
+    # w[i_0..i_n] = C_0[i_0, i_1] ... C_{n-1}[i_{n-1}, i_n] Cwrap[i_n, i_0], "aa->a" at n = 0
     spec = ",".join(pairs + [idx[-1] + idx[0]]) + "->" + idx
-    W = np.empty((d,) * (n + 1), dtype=complex)
-    for lo in range(0, d, step):
-        rows = np.arange(lo, min(lo + step, d))
-        if n == 0:
-            W[rows] = Cwrap[rows, rows]
-        else:
-            W[rows] = np.einsum(spec, C[0][rows], *C[1:], Cwrap[:, rows])
-    return W
+    return np.einsum(spec, *_chain(ops), Cwrap)

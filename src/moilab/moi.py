@@ -23,16 +23,16 @@ One kernel computes it.  The symbol is evaluated once, as a tensor over the
 per-slot node vectors (:meth:`Symbol.tensor`), one node per eigen-index: the
 eigenvalue, or in the discretized form the corner of its spectral bin; and a
 single ``einsum`` contracts it with the C_k.  The work is O(d^{n+1}), which is
-the size of Phi itself.  The kernel runs over chunks of i_0 so that
-no chunk holds more than ``kernels._CHUNK_ENTRIES`` complex entries, and an
+the size of Phi itself.  The kernel, the one loop over chunks of i_0, keeps
+every chunk within ``kernels._CHUNK_ENTRIES`` complex entries, and an
 order whose single i_0 slice is larger raises :class:`ParameterError` before
 anything is allocated.  Summation order is fixed, making results bit-stable
 across runs.
 
-The operand tuple (:class:`MOIOperands`), the chain C_k, the chunking and the
-trace structure weights ``projection_trace_weights`` live in
-:mod:`moilab.kernels`, which the Fourier sweep shares; this module holds the
-symbols and the operations.
+The operand tuple (:class:`MOIOperands`), the chain C_k, the chunk width and
+the trace structure weights ``projection_trace_weights`` (made whole, within the
+memory budget) live in :mod:`moilab.kernels`, which the Fourier sweep shares;
+this module holds the symbols and the operations.
 """
 
 from __future__ import annotations

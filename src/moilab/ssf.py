@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
@@ -64,6 +65,7 @@ from .kernels import (
     _CHUNK_ENTRIES,
     MOIOperands,
     _distinct_nodes,
+    _distinct_rows,
     _hermite_table,
     _index_rows,
     _near_span,
@@ -203,14 +205,15 @@ class FourierParams:
 
     def __post_init__(self):
         num_s, s_max = self.num_s, self.s_max
-        if num_s is not None and num_s % 2:
-            raise ParameterError("num_s must be even")
-        if num_s is not None and num_s > MAX_NUM_S:
-            raise ParameterError(f"num_s = {num_s} exceeds the cap {MAX_NUM_S}")
-        if s_max is not None and not (math.isfinite(s_max) and s_max > 0):
-            raise ParameterError(f"s_max must be finite and positive, got {s_max!r}")
-        if num_s is not None and num_s <= 4:
-            raise ParameterError("num_s must exceed 4, so that the exclusion 2 ds < s_max")
+        if num_s is not None and (isinstance(num_s, bool)
+                                  or not isinstance(num_s, numbers.Integral) or num_s % 2):
+            raise ParameterError(f"num_s must be an even integer, got {num_s!r}")
+        if num_s is not None and not 4 < num_s <= MAX_NUM_S:
+            raise ParameterError(f"num_s = {num_s} must exceed 4, so that the exclusion "
+                                 f"2 ds < s_max, and not the cap {MAX_NUM_S}")
+        if s_max is not None and (isinstance(s_max, bool) or not isinstance(s_max, numbers.Real)
+                                  or not (math.isfinite(s_max) and s_max > 0)):
+            raise ParameterError(f"s_max must be a finite positive real, got {s_max!r}")
 
     @property
     def ds(self) -> float:
@@ -311,27 +314,17 @@ class _ExpTable:
         return table.reshape(len(x), q * b)[:, :m]
 
 
-def _multisets(at: np.ndarray, W: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """The distinct sorted rows (at[i_0], ..., at[i_{k-1}]) over the index
-    tuples of the k-axis weight array W, in lexicographic order, and the sum
-    of W over the tuples of each."""
-    k = W.ndim
-    rows = _index_rows([at] * k)
-    rows.sort(axis=1)
-    order = np.lexsort(rows.T[::-1])
-    rows = rows[order]
-    first = np.ones(len(rows), dtype=bool)
-    np.any(rows[1:] != rows[:-1], axis=1, out=first[1:])
-    starts = np.flatnonzero(first)
-    return rows[starts], np.add.reduceat(W.ravel()[order], starts)
-
-
 def _sweep_step(d: int, n: int) -> int:
     """s-points per chunk of the order-n sweep at dimension d.
 
     Its largest table holds per_s complex entries per s-point, and a chunk's
     tables at most _SWEEP_ENTRIES (one s-point's where per_s is more); an
     order whose per_s is past _CHUNK_ENTRIES raises ParameterError.
+
+    per_s counts all index rows, not the multisets, since it also bounds the
+    set-up (the d^(n-1) index tuples and W).  Counting multisets widens the
+    chunks; on a 2-core VM that slowed the order-3 sweep at d = 16 (median
+    55 -> 84 ms), and at d = 64 runs disagreed (0.89 -> 0.99 s, 0.68 -> 0.58 s).
     """
     per_s = max(2 * d, (n - 1) * d ** (n - 1))
     if per_s > _CHUNK_ENTRIES:
@@ -371,13 +364,13 @@ def _remainder_trace_exponential(
     less than eps^(1/17)/s, so an order-k value is good to about
     (eps + eps^(1-k/17)) s^k/k! at any eigenvalue gap.
 
-    What does not depend on s is done once per call, before the chunks: the
-    rows of each term k >= 2 are the multisets of node indices, sorted, each
-    with the sum of its tuples' weights (a divided difference is symmetric);
-    their spans and zero spans are found, and their Taylor entries are the
-    spans below eps^(1/17)/s at the first s, in ascending order, so that each
-    chunk takes those below its own largest tau as a prefix.  A chunk costs
-    only its arithmetic.
+    What does not depend on s is done once per call, before the chunks: each
+    W_k (whole, within the memory budget); the rows of each term k >= 2, the
+    sorted multisets of node indices in colex order (kernels._distinct_rows),
+    each with its tuples' summed weight (a divided difference is symmetric);
+    their spans and zero spans; and their Taylor entries, the spans below
+    eps^(1/17)/s at the first s in ascending order, so that each chunk takes
+    those below its own largest tau as a prefix.  A chunk costs only its arithmetic.
 
     Near s = 0 the rounding of the O(d) terms (eigenvalues of A + B included)
     is divided by s^n, so etahat loses accuracy as (s ||B||)^{-n}.  Relative
@@ -411,7 +404,11 @@ def _remainder_trace_exponential(
         if k == 1:
             np.add.at(w01[1], at, W)
             continue
-        rows, w = _multisets(at, W)
+        rows, inverse = _distinct_rows(_index_rows([at] * k), len(nodes))
+        w = W.ravel()
+        if inverse is not None:
+            w = np.zeros(len(rows), dtype=complex)
+            np.add.at(w, inverse, W.ravel())
         terms.append((k, rows, w, list(_table_levels(nodes[rows], near_below, M))))
     exp_table = _ExpTable(nodes, ds, min(step, k_hi - k_lo))
     for lo in range(k_lo, k_hi, step):

@@ -107,6 +107,8 @@ def _derivative_moi(f: FunctionFamily, A, B, k: int, t: float) -> MOIResult:
         raise OrderLimitError(f"derivative order {k} exceeds {f.family_id!r} support")
     if k < 1:
         raise ParameterError("derivative order must be >= 1")
+    if not math.isfinite(t):
+        raise ParameterError(f"t must be finite, got {t!r}")
     _warn_missing_flags(f, k)
     A, B = require_hermitian_pair(A, B)
     E = eig_hermitian(A + t * B)

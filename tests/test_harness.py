@@ -478,6 +478,27 @@ def test_cli_deriv_runs_one_projection_sum(monkeypatch, capsys):
     assert 'diagnostics: {"cluster_counts": [3, 3, 3], "symbol_evaluations": 27}' in out
 
 
+@pytest.mark.parametrize("t", ["nan", "inf", "-inf"])
+def test_cli_deriv_rejects_a_non_finite_t_before_any_eigensolve(t, monkeypatch, capsys):
+    import warnings
+
+    import moilab.spectral
+    import moilab.taylor
+    from moilab import cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("eigensolve before --t was checked")
+
+    monkeypatch.setattr(moilab.spectral, "eig_hermitian", never)
+    monkeypatch.setattr(moilab.taylor, "eig_hermitian", never)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["deriv", "--f", "gaussian", "--k", "1", f"--t={t}", "--seed", "7"])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert "configuration error: --t" in err and "finite" in err, err
+
+
 def test_cli_run_reports_cross_process_identical(tmp_path):
     # two separate processes, same config and output directory: the report is
     # byte identical once the wall-time line is blanked

@@ -513,9 +513,27 @@ def test_kernel_budget_error_before_allocation():
             moi_projection_sum(CustomSymbol(never, n + 1), ops)
         with pytest.raises(ParameterError, match="one chunk may hold"):
             moi_discretized(dd_symbol(gaussian(), n), ops, m=4)
-        with pytest.raises(ParameterError, match="one chunk may hold"):
+        with pytest.raises(ParameterError, match="memory budget holds"):
             projection_trace_weights(ops)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 64 * 1024  # no d x d matrix (64 KiB) was formed
+
+
+def test_trace_weights_over_the_budget_raise_before_allocation(monkeypatch):
+    # W at d = 48, order 2 is 48^3 complex entries (1.7 MiB), over a 1 MiB
+    # budget, while one i_0 slice of it (36 KiB) is far under any chunk
+    gen = SplitMix64(81)
+    d, n = 48, 2
+    E = eig_hermitian(random_hermitian(gen, d))
+    ops = operands([E] * (n + 1), [gen.complex_normals((d, d))] * n)
+    monkeypatch.setattr(kernels, "_MEMORY_BUDGET_BYTES", 1 << 20)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParameterError, match="1 MiB memory budget holds"):
+            projection_trace_weights(ops)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024  # neither W nor the chain's three d x d products was formed

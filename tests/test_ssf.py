@@ -94,6 +94,16 @@ def test_fourier_params_validation():
     for num_s in (0, 2, 4):
         with pytest.raises(ParameterError):
             FourierParams(s_max=10.0, num_s=num_s)
+    # a num_s that is not an integer, or is a bool, and an s_max that is not
+    # a real number, each under its own message, not later or under another
+    for num_s in (16384.0, True, np.float64(16384), "16384"):
+        with pytest.raises(ParameterError, match="num_s must be an even integer"):
+            FourierParams(s_max=10.0, num_s=num_s)
+    for s_max in ("5", True, 5j, [5.0]):
+        with pytest.raises(ParameterError, match="s_max must be a finite positive real"):
+            FourierParams(s_max=s_max, num_s=16384)
+    # numpy integers and floats stay accepted
+    assert FourierParams(s_max=np.float64(10.0), num_s=np.int64(16384)).ds == 20.0 / 16384
     # a t-step pi / s_max wider than the padded hull [-0.2, 0.7]
     with pytest.raises(ParameterError, match="fewer than 2 points"):
         higher_ssf_fourier(np.diag([0.0, 0.5]), np.diag([0.3, 0.0]), 2, FourierParams(1.0, 16))
@@ -468,6 +478,31 @@ def test_sweep_chunked_and_unchunked_agree(which, n, step):
     whole = _sweep(EA, EAB, B, n, ds, 1, 301, 300)
     chunked = _sweep(EA, EAB, B, n, ds, 1, 301, step)
     np.testing.assert_allclose(chunked, whole, rtol=0, atol=1e-13 * np.abs(whole).max())
+
+
+@pytest.mark.parametrize("repeat", [False, True])
+def test_sweep_runs_one_table_row_per_multiset(repeat, monkeypatch):
+    # the k = 2 and k = 3 terms of an order-4 sweep each take one table row
+    # per multiset of A's m distinct eigenvalues, C(m + k - 1, k) of them,
+    # in ascending colex order (kernels._distinct_rows)
+    lam = [-0.7, 0.2, 0.2 if repeat else 0.5, 1.1]
+    B = pair(23, 4)[1]
+    EA, EAB = eig_hermitian(np.diag(lam)), eig_hermitian(np.diag(lam) + B)
+    m = len(set(EA.eigenvalues))
+    assert m == (3 if repeat else 4)
+    seen = []
+    real = ssf_module._table_levels
+
+    def counting(z, *args):
+        seen.append(z.copy())
+        return real(z, *args)
+
+    monkeypatch.setattr(ssf_module, "_table_levels", counting)
+    _sweep(EA, EAB, B, 4, 0.1, 1, 9, 8)
+    assert [len(z) for z in seen] == [math.comb(m + k - 1, k) for k in (2, 3)]
+    for z in seen:
+        keys = [tuple(row[::-1]) for row in z]  # colex: the last node first
+        assert keys == sorted(set(keys))
 
 
 def test_fourier_budget_errors_before_allocation():

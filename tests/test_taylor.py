@@ -287,6 +287,13 @@ def test_perturbation_higher_order_trivial_cases():
     assert res <= 1e-12
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_derivative_rejects_a_non_finite_t(t):
+    A, B = pair(24, 3)
+    with pytest.raises(ParameterError, match="t must be finite"):
+        gateaux_derivative(gaussian(), A, B, 1, t=t)
+
+
 def test_telescoping_identity():
     A, B = pair(19, 4)
     assert telescoping_check(gaussian(), A, B, n=3, t=0.7, j=2) <= 1e-8
