@@ -150,7 +150,7 @@ def _cmd_deriv(args) -> int:
 
 
 def _cmd_counterexample(args) -> int:
-    from .taylor import lp_counterexample_demo
+    from .taylor import _counterexample_csv, lp_counterexample_demo
 
     try:
         dims = [int(x) for x in args.dims.split(",") if x]
@@ -160,13 +160,11 @@ def _cmd_counterexample(args) -> int:
         rows = lp_counterexample_demo(args.p, dims)
     except ParameterError as exc:
         raise ConfigError(f"counterexample: {exc}") from None
-    lines = ["d,t,r_heavy,r_bounded"]
     print("    d            t        r_heavy     r_bounded")
     for r in rows:
         print(f"{r.dim:5d}  {r.t:.5e}  {r.r_heavy:.6e}  {r.r_bounded:.6e}")
-        lines.append(f"{r.dim},{r.t!r},{r.r_heavy!r},{r.r_bounded!r}")
     if args.out:
-        Path(args.out).write_text("\n".join(lines) + "\n")
+        Path(args.out).write_text(_counterexample_csv(rows))
         print(f"wrote {args.out}")
     return EXIT_OK
 

@@ -39,6 +39,7 @@ from .moi import (
 from .rng import SplitMix64, _hermitian_from, _is_int, check_draw, gue_like_pair
 from .spectral import apply_function, eig_hermitian, trace
 from .ssf import (
+    _counting,
     counting_pairing,
     diagonal_symbol_trace,
     higher_ssf_fourier,
@@ -47,6 +48,8 @@ from .ssf import (
     verify_trace_formula,
 )
 from .taylor import (
+    _counterexample_csv,
+    _heavy_tail_diagonal,
     finite_difference_oracle,
     gateaux_derivative,
     lp_counterexample_demo,
@@ -155,9 +158,7 @@ def generate_ensemble(config: ExperimentConfig):
     if config.ensemble == "gue_like":
         return gue_like_pair(config.seed, d)
     if config.ensemble == "diagonal_heavy_tail":
-        k = np.arange(1, d + 1, dtype=float)
-        b = (k / d) ** (-1.0 / (1.5 * _HEAVY_TAIL_P))
-        return np.eye(d), np.diag(b)
+        return np.eye(d), np.diag(_heavy_tail_diagonal(d, _HEAVY_TAIL_P))
     # fixed_matrix_file
     if not config.matrix_a or not config.matrix_b:
         raise ConfigError("fixed_matrix_file ensemble needs matrix_a and matrix_b paths")
@@ -421,13 +422,8 @@ def _checks_ssf(config: ExperimentConfig) -> _GroupResult:
                                  ensemble="gue_like")
     A1, B1 = generate_ensemble(cfg_small)
     four1 = higher_ssf_fourier(A1, B1, n=1)
-    count1 = krein_ssf(A1, B1)
-    lam = np.asarray(count1.params["spectrum_base"])
-    mu = np.asarray(count1.params["spectrum_perturbed"])
-    exact1 = (
-        (mu[None, :] > four1.t_grid[:, None]).sum(1)
-        - (lam[None, :] > four1.t_grid[:, None]).sum(1)
-    ).astype(float)
+    exact1 = _counting(eig_hermitian(A1).eigenvalues, eig_hermitian(A1 + B1).eigenvalues,
+                       four1.t_grid)
     l1 = float(np.trapezoid(np.abs(four1.values - exact1), four1.t_grid))
     out.append(
         _record("fourier_vs_counting_l1", "trace-formula-order-1", l1,
@@ -480,10 +476,7 @@ def _checks_counterexample(config: ExperimentConfig) -> _GroupResult:
     artifacts = []
     if config.out_dir:
         path = Path(config.out_dir) / "counterexample.csv"
-        lines = ["d,t,r_heavy,r_bounded"]
-        for r in rows:
-            lines.append(f"{r.dim},{r.t!r},{r.r_heavy!r},{r.r_bounded!r}")
-        path.write_text("\n".join(lines) + "\n")
+        path.write_text(_counterexample_csv(rows))
         artifacts.append(str(path))
     return records, artifacts
 

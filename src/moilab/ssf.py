@@ -2,7 +2,8 @@
 
 Order 1 uses the exact counting form: eta_1(t) counts eigenvalues of A + B
 above t minus eigenvalues of A above t, a piecewise-constant function whose
-pairing with f' telescopes exactly over breakpoint intervals.
+pairing with f' telescopes exactly between the points of the two spectra; a
+counting grid's sidecar holds both, all that the pairing needs.
 
 Higher orders are recovered by Fourier duality.  Pairing the order-n
 remainder trace with the bounded exponentials f_s(x) = exp(isx) gives
@@ -28,15 +29,14 @@ Working set: the half-grid etahat (num_s / 2 + 1 complex values, 2 MiB at
 the cap num_s = 2^18) is the only array as long as the s-grid, and nothing
 else outgrows a chunk.  What does not depend on s (the sweep's rows, spans
 and Taylor offsets, and its exponential steps) is made once per call.  The
-sweep builds each chunk's s = k ds from its integer offsets, with tables of
-at most 2^14 complex entries (_SWEEP_ENTRIES; one s-point's per_s entries
-where that is more), and the quotient and taper are applied to etahat
-2^14 s-points at a time, in place.  The band inverse transforms blocks of at
-most 2^14 complex entries (_BAND_BLOCK_ENTRIES), or one column of L where L
-is more, and makes its twiddles for 2^12 entries at a time.  So the order-1
-call at num_s = 2^18 peaks at about 2.7 MiB under tracemalloc, the d = 4
-order-2 call at 0.8 MiB, and the order-3 calls at d = 32 and 64 at 0.7 and
-1.2 MiB.
+sweep builds each chunk's s = k ds from its integer offsets, and every
+block is of at most _BLOCK_ENTRIES = 2^14 complex entries: a chunk's tables
+(one s-point's per_s entries where that is more), a run of s-points of the
+quotient and taper, applied to etahat in place, and a block of the band
+inverse's columns (one column of L where L is more), whose twiddles are made
+for 2^12 entries at a time.  So the order-1 call at num_s = 2^18 peaks at
+about 2.7 MiB under tracemalloc, the d = 4 order-2 call at 0.8 MiB, and the
+order-3 calls at d = 32 and 64 at 0.7 and 1.2 MiB.
 
 The sweep's divided-difference tables and trace weights come from
 :mod:`moilab.kernels`.  The function catalogue, the operator-integral forms
@@ -102,18 +102,22 @@ __all__ = [
 
 @dataclass
 class SSFGrid:
-    """A sampled spectral shift density on a uniform real grid."""
+    """A sampled spectral shift density on a uniform real grid.  A counting
+    grid's params hold the spectra of A and A + B, all that pairing it needs."""
 
     order: int
     t_grid: np.ndarray
     values: np.ndarray
     support: Tuple[float, float]
     method: str                      # "counting" | "fourier"
-    l1_norm: float
-    breakpoints: Optional[np.ndarray] = None
     imag_residue: float = 0.0
     params: Optional[dict] = None
     seed: Optional[int] = None
+
+    @property
+    def l1_norm(self) -> float:
+        """Trapezoid integral of |values| over the grid."""
+        return float(np.trapezoid(np.abs(self.values), self.t_grid))
 
     def quadrature(self, samples: np.ndarray) -> float:
         """Trapezoid integral of samples * values over the grid."""
@@ -129,30 +133,32 @@ def _spectra_hull(EA, EAB) -> Tuple[float, float]:
     return float(lo), float(hi)
 
 
+def _padded_hull(lo: float, hi: float) -> Tuple[float, float]:
+    """The t-range of a density: [lo, hi] padded by T_PAD_FRAC max(hi - lo, 1)."""
+    pad = T_PAD_FRAC * max(hi - lo, 1.0)
+    return lo - pad, hi + pad
+
+
+def _counting(lam: np.ndarray, mu: np.ndarray, t) -> np.ndarray:
+    """eta_1(t) = #{mu > t} - #{lam > t} at each t, as floats."""
+    t = np.asarray(t)[..., None]
+    return ((mu > t).sum(axis=-1) - (lam > t).sum(axis=-1)).astype(float)
+
+
 def krein_ssf(A, B) -> SSFGrid:
     """First-order shift function by exact eigenvalue counting, on 2001 points."""
     A, B = require_hermitian_pair(A, B)
-    lam = eig_hermitian(A).eigenvalues
-    mu = eig_hermitian(A + B).eigenvalues
-    lo = float(min(lam[0], mu[0]))
-    hi = float(max(lam[-1], mu[-1]))
-    span = max(hi - lo, 1.0)
-    pad = T_PAD_FRAC * span
-    t = np.linspace(lo - pad, hi + pad, 2001)
-    values = (
-        (mu[None, :] > t[:, None]).sum(axis=1)
-        - (lam[None, :] > t[:, None]).sum(axis=1)
-    ).astype(float)
-    breakpoints = np.sort(np.concatenate([lam, mu]))
+    EA, EAB = eig_hermitian(A), eig_hermitian(A + B)
+    lo, hi = _spectra_hull(EA, EAB)
+    t = np.linspace(*_padded_hull(lo, hi), 2001)
     dt = t[1] - t[0]
+    lam, mu = EA.eigenvalues, EAB.eigenvalues
     return SSFGrid(
         order=1,
         t_grid=t,
-        values=values,
+        values=_counting(lam, mu, t),
         support=(lo - dt, hi + dt),
         method="counting",
-        l1_norm=float(np.trapezoid(np.abs(values), t)),
-        breakpoints=breakpoints,
         params={"spectrum_base": lam.tolist(), "spectrum_perturbed": mu.tolist()},
     )
 
@@ -160,22 +166,19 @@ def krein_ssf(A, B) -> SSFGrid:
 def counting_pairing(ssf: SSFGrid, f: FunctionFamily) -> float:
     """Exact pairing integral of f' against a counting-form shift function.
 
-    The density is constant between breakpoints, so the integral telescopes
-    through the antiderivative of f', which is f itself.
+    The density is constant between the points of the two spectra held in
+    ssf.params, so the integral telescopes through the antiderivative of f',
+    which is f itself; the intervals are summed in ascending order.
     """
-    if ssf.method != "counting" or ssf.breakpoints is None or not ssf.params:
+    params = ssf.params or {}
+    if ssf.method != "counting" or not {"spectrum_base", "spectrum_perturbed"} <= params.keys():
         raise ParameterError("breakpoint pairing needs a counting-form grid")
-    lam = np.asarray(ssf.params["spectrum_base"])
-    mu = np.asarray(ssf.params["spectrum_perturbed"])
-    bp = ssf.breakpoints
+    lam, mu = np.asarray(params["spectrum_base"]), np.asarray(params["spectrum_perturbed"])
+    bp = np.sort(np.concatenate([lam, mu]))
     total = 0.0
-    for left, right in zip(bp[:-1], bp[1:]):
-        if right <= left:
-            continue
-        mid = 0.5 * (left + right)
-        val = float(np.count_nonzero(mu > mid) - np.count_nonzero(lam > mid))
-        if val != 0.0:
-            total += val * float(np.real(f.eval(0, right) - f.eval(0, left)))
+    for a, b, val in zip(bp[:-1], bp[1:], _counting(lam, mu, 0.5 * (bp[:-1] + bp[1:])).tolist()):
+        if b > a and val != 0.0:
+            total += val * float(np.real(f.eval(0, b) - f.eval(0, a)))
     return total
 
 
@@ -184,8 +187,7 @@ MAX_NUM_S = 1 << 18
 T_PAD_FRAC = 0.2     # padding of the t-grid past the spectral hull, times max(span, 1)
 TAPER_FRAC = 0.5     # outer fraction of [-s_max, s_max] where the cosine taper falls to 0
 FIT_BAND_WIDTHS = 6  # steps ds past the exclusion zone that the small-s fit uses
-_SWEEP_ENTRIES = 1 << 14       # complex entries of one sweep chunk's tables (or one s-point's)
-_BAND_BLOCK_ENTRIES = 1 << 14  # complex entries of one block of columns in _band_dft
+_BLOCK_ENTRIES = 1 << 14  # complex entries of each block of the recovery's working set
 
 
 @dataclass
@@ -214,6 +216,8 @@ class FourierParams:
         if s_max is not None and (isinstance(s_max, bool) or not isinstance(s_max, numbers.Real)
                                   or not (math.isfinite(s_max) and s_max > 0)):
             raise ParameterError(f"s_max must be a finite positive real, got {s_max!r}")
+        self.num_s = None if num_s is None else int(num_s)  # plain scalars for the sidecar
+        self.s_max = None if s_max is None else float(s_max)
 
     @property
     def ds(self) -> float:
@@ -235,10 +239,8 @@ class FourierParams:
     @classmethod
     def _for_hull(cls, lo: float, hi: float, n: int) -> "FourierParams":
         """:meth:`auto` for the joint spectral hull [lo, hi] of A and A + B."""
-        span = max(hi - lo, 1e-6)
-        s_max = (24000.0 if n == 1 else 600.0) / span
-        pad = T_PAD_FRAC * max(span, 1.0)
-        t_abs = max(abs(lo - pad), abs(hi + pad), 1e-3)
+        s_max = (24000.0 if n == 1 else 600.0) / max(hi - lo, 1e-6)
+        t_abs = max(*map(abs, _padded_hull(lo, hi)), 1e-3)
         target = 6.7 * s_max * t_abs
         num_s = 1 << int(math.ceil(math.log2(min(max(target, 16384.0), MAX_NUM_S))))
         if n == 1:
@@ -272,7 +274,7 @@ class _ExpTable:
     the neglected phi^2 / 2 is far below eps.  What no chunk changes is made
     once: the buffers, and exp(i r h x) for each b (the chunks of one sweep
     have at most two lengths).  The factors 1 + i phi are made for groups of
-    rows of at most _SWEEP_ENTRIES entries, a few numpy calls per group.
+    rows of at most _BLOCK_ENTRIES entries, a few numpy calls per group.
     """
 
     def __init__(self, x: np.ndarray, h: float, width: int):
@@ -282,7 +284,7 @@ class _ExpTable:
         self.out = np.empty(len(x) * (width + b), dtype=complex)
         # the factors 1 + i phi of one group of rows, as 1.0 + 1j * phi has
         # them; phi is written into .imag
-        rows = min(len(x), max(1, _SWEEP_ENTRIES // 2 // (width + b)))
+        rows = min(len(x), max(1, _BLOCK_ENTRIES // 2 // (width + b)))
         self.fix = np.empty(rows * (width + b), dtype=complex)
         self.fix.real = 1.0
         self.steps = {}
@@ -318,7 +320,7 @@ def _sweep_step(d: int, n: int) -> int:
     """s-points per chunk of the order-n sweep at dimension d.
 
     Its largest table holds per_s complex entries per s-point, and a chunk's
-    tables at most _SWEEP_ENTRIES (one s-point's where per_s is more); an
+    tables at most _BLOCK_ENTRIES (one s-point's where per_s is more); an
     order whose per_s is past _CHUNK_ENTRIES raises ParameterError.
 
     per_s counts all index rows, not the multisets, since it also bounds the
@@ -330,7 +332,7 @@ def _sweep_step(d: int, n: int) -> int:
     if per_s > _CHUNK_ENTRIES:
         raise ParameterError(f"order {n} at dimension {d} needs {per_s} entries "
                              f"per s-point, more than the {_CHUNK_ENTRIES} of one chunk")
-    return max(1, _SWEEP_ENTRIES // per_s)
+    return max(1, _BLOCK_ENTRIES // per_s)
 
 
 def _remainder_trace_exponential(
@@ -447,7 +449,7 @@ def _band_dft(g: np.ndarray, k_lo: int, K: int) -> np.ndarray:
     (the four-step split; Bailey, J. Supercomputing 4, 1990).  Column b of u
     is g[b::P] followed by the conjugate of g[h-b::-P] (g_h first), two
     strided views of g; the columns are transformed a block of at most
-    _BAND_BLOCK_ENTRIES = 2^14 entries at a time (one column where L is
+    _BLOCK_ENTRIES = 2^14 entries at a time (one column where L is
     longer), so no array is as long as u but the P = 1 column, which is all
     of u.  Each block's twiddles are made for a quarter of that many
     (b, k) pairs at a time (for one k at least), so no K-sized temporary is
@@ -464,7 +466,7 @@ def _band_dft(g: np.ndarray, k_lo: int, K: int) -> np.ndarray:
     top = g[:h].reshape(L // 2, P)      # u at a P + b, a < L/2
     bot = g[h:0:-1].reshape(L // 2, P)  # conj u at (a + L/2) P + b
     X = np.zeros(K, dtype=complex)
-    width = max(1, _BAND_BLOCK_ENTRIES // L)
+    width = max(1, _BLOCK_ENTRIES // L)
     block = np.empty((min(width, P), L), dtype=complex)  # one buffer for every block
     for b0 in range(0, P, width):
         b = np.arange(b0, min(b0 + width, P))
@@ -475,7 +477,7 @@ def _band_dft(g: np.ndarray, k_lo: int, K: int) -> np.ndarray:
         # b (k_lo + j) = (b k_lo mod N) + b j with b j < P K <= N, so every
         # angle is below 4 pi and exact in its integers
         offset = (b * k_lo % N)[:, None]
-        span = max(1, _BAND_BLOCK_ENTRIES // 4 // len(b))
+        span = max(1, _BLOCK_ENTRIES // 4 // len(b))
         j0 = 0
         while j0 < K:
             # a run of k whose residues k mod L do not wrap, so that the
@@ -496,13 +498,13 @@ def _band_dft(g: np.ndarray, k_lo: int, K: int) -> np.ndarray:
 
 
 def _divide_and_taper(etahat: np.ndarray, n: int, ds: float, s_max: float) -> None:
-    """In place on etahat at the offsets 2 <= k < h, _SWEEP_ENTRIES s-points at
+    """In place on etahat at the offsets 2 <= k < h, _BLOCK_ENTRIES s-points at
     a time: the quotient F / (is)^n and the cosine taper w, which is 1 but on
     the outer TAPER_FRAC of the window."""
     h = len(etahat) - 1
     cut = (1.0 - TAPER_FRAC) * s_max
-    for k in range(2, h, _SWEEP_ENTRIES):
-        sc = ds * np.arange(k, min(k + _SWEEP_ENTRIES, h))
+    for k in range(2, h, _BLOCK_ENTRIES):
+        sc = ds * np.arange(k, min(k + _BLOCK_ENTRIES, h))
         g = etahat[k:k + len(sc)]
         g /= sc ** n
         g *= (-1j) ** n
@@ -531,28 +533,27 @@ def higher_ssf_fourier(
     sampled at t_k = k pi / s_max, and only at the k whose t_k lie in the
     padded hull (:func:`_band_dft`).
 
-    Memory: etahat, h + 1 complex values, plus chunk-sized buffers.  The
+    Memory: etahat, h + 1 complex values, plus blocks of _BLOCK_ENTRIES.  The
     sweep writes F straight into etahat, a chunk of :func:`_sweep_step`
     s-points at a time; the fit takes its 7 quotients from a copy, and the
-    quotient and taper then run in place over 2^14 s-points at a time
-    (:func:`_divide_and_taper`), so no other array is as long as the s-grid;
-    the band inverse works in blocks of 2^14 entries, and takes its twiddles
+    quotient and taper then run in place (:func:`_divide_and_taper`), so no
+    other array is as long as the s-grid; the band inverse takes its twiddles
     for 2^12 (column, t-point) pairs at a time.  etahat is dropped once the
-    band is inverted.  A grid whose t-step pi / s_max is too fine for h points to cover
-    the padded hull raises a ParameterError ("increase num_s"), however small
-    the step.
+    band is inverted.  A grid whose t-step pi / s_max is too fine for h points
+    to cover the padded hull raises a ParameterError ("increase num_s"),
+    however small the step.  seed, None or an integer, is only recorded.
     """
     if n < 1:
         raise ParameterError("order must be >= 1")
+    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, numbers.Integral)):
+        raise ParameterError(f"seed must be None or an integer, got {seed!r}")
     A, B = require_hermitian_pair(A, B)
     step = _sweep_step(len(A), n)
     EA = eig_hermitian(A)
     EAB = eig_hermitian(A + B)
     lo, hi = _spectra_hull(EA, EAB)
     params = (FourierParams() if params is None else params)._filled(lo, hi, n)
-    span = max(hi - lo, 1e-6)
-    pad = T_PAD_FRAC * max(span, 1.0)
-    t_lo, t_hi = lo - pad, hi + pad
+    t_lo, t_hi = _padded_hull(lo, hi)
     # Nyquist guard: the conjugate grid t_k = k dt, -h <= k < h, must cover the
     # padded hull, with at least two points in it
     h = params.num_s // 2
@@ -598,25 +599,22 @@ def higher_ssf_fourier(
     del etahat  # nor is the half-grid held through what follows
     t_grid = dt * np.arange(k_lo, k_hi + 1)
 
-    real = eta.real.copy()
-    l1 = float(np.trapezoid(np.abs(real), t_grid))
     imag_l1 = float(np.trapezoid(np.abs(eta.imag), t_grid))
-    if imag_l1 > 1e-6 * max(l1, 1e-12):
-        raise InversionQualityError(
-            f"imaginary residue {imag_l1:.3e} exceeds 1e-6 of the L1 mass {l1:.3e}"
-        )
     dtg = float(t_grid[1] - t_grid[0])
-    return SSFGrid(
+    grid = SSFGrid(
         order=n,
         t_grid=t_grid,
-        values=real,
+        values=eta.real.copy(),
         support=(lo - dtg, hi + dtg),
         method="fourier",
-        l1_norm=l1,
         imag_residue=imag_l1,
         params=asdict(params),
-        seed=seed,
+        seed=None if seed is None else int(seed),
     )
+    if imag_l1 > 1e-6 * max(grid.l1_norm, 1e-12):
+        raise InversionQualityError(f"imaginary residue {imag_l1:.3e} exceeds 1e-6 "
+                                    f"of the L1 mass {grid.l1_norm:.3e}")
+    return grid
 
 
 @dataclass
@@ -759,7 +757,6 @@ def load_ssf(csv_path, sidecar_path) -> SSFGrid:
         values=v,
         support=tuple(meta.get("support", (float(t[0]), float(t[-1])))),
         method=meta.get("method", "unknown"),
-        l1_norm=float(meta.get("l1_norm", np.trapezoid(np.abs(v), t))),
         params=meta.get("params"),
         seed=meta.get("seed"),
     )

@@ -310,6 +310,17 @@ def _check_counterexample_budget(dims: Sequence[int]) -> None:
         )
 
 
+def _heavy_tail_diagonal(d: int, p: float) -> np.ndarray:
+    """The counterexample's heavy-tail diagonal (k/d)^(-1/(1.5 p)), k = 1..d."""
+    return (np.arange(1, d + 1, dtype=float) / d) ** (-1.0 / (1.5 * p))
+
+
+def _counterexample_csv(rows: Sequence[DivergenceRow]) -> str:
+    """The counterexample table as CSV text, each float by its repr."""
+    return "d,t,r_heavy,r_bounded\n" + "".join(
+        f"{r.dim},{r.t!r},{r.r_heavy!r},{r.r_bounded!r}\n" for r in rows)
+
+
 def lp_counterexample_demo(p: float, dims: Sequence[int]) -> List[DivergenceRow]:
     """Difference-quotient blowup for an unbounded heavy-tail perturbation.
 
@@ -332,10 +343,9 @@ def lp_counterexample_demo(p: float, dims: Sequence[int]) -> List[DivergenceRow]
     for d in dims:
         weights = np.full(d, 1.0 / d)
         t = 1.0 / d
-        k = np.arange(1, d + 1, dtype=float)
         out = []
         for heavy in (True, False):
-            b = (k / d) ** (-1.0 / (1.5 * p)) if heavy else np.ones(d)
+            b = _heavy_tail_diagonal(d, p) if heavy else np.ones(d)
             # diagonal algebra commutes: phi'(t) = f'(1 + t b) b entrywise
             quot = (f.eval(1, 1.0 + t * b) * b - f.eval(1, np.ones(d)) * b) / t
             out.append(weighted_diagonal_norm(quot, p, weights))

@@ -237,6 +237,16 @@ def test_cli_counterexample_and_exit_codes(tmp_path):
                     "--out", str(tmp_path / "t.csv")], cwd=tmp_path)
     assert res.returncode == 0, res.stderr
     assert (tmp_path / "t.csv").exists()
+    # at the suite's p and dims, the command's table is the suite's, byte for byte
+    res = _run_cli(["counterexample", "--p", "2", "--dims", "16,64,256,1024,4096",
+                    "--out", str(tmp_path / "table.csv")], cwd=tmp_path)
+    assert res.returncode == 0, res.stderr
+    (tmp_path / "cfg.json").write_text('{"seed": 7}')
+    res = _run_cli(["run", "--config", "cfg.json", "--suite", "counterexample",
+                    "--out", "out"], cwd=tmp_path)
+    assert res.returncode == 0, res.stderr
+    table = (tmp_path / "table.csv").read_bytes()
+    assert table == (tmp_path / "out" / "counterexample.csv").read_bytes()
 
 
 def test_cli_config_error_exit_code(tmp_path):

@@ -347,21 +347,48 @@ def test_remainder_trace_is_linear_in_function():
 
 def test_serialization_roundtrip_and_determinism(tmp_path):
     A, B = pair(16, 3)
-    grid = higher_ssf_fourier(A, B, n=2, seed=16)
-    p1 = tmp_path / "a.csv"
-    m1 = tmp_path / "a.json"
-    save_ssf(grid, p1, m1)
-    grid_again = higher_ssf_fourier(A, B, n=2, seed=16)
-    p2 = tmp_path / "b.csv"
-    m2 = tmp_path / "b.json"
-    save_ssf(grid_again, p2, m2)
-    assert p1.read_bytes() == p2.read_bytes()
-    assert m1.read_bytes() == m2.read_bytes()
-    loaded = load_ssf(p1, m1)
-    assert loaded.order == 2
-    assert np.array_equal(loaded.t_grid, grid.t_grid)
-    assert np.array_equal(loaded.values, grid.values)
-    assert loaded.method == "fourier"
+    grids = {"fourier": (2, lambda: higher_ssf_fourier(A, B, n=2, seed=16)),
+             "counting": (1, lambda: krein_ssf(A, B))}
+    for method, (order, make) in grids.items():
+        grid = make()
+        p1 = tmp_path / f"{method}_a.csv"
+        m1 = tmp_path / f"{method}_a.json"
+        save_ssf(grid, p1, m1)
+        grid_again = make()
+        p2 = tmp_path / f"{method}_b.csv"
+        m2 = tmp_path / f"{method}_b.json"
+        save_ssf(grid_again, p2, m2)
+        assert p1.read_bytes() == p2.read_bytes()
+        assert m1.read_bytes() == m2.read_bytes()
+        loaded = load_ssf(p1, m1)
+        assert loaded.order == order
+        assert np.array_equal(loaded.t_grid, grid.t_grid)
+        assert np.array_equal(loaded.values, grid.values)
+        assert loaded.method == method
+        # the L1 mass is derived from the samples, which load back exactly
+        assert loaded.l1_norm == grid.l1_norm
+    # the counting sidecar holds both spectra, so the loaded grid pairs, bit for bit
+    for f in (exponential(), gaussian()):
+        assert counting_pairing(loaded, f) == counting_pairing(grid, f)
+    # a counting sidecar without both spectra is refused, not a KeyError
+    del loaded.params["spectrum_perturbed"]
+    with pytest.raises(ParameterError, match="needs a counting-form grid"):
+        counting_pairing(loaded, exponential())
+
+
+def test_numpy_scalar_arguments_write_the_sidecar_of_python_scalars(tmp_path):
+    A, B = np.diag([0.0, 1.0]), np.diag([0.5, 0.0])
+    calls = {"python": (FourierParams(300.0, 16384), 7),
+             "numpy": (FourierParams(np.float64(300.0), np.int64(16384)), np.int64(7))}
+    for name, (params, seed) in calls.items():
+        save_ssf(higher_ssf_fourier(A, B, 2, params, seed=seed),
+                 tmp_path / f"{name}.csv", tmp_path / f"{name}.json")
+    assert (tmp_path / "numpy.json").read_bytes() == (tmp_path / "python.json").read_bytes()
+    assert (tmp_path / "numpy.csv").read_bytes() == (tmp_path / "python.csv").read_bytes()
+    # a seed is None or an integer that is not a bool
+    for seed in (True, 7.0, np.float64(7.0), "7"):
+        with pytest.raises(ParameterError, match="seed must be None or an integer"):
+            higher_ssf_fourier(A, B, 2, FourierParams(300.0, 16384), seed=seed)
 
 
 # ---------------------------------------------------------------------------
