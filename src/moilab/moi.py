@@ -377,48 +377,26 @@ def moi_norm_report(symbol: Symbol, ops: MOIOperands, exponents: Sequence[float]
     return report
 
 
-def _rotated_factorized_trace(
-    symbol: Symbol, ops: MOIOperands, closing: np.ndarray
-) -> Optional[complex]:
-    """Trace evaluated through the cyclically rotated factorized product, in
-    which the last factor wraps around the closing matrix; None for a symbol
-    that is not factorized.
-    """
-    if not isinstance(symbol, FactorizedSymbol):
-        return None
-    total = 0.0 + 0.0j
-    last = symbol.arity - 1
-    for term in symbol.terms:
-        acc = apply_callable(term.factors[last], ops.operators[last]) @ closing
-        acc = acc @ apply_callable(term.factors[0], ops.operators[0])
-        for k in range(ops.n_args):
-            acc = acc @ ops.arguments[k]
-            if k + 1 < last:
-                acc = acc @ apply_callable(term.factors[k + 1], ops.operators[k + 1])
-        total += complex(term.weight) * trace(acc)
-    return total
-
-
 def moi_trace(symbol: Symbol, ops: MOIOperands, closing: np.ndarray) -> complex:
     """trace(T(b_1..b_n) * closing).
 
-    When the symbol is a FactorizedSymbol, the cyclically rotated
-    factorized evaluation is computed as well and must agree to 1e-9
-    relative; disagreement raises :class:`ToleranceError` with both values.
+    When the symbol is a FactorizedSymbol, the trace is taken as well from
+    its product form (:func:`moi_factorized`), which is functional calculus
+    and shares no code with the contraction; the two must agree to 1e-9
+    relative, and disagreement raises :class:`ToleranceError` with both values.
     """
     closing = np.asarray(closing, dtype=complex)
     if closing.shape != (ops.dim, ops.dim):
         raise DimensionMismatchError("closing matrix dimension mismatch")
-    value = moi_projection_sum(symbol, ops).value
-    direct = trace(value @ closing)
-    rotated = _rotated_factorized_trace(symbol, ops, closing)
-    if rotated is not None:
-        scale = max(1.0, abs(direct), abs(rotated))
-        if abs(direct - rotated) > 1e-9 * scale:
+    direct = trace(moi_projection_sum(symbol, ops).value @ closing)
+    if isinstance(symbol, FactorizedSymbol):
+        product = trace(moi_factorized(symbol, ops).value @ closing)
+        scale = max(1.0, abs(direct), abs(product))
+        if abs(direct - product) > 1e-9 * scale:
             raise ToleranceError(
-                "cyclically rotated trace disagrees with direct evaluation",
+                "product-form trace disagrees with the projection sum",
                 lhs=direct,
-                rhs=rotated,
-                deviation=abs(direct - rotated) / scale,
+                rhs=product,
+                deviation=abs(direct - product) / scale,
             )
     return direct

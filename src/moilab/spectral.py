@@ -36,10 +36,10 @@ __all__ = [
 
 
 def require_hermitian(A) -> np.ndarray:
-    """Validate and return a complex Hermitian matrix copy."""
+    """Validate and return a complex Hermitian matrix copy, of dimension d >= 1."""
     M = np.asarray(A, dtype=complex)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise DimensionMismatchError(f"expected a square matrix, got shape {M.shape}")
+    if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] == 0:
+        raise DimensionMismatchError(f"expected a nonempty square matrix, got shape {M.shape}")
     if not np.all(np.isfinite(M.view(float))):
         raise ParameterError("matrix has non-finite entries")
     scale = max(1.0, float(np.linalg.norm(M)))

@@ -19,14 +19,16 @@ order-0 terms are weights on those rows, and the higher divided-difference
 tables are gathered from them.  The quotient is filled across a small
 exclusion zone around 0 by an even/odd polynomial fit anchored at the exact
 zeroth moment etahat_n(0) = trace(B^n)/n!, tapered at the ends of the
-s-window and weighted in place.  The inverse DFT is taken only at the band of
-t-points that cover the padded spectral hull (:func:`_band_dft`), from FFTs
-of strided columns of the half-grid.  The imaginary part of the inversion is
-diagnostic residue: it is reported, checked against a threshold, and
-discarded.
+s-window and weighted in place.  The grid sits in the hull's own frame: as
+eta_n(A + cI, B)(t) = eta_n(A, B)(t - c), the sweep takes the spectra less
+their hull's centre c, and the density is sampled at t_k = c + k pi / s_max.
+The inverse DFT is taken only at the band of t-points that cover the padded
+spectral hull (:func:`_band_dft`), from FFTs of strided columns of the
+half-grid.  The imaginary part of the inversion is diagnostic residue: it is
+reported, checked against a threshold, and discarded.
 
-Working set: the half-grid etahat (num_s / 2 + 1 complex values, 2 MiB at
-the cap num_s = 2^18) is the only array as long as the s-grid, and nothing
+Working set: the half-grid etahat (num_s / 2 + 1 complex values, 1 MiB at
+order 1's num_s = 2^17) is the only array as long as the s-grid, and nothing
 else outgrows a chunk.  What does not depend on s (the sweep's rows, spans
 and Taylor offsets, and its exponential steps) is made once per call.  The
 sweep builds each chunk's s = k ds from its integer offsets, and every
@@ -34,8 +36,8 @@ block is of at most _BLOCK_ENTRIES = 2^14 complex entries: a chunk's tables
 (one s-point's per_s entries where that is more), a run of s-points of the
 quotient and taper, applied to etahat in place, and a block of the band
 inverse's columns (one column of L where L is more), whose twiddles are made
-for 2^12 entries at a time.  So the order-1 call at num_s = 2^18 peaks at
-about 2.7 MiB under tracemalloc, the d = 4 order-2 call at 0.8 MiB, and the
+for 2^12 entries at a time.  So the suite's order-1 call at num_s = 2^17 peaks
+at about 1.7 MiB under tracemalloc, the d = 4 order-2 call at 0.8 MiB, and the
 order-3 calls at d = 32 and 64 at 0.7 and 1.2 MiB.
 
 The sweep's divided-difference tables and trace weights come from
@@ -50,7 +52,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
@@ -182,7 +184,8 @@ def counting_pairing(ssf: SSFGrid, f: FunctionFamily) -> float:
     return total
 
 
-# Largest s-grid a FourierParams may ask for; FourierParams.auto sizes up to it.
+# Largest s-grid a given num_s may ask for; the auto grid is 2^17 at order 1
+# and 2^14 above (FourierParams._for_hull).
 MAX_NUM_S = 1 << 18
 T_PAD_FRAC = 0.2     # padding of the t-grid past the spectral hull, times max(span, 1)
 TAPER_FRAC = 0.5     # outer fraction of [-s_max, s_max] where the cosine taper falls to 0
@@ -196,7 +199,7 @@ class FourierParams:
     and its number of steps num_s.  The s-grid is periodic, s_k = k ds for the
     integer offsets -num_s/2 <= k < num_s/2 with ds = 2 s_max / num_s; the
     exclusion zone |s| < 2 ds is the offsets |k| <= 1, and the density is
-    sampled at t-step pi / s_max.
+    sampled at t_k = c + k pi / s_max about the centre c of the spectral hull.
 
     A field left None is sized by :func:`higher_ssf_fourier` as :meth:`auto`
     would size it, from the eigensolves the call makes anyway; each given
@@ -225,29 +228,25 @@ class FourierParams:
 
     @classmethod
     def auto(cls, A, B, n: int) -> "FourierParams":
-        """Order-aware defaults sized from the joint spectral hull.
+        """Order-aware defaults sized from the width of the joint spectral hull.
 
-        Order 1 targets must resolve unit jumps of the counting function, so
-        the window is large; the exponential pairing there is a closed form
-        and stays cheap.  Higher orders have much smaller jumps and get a
-        moderate window.  num_s keeps the spacing fine against the slowest
-        eta-hat oscillation, capped to bound the FFT size.
+        Order 1 must resolve unit jumps of the counting function, so its
+        window is large; the exponential pairing there is a closed form and
+        stays cheap.  Higher orders have much smaller jumps and get a
+        moderate window.  The density is sampled about the hull's centre
+        (:func:`higher_ssf_fourier`), so where the hull lies does not enter.
         """
         A, B = require_hermitian_pair(A, B)
         return cls._for_hull(*_spectra_hull(eig_hermitian(A), eig_hermitian(A + B)), n)
 
     @classmethod
     def _for_hull(cls, lo: float, hi: float, n: int) -> "FourierParams":
-        """:meth:`auto` for the joint spectral hull [lo, hi] of A and A + B."""
-        s_max = (24000.0 if n == 1 else 600.0) / max(hi - lo, 1e-6)
-        t_abs = max(*map(abs, _padded_hull(lo, hi)), 1e-3)
-        target = 6.7 * s_max * t_abs
-        num_s = 1 << int(math.ceil(math.log2(min(max(target, 16384.0), MAX_NUM_S))))
-        if n == 1:
-            # where the num_s cap binds, narrow the window until the t-range
-            # (num_s / 2) pi / s_max covers the padded hull twice over
-            s_max = min(s_max, (num_s // 2) * math.pi / (2.0 * t_abs))
-        return cls(s_max=s_max, num_s=num_s)
+        """:meth:`auto` for the joint spectral hull [lo, hi] of A and A + B: in
+        units of the width W = max(hi - lo, 1) that pads the hull, one grid for
+        every hull.  The centred padded hull reaches 0.7 W, and the conjugate
+        grid (num_s / 2) pi / s_max 8.6 W at order 1 and 42.9 W above."""
+        s_width, num_s = (24000.0, 1 << 17) if n == 1 else (600.0, 1 << 14)
+        return cls(s_max=s_width / max(hi - lo, 1.0), num_s=num_s)
 
     def _filled(self, lo: float, hi: float, n: int) -> "FourierParams":
         """These params with each field left None taken from :meth:`_for_hull`."""
@@ -529,9 +528,9 @@ def higher_ssf_fourier(
     etahat(-s) = conj etahat(s); the taper is exactly 0 at s = +-s_max, so
     leaving out s = +s_max changes nothing.  F is swept at k >= 2 and
     divided by (is)^n there; the exclusion zone |k| <= 1 (|s| < 2 ds) is
-    filled by the fit over 2 <= k <= 2 + FIT_BAND_WIDTHS.  The density is
-    sampled at t_k = k pi / s_max, and only at the k whose t_k lie in the
-    padded hull (:func:`_band_dft`).
+    filled by the fit over 2 <= k <= 2 + FIT_BAND_WIDTHS.  F is taken for the
+    spectra less their hull's centre c, and the density is sampled at
+    t_k = c + k pi / s_max for the -k_hi <= k <= k_hi in the padded hull.
 
     Memory: etahat, h + 1 complex values, plus blocks of _BLOCK_ENTRIES.  The
     sweep writes F straight into etahat, a chunk of :func:`_sweep_step`
@@ -539,9 +538,9 @@ def higher_ssf_fourier(
     quotient and taper then run in place (:func:`_divide_and_taper`), so no
     other array is as long as the s-grid; the band inverse takes its twiddles
     for 2^12 (column, t-point) pairs at a time.  etahat is dropped once the
-    band is inverted.  A grid whose t-step pi / s_max is too fine for h points
-    to cover the padded hull raises a ParameterError ("increase num_s"),
-    however small the step.  seed, None or an integer, is only recorded.
+    band is inverted.  A given grid whose t-step pi / s_max is too fine for h
+    points to cover the padded hull raises a ParameterError ("increase
+    num_s"), however small the step.  seed, None or an integer, is recorded.
     """
     if n < 1:
         raise ParameterError("order must be >= 1")
@@ -553,22 +552,24 @@ def higher_ssf_fourier(
     EAB = eig_hermitian(A + B)
     lo, hi = _spectra_hull(EA, EAB)
     params = (FourierParams() if params is None else params)._filled(lo, hi, n)
-    t_lo, t_hi = _padded_hull(lo, hi)
-    # Nyquist guard: the conjugate grid t_k = k dt, -h <= k < h, must cover the
-    # padded hull, with at least two points in it
+    # the hull's own frame; the trace weights read only the bases
+    c = 0.5 * (lo + hi)
+    EA, EAB = (replace(E, eigenvalues=E.eigenvalues - c) for E in (EA, EAB))
+    _, t_abs = _padded_hull(-0.5 * (hi - lo), 0.5 * (hi - lo))
+    # Nyquist guard: t_k = c + k dt, -h <= k < h, must cover c +- t_abs, at 2 points or more
     h = params.num_s // 2
-    dt = math.pi / float(params.s_max)
-    # compared as floats first: a t-step far below the hull's width puts t / dt
-    # past any integer math.ceil can take
-    if t_lo / dt <= -h - 1 or t_hi / dt >= h:
+    dt = math.pi / params.s_max
+    # compared as floats first: a t-step far below the hull's width puts
+    # t_abs / dt past any integer math.floor can take
+    if t_abs / dt >= h:
         raise ParameterError(
             "conjugate grid does not cover the padded hull; increase num_s"
         )
-    k_lo, k_hi = math.ceil(t_lo / dt), math.floor(t_hi / dt)
-    if k_hi - k_lo < 1:
+    k_hi = math.floor(t_abs / dt)
+    if k_hi < 1:
         raise ParameterError(
             f"t-step pi/s_max = {dt:.3g} leaves fewer than 2 points in the padded hull "
-            f"[{t_lo:.3g}, {t_hi:.3g}]; increase s_max"
+            f"[{c - t_abs:.3g}, {c + t_abs:.3g}]; increase s_max"
         )
 
     # etahat at the offsets 0..h; the last, at s = s_max, is 0 by the taper
@@ -593,19 +594,18 @@ def higher_ssf_fourier(
     # the quadrature weight ds and 1/(2 pi), in place
     etahat *= ds
     etahat /= 2.0 * np.pi
-    # eta(t_k) = sum_j exp(-i s_j t_k) g_j with g = etahat w ds / (2 pi); over the
+    # eta(c + k dt) = sum_j exp(-i s_j k dt) g_j with g = etahat w ds / (2 pi); over the
     # offsets j mod num_s this is a DFT, and no shift back is needed
-    eta = _band_dft(etahat, k_lo, k_hi - k_lo + 1)
+    eta = _band_dft(etahat, -k_hi, 2 * k_hi + 1)
     del etahat  # nor is the half-grid held through what follows
-    t_grid = dt * np.arange(k_lo, k_hi + 1)
+    t_grid = c + dt * np.arange(-k_hi, k_hi + 1)
 
     imag_l1 = float(np.trapezoid(np.abs(eta.imag), t_grid))
-    dtg = float(t_grid[1] - t_grid[0])
     grid = SSFGrid(
         order=n,
         t_grid=t_grid,
         values=eta.real.copy(),
-        support=(lo - dtg, hi + dtg),
+        support=(lo - dt, hi + dt),
         method="fourier",
         imag_residue=imag_l1,
         params=asdict(params),
@@ -747,9 +747,19 @@ def save_ssf(ssf: SSFGrid, csv_path, sidecar_path) -> None:
 
 
 def load_ssf(csv_path, sidecar_path) -> SSFGrid:
-    rows = Path(csv_path).read_text().strip().splitlines()[1:]
-    t = np.array([float(r.split(",")[0]) for r in rows])
-    v = np.array([float(r.split(",")[1]) for r in rows])
+    """Read a grid written by :func:`save_ssf`; a CSV with no samples, or a row
+    that is not two numbers, raises ParameterError."""
+    samples = []
+    for lineno, row in enumerate(Path(csv_path).read_text().strip().splitlines()[1:], start=2):
+        try:
+            t, v = row.split(",")
+            samples.append((float(t), float(v)))
+        except ValueError:
+            raise ParameterError(f"{csv_path}: line {lineno}: expected 't,value', "
+                                 f"two numbers, got {row!r}") from None
+    if not samples:
+        raise ParameterError(f"{csv_path}: no samples after the header on line 1")
+    t, v = np.array(samples).T.copy()
     meta = json.loads(Path(sidecar_path).read_text())
     return SSFGrid(
         order=int(meta.get("n", 0)),

@@ -426,6 +426,29 @@ def test_derivative_evaluators_match_finite_differences(fam, k):
                 assert errs[1] <= 0.30 * errs[0] + 1e-12
 
 
+# Bound on |eval(j, x) - f^(j)(x)|: C_EVAL * eps in units of max |f^(j)| over
+# the points of the test below.  Measured: at most 3.5 (bump, order 3); the
+# constant rounds it up by 4.6x.
+C_EVAL = 16
+
+
+@pytest.mark.parametrize("fam", _ALL_FAMILIES, ids=lambda f: f.family_id)
+def test_derivative_evaluators_match_mpmath_at_every_order(fam):
+    # every order up to max_order, where the Taylor entries read them, against
+    # mpmath's derivative of the family's f at 60 digits
+    import mpmath as mp
+
+    pts = {"recip_plus": [-2.0, -0.5, 0.7, 3.0], "bump": [-0.6, -0.2, 0.1, 0.5]}.get(
+        fam.family_id, [-1.3, -0.2, 0.4, 1.1])
+    fn = mp_function(fam)
+    with mp.workdps(60):
+        for j in range(fam.max_order + 1):
+            want = np.array([complex(mp.diff(fn, mp.mpf(x), j)) for x in pts])
+            got = np.asarray(fam.eval(j, np.array(pts)))
+            bound = C_EVAL * np.finfo(float).eps * np.abs(want).max()
+            assert np.abs(got - want).max() <= bound, (j, np.abs(got - want).max() / bound)
+
+
 def test_recip_plus_matches_reciprocal_on_positive_axis():
     f = recip_plus()
     x = np.linspace(0.0, 5.0, 11)

@@ -1,5 +1,6 @@
 """Counting and Fourier shift functions and their trace formulas."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -70,18 +71,82 @@ def _fcalc(f, M):
 
 
 def test_auto_order1_window_covers_a_narrow_hull_away_from_zero():
-    # span 0.07 at 1.3: the order-1 window 24000 / span asks for more than
-    # MAX_NUM_S points, so auto narrows it until the t-range (num_s / 2) pi /
-    # s_max covers the padded hull [1.09, 1.56] twice over; the recovery
-    # still meets the suite's order-1 gate
+    # span 0.07 at 1.3: the grid sits about the hull's centre c, so the
+    # order-1 window 24000 / max(span, 1) covers the centred padded hull
+    # c +- (span / 2 + 0.2) whatever the hull's distance from 0, and the
+    # recovery meets the suite's order-1 gate
     lam, b = 1.3649923, -0.07042378
     params = FourierParams.auto(np.array([[lam]]), np.array([[b]]), 1)
-    assert params.num_s == MAX_NUM_S
-    assert (params.num_s // 2) * math.pi / params.s_max >= 2 * (lam + 0.2)
+    c, t_abs = lam + b / 2, -b / 2 + 0.2
+    assert (params.num_s // 2) * math.pi / params.s_max >= t_abs
     grid = higher_ssf_fourier(np.array([[lam]]), np.array([[b]]), 1)
+    dt = math.pi / params.s_max
+    assert grid.t_grid[0] - dt < c - t_abs and grid.t_grid[-1] + dt > c + t_abs
+    np.testing.assert_allclose(grid.t_grid - c, -(grid.t_grid - c)[::-1], rtol=0, atol=1e-14)
     exact = (lam + b > grid.t_grid).astype(float) - (lam > grid.t_grid)
     l1 = float(np.trapezoid(np.abs(grid.values - exact), grid.t_grid))
     assert l1 <= DEFAULT_TOLERANCES["fourier_vs_counting_l1"]
+
+
+# Inputs whose hull is narrow, far from 0, of zero width or at 1e-12 scale:
+# each sized its grid from the hull's distance to 0 or from its raw width
+_SCALE12 = np.random.default_rng(1).normal(size=(2, 3, 3))
+_NARROW_HULLS = {
+    "5/0.002 n=2": (np.array([[5.0]]), np.array([[0.002]]), 2),
+    "5/0.002 n=3": (np.array([[5.0]]), np.array([[0.002]]), 3),
+    "1000/0.01 n=2": (np.array([[1000.0]]), np.array([[0.01]]), 2),
+    "0.4I/0 n=2": (0.4 * np.eye(3), np.zeros((3, 3)), 2),
+    "0.4I/0 n=4": (0.4 * np.eye(3), np.zeros((3, 3)), 4),
+    "0/0 n=2": (np.zeros((2, 2)), np.zeros((2, 2)), 2),
+    "0/0 n=3": (np.zeros((2, 2)), np.zeros((2, 2)), 3),
+    "1e-12 n=2": (1e-12 * (_SCALE12[0] + _SCALE12[0].T),
+                  1e-12 * (_SCALE12[1] + _SCALE12[1].T), 2),
+}
+
+
+@pytest.mark.parametrize("case", list(_NARROW_HULLS))
+def test_narrow_zero_width_and_tiny_hulls_recover(case):
+    A, B, n = _NARROW_HULLS[case]
+    grid = higher_ssf_fourier(A, B, n)
+    assert np.all(np.isfinite(grid.values))
+    want = float(np.trace(np.linalg.matrix_power(B, n)).real) / math.factorial(n)
+    if not B.any():
+        assert not grid.values.any()  # eta is exactly 0 for B = 0
+    elif case.startswith("1e-12"):
+        # the t-step is 1e9 times the hull's width, so the moments hold only
+        # in absolute terms
+        assert grid.moment(0) == pytest.approx(want, abs=1e-4 * (1 + abs(want)))
+    else:
+        assert grid.moment(0) == pytest.approx(want, rel=1e-4)
+
+
+# Bound on |eta(A + cI, B)(t + c) - eta(A, B)(t)|: C_SHIFT eps (1 + |c|)
+# ds^(2-n) in units of max|eta|.  The eigensolve of A + cI moves the centred
+# eigenvalues by about eps (1 + |c|), which moves F(s) by about that times s,
+# and the quotient by s^n, summed from s = 2 ds, grows as ds^(2-n).  Measured
+# on d in {2, 4, 8, 16}, seeds {1, 2, 3, 7}, n in {2, 3} and c in {5, 50,
+# -20, 1000}: at most 94; the constant rounds it up by 4x.
+C_SHIFT = 400
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("d", [4, 16])
+def test_fourier_density_is_translation_covariant(d, n):
+    # eta_n(A + cI, B)(t + c) = eta_n(A, B)(t): the grid sits in the hull's
+    # own frame, so a shift moves its points and leaves its size
+    A, B = generate_ensemble(ExperimentConfig(seed=7, dimension=d, order=n))
+    grid = higher_ssf_fourier(A, B, n)
+    eps, peak = np.finfo(float).eps, np.abs(grid.values).max()
+    for c in (5.0, 50.0, -20.0):
+        shifted = higher_ssf_fourier(A + c * np.eye(d), B, n)
+        assert shifted.params["num_s"] == grid.params["num_s"]
+        assert shifted.params["s_max"] == pytest.approx(grid.params["s_max"],
+                                                         rel=16 * eps * (1 + abs(c)))
+        np.testing.assert_allclose(shifted.t_grid - c, grid.t_grid, rtol=0,
+                                   atol=16 * eps * (1 + abs(c)))
+        bound = C_SHIFT * eps * (1 + abs(c)) * FourierParams(**grid.params).ds ** (2 - n) * peak
+        err = np.abs(shifted.values - grid.values).max()
+        assert err <= bound, (c, err / bound)
 
 
 def test_fourier_params_validation():
@@ -376,6 +441,21 @@ def test_serialization_roundtrip_and_determinism(tmp_path):
         counting_pairing(loaded, exponential())
 
 
+@pytest.mark.parametrize("rows,line", [([], "no samples after the header"),
+                                      (["0.5,1.0", "0.7"], "line 3"),
+                                      (["0.5,1.0", "0.7,one"], "line 3")],
+                         ids=["header_only", "one_column", "not_a_number"])
+def test_load_ssf_names_the_file_and_line_of_a_bad_csv(tmp_path, rows, line):
+    # a ParameterError, not a raw IndexError or ValueError, even where the
+    # sidecar gives the support
+    csv = tmp_path / "eta.csv"
+    csv.write_text("\n".join(["t,value"] + rows) + "\n")
+    (tmp_path / "eta.json").write_text('{"n": 2, "support": [0, 1]}')
+    with pytest.raises(ParameterError, match=line) as info:
+        load_ssf(csv, tmp_path / "eta.json")
+    assert str(csv) in str(info.value)
+
+
 def test_numpy_scalar_arguments_write_the_sidecar_of_python_scalars(tmp_path):
     A, B = np.diag([0.0, 1.0]), np.diag([0.5, 0.0])
     calls = {"python": (FourierParams(300.0, 16384), 7),
@@ -547,14 +627,18 @@ def test_fourier_budget_errors_before_allocation():
 
 
 def test_auto_num_s_is_capped_by_the_shared_constant():
-    # far from the origin the Nyquist target exceeds the cap
-    A = np.diag([1e4, 1e4 + 1.0])
-    p = FourierParams.auto(A, np.diag([0.5, -0.5]), 2)
-    assert p.num_s == MAX_NUM_S
+    # the auto grid reads only the hull's width: a shift by cI, near or far
+    # from the origin, gives the same params, within the cap
+    A, B = np.diag([0.0, 3.0]), np.diag([0.5, -0.5])
+    p = FourierParams.auto(A, B, 2)
+    for c in (-20.0, 5.0, 1e4):
+        assert FourierParams.auto(A + c * np.eye(2), B, 2) == p
+    for n in (1, 2, 3):
+        assert FourierParams.auto(A + 1e4 * np.eye(2), B, n).num_s <= MAX_NUM_S
 
 
 def test_fourier_order1_suite_call_memory_regression():
-    # the suite's order-1 call, the largest grid it inverts (2^18 steps)
+    # the suite's order-1 call, the largest grid it inverts (2^17 steps)
     A, B = generate_ensemble(ExperimentConfig(seed=7, dimension=4, order=1))
     tracemalloc.start()
     try:
@@ -562,13 +646,13 @@ def test_fourier_order1_suite_call_memory_regression():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert grid.params["num_s"] == MAX_NUM_S
+    assert grid.params["num_s"] == 1 << 17
     assert peak < 3 * 2 ** 20, peak / 2 ** 20
 
 
 def test_ssf_group_memory_regression():
     # the whole ssf check group at the default config; its peak is the order-1
-    # call's, which holds etahat (2 MiB) and chunk-sized buffers besides
+    # call's, which holds etahat (1 MiB) and chunk-sized buffers besides
     config = ExperimentConfig(seed=7, dimension=4, order=2)
     tracemalloc.start()
     try:
@@ -582,9 +666,13 @@ def test_ssf_group_memory_regression():
 
 def _fourier_whole_array(A, B, n):
     """higher_ssf_fourier's density with the quotient, fit, taper and weights
-    applied to the whole half-grid at once, on the same sweep F."""
+    applied to the whole half-grid at once, on the same sweep F of the same
+    spectra, less the hull's centre c."""
     p = FourierParams.auto(A, B, n)
     EA, EAB = eig_hermitian(A), eig_hermitian(A + B)
+    c = 0.5 * (min(EA.eigenvalues[0], EAB.eigenvalues[0])
+               + max(EA.eigenvalues[-1], EAB.eigenvalues[-1]))
+    EA, EAB = (dataclasses.replace(E, eigenvalues=E.eigenvalues - c) for E in (EA, EAB))
     h, ds = p.num_s // 2, p.ds
     s = ds * np.arange(2, h)
     etahat = np.zeros(h + 1, dtype=complex)
@@ -603,7 +691,7 @@ def _fourier_whole_array(A, B, n):
     etahat *= ds
     etahat /= 2.0 * np.pi
     grid = higher_ssf_fourier(A, B, n)
-    k = np.rint(grid.t_grid / (np.pi / p.s_max)).astype(int)
+    k = np.rint((grid.t_grid - c) / (np.pi / p.s_max)).astype(int)
     return grid.values, ssf_module._band_dft(etahat, k[0], len(k)).real
 
 
