@@ -337,10 +337,19 @@ def exponential(max_order: int = 8) -> FunctionFamily:
     )
 
 
+def _power_or_inf(x: float, j: int) -> float:
+    """x ** j for a float x >= 0, or inf where that is past the largest float."""
+    try:
+        return x ** j
+    except OverflowError:
+        return math.inf
+
+
 def fourier(s: float, max_order: int = 16) -> FunctionFamily:
     """f(x) = exp(i s x), the bounded complex exponential with frequency s.
 
     max_order 16 puts tau at eps^(1/17)/|s|, as in the Fourier sweep's family.
+    sup |f^(j)| = |s|^j is declared, as inf where it is past the largest float.
     """
     s = float(s)
 
@@ -354,7 +363,7 @@ def fourier(s: float, max_order: int = 16) -> FunctionFamily:
         bounded_deriv={j: True for j in range(1, max_order + 1)},
         vanishes_at_inf={j: False for j in range(1, max_order + 1)},
         dd_kernel={j: KERNEL_CONTINUOUS for j in range(1, max_order + 1)},
-        deriv_sup={j: abs(s) ** j for j in range(0, max_order + 1)},
+        deriv_sup={j: _power_or_inf(abs(s), j) for j in range(0, max_order + 1)},
         params={"s": s},
         scale=1.0 / abs(s) if s else math.inf,
     )

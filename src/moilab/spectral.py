@@ -36,14 +36,15 @@ __all__ = [
 
 
 def require_hermitian(A) -> np.ndarray:
-    """Validate and return a complex Hermitian matrix copy, of dimension d >= 1."""
+    """Validate and return a complex Hermitian matrix copy, of dimension d >= 1.
+    M - M* is held to 1e-12 ||M||_F, a bound in the units of M: a scaled
+    matrix passes or fails as the unscaled one does."""
     M = np.asarray(A, dtype=complex)
     if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] == 0:
         raise DimensionMismatchError(f"expected a nonempty square matrix, got shape {M.shape}")
     if not np.all(np.isfinite(M.view(float))):
         raise ParameterError("matrix has non-finite entries")
-    scale = max(1.0, float(np.linalg.norm(M)))
-    if np.linalg.norm(M - M.conj().T) > 1e-12 * scale:
+    if np.linalg.norm(M - M.conj().T) > 1e-12 * np.linalg.norm(M):
         raise DimensionMismatchError("matrix is not Hermitian within tolerance")
     return M.copy()
 
@@ -85,8 +86,8 @@ def eig_hermitian(A) -> EigenSystem:
     DimensionMismatchError
         If the input is not Hermitian.
     NumericalError
-        If LAPACK does not converge, or the reconstruction residual or the
-        unitarity of the basis exceeds its contract.
+        If LAPACK does not converge, or the reconstruction residual exceeds
+        1e-10 ||A||_F, or the unitarity of the basis exceeds its contract.
     """
     M = require_hermitian(A)
     try:
@@ -95,8 +96,7 @@ def eig_hermitian(A) -> EigenSystem:
         raise NumericalError(f"eigendecomposition did not converge: {exc}") from exc
     d = M.shape[0]
     residual = float(np.linalg.norm(M - (V * vals) @ V.conj().T))
-    scale = max(1.0, float(np.linalg.norm(M)))
-    if residual > 1e-10 * scale:
+    if residual > 1e-10 * np.linalg.norm(M):
         raise NumericalError("eigendecomposition residual too large", residual=residual)
     unit = float(np.linalg.norm(V.conj().T @ V - np.eye(d)))
     if unit > 1e-12 * math.sqrt(d):

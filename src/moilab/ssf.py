@@ -22,6 +22,10 @@ zeroth moment etahat_n(0) = trace(B^n)/n!, tapered at the ends of the
 s-window and weighted in place.  The grid sits in the hull's own frame: as
 eta_n(A + cI, B)(t) = eta_n(A, B)(t - c), the sweep takes the spectra less
 their hull's centre c, and the density is sampled at t_k = c + k pi / s_max.
+It is in the hull's own units too: as eta_n(aA, aB)(at) = a^(n-1)
+eta_n(A, B)(t), the window and the padding come from the hull's width
+(:func:`_hull_width`), and the fit regresses on the offsets s / ds, so no
+length of 1 enters the recovery and a power-of-two a rescales it exactly.
 The inverse DFT is taken only at the band of t-points that cover the padded
 spectral hull (:func:`_band_dft`), from FFTs of strided columns of the
 half-grid.  The imaginary part of the inversion is diagnostic residue: it is
@@ -135,9 +139,18 @@ def _spectra_hull(EA, EAB) -> Tuple[float, float]:
     return float(lo), float(hi)
 
 
+def _hull_width(lo: float, hi: float) -> float:
+    """The width W of the hull [lo, hi] that sizes and pads its grids: hi - lo,
+    floored at the eigensolver's resolution 64 eps max(|lo|, |hi|), so that W
+    is in the units of A and B whatever their scale.  It is 1 only where both
+    are 0, for A = B = 0, where eta = 0."""
+    width = max(hi - lo, 64 * np.finfo(float).eps * max(abs(lo), abs(hi)))
+    return width if width > 0.0 else 1.0
+
+
 def _padded_hull(lo: float, hi: float) -> Tuple[float, float]:
-    """The t-range of a density: [lo, hi] padded by T_PAD_FRAC max(hi - lo, 1)."""
-    pad = T_PAD_FRAC * max(hi - lo, 1.0)
+    """The t-range of a density: [lo, hi] padded by T_PAD_FRAC W, W = _hull_width(lo, hi)."""
+    pad = T_PAD_FRAC * _hull_width(lo, hi)
     return lo - pad, hi + pad
 
 
@@ -170,7 +183,9 @@ def counting_pairing(ssf: SSFGrid, f: FunctionFamily) -> float:
 
     The density is constant between the points of the two spectra held in
     ssf.params, so the integral telescopes through the antiderivative of f',
-    which is f itself; the intervals are summed in ascending order.
+    which is f itself; the intervals are summed in ascending order.  A
+    pairing that is not finite, as where f overflows on the spectra, raises
+    ParameterError.
     """
     params = ssf.params or {}
     if ssf.method != "counting" or not {"spectrum_base", "spectrum_perturbed"} <= params.keys():
@@ -181,13 +196,16 @@ def counting_pairing(ssf: SSFGrid, f: FunctionFamily) -> float:
     for a, b, val in zip(bp[:-1], bp[1:], _counting(lam, mu, 0.5 * (bp[:-1] + bp[1:])).tolist()):
         if b > a and val != 0.0:
             total += val * float(np.real(f.eval(0, b) - f.eval(0, a)))
+    if not math.isfinite(total):
+        raise ParameterError(f"the pairing of {f.family_id!r} with the shift function is "
+                             f"{total}, not finite: f overflows on the spectra")
     return total
 
 
 # Largest s-grid a given num_s may ask for; the auto grid is 2^17 at order 1
 # and 2^14 above (FourierParams._for_hull).
 MAX_NUM_S = 1 << 18
-T_PAD_FRAC = 0.2     # padding of the t-grid past the spectral hull, times max(span, 1)
+T_PAD_FRAC = 0.2     # padding of the t-grid past the spectral hull, times its width W
 TAPER_FRAC = 0.5     # outer fraction of [-s_max, s_max] where the cosine taper falls to 0
 FIT_BAND_WIDTHS = 6  # steps ds past the exclusion zone that the small-s fit uses
 _BLOCK_ENTRIES = 1 << 14  # complex entries of each block of the recovery's working set
@@ -242,11 +260,12 @@ class FourierParams:
     @classmethod
     def _for_hull(cls, lo: float, hi: float, n: int) -> "FourierParams":
         """:meth:`auto` for the joint spectral hull [lo, hi] of A and A + B: in
-        units of the width W = max(hi - lo, 1) that pads the hull, one grid for
-        every hull.  The centred padded hull reaches 0.7 W, and the conjugate
-        grid (num_s / 2) pi / s_max 8.6 W at order 1 and 42.9 W above."""
+        units of the hull's width W (:func:`_hull_width`), which also pads it,
+        one grid for every hull, so the grid scales with A and B.  The centred
+        padded hull reaches 0.7 W, and the conjugate grid (num_s / 2) pi / s_max
+        8.6 W at order 1 and 42.9 W above."""
         s_width, num_s = (24000.0, 1 << 17) if n == 1 else (600.0, 1 << 14)
-        return cls(s_max=s_width / max(hi - lo, 1.0), num_s=num_s)
+        return cls(s_max=s_width / _hull_width(lo, hi), num_s=num_s)
 
     def _filled(self, lo: float, hi: float, n: int) -> "FourierParams":
         """These params with each field left None taken from :meth:`_for_hull`."""
@@ -555,7 +574,7 @@ def higher_ssf_fourier(
     # the hull's own frame; the trace weights read only the bases
     c = 0.5 * (lo + hi)
     EA, EAB = (replace(E, eigenvalues=E.eigenvalues - c) for E in (EA, EAB))
-    _, t_abs = _padded_hull(-0.5 * (hi - lo), 0.5 * (hi - lo))
+    t_abs = 0.5 * (hi - lo) + T_PAD_FRAC * _hull_width(lo, hi)
     # Nyquist guard: t_k = c + k dt, -h <= k < h, must cover c +- t_abs, at 2 points or more
     h = params.num_s // 2
     dt = math.pi / params.s_max
@@ -579,16 +598,16 @@ def higher_ssf_fourier(
     _remainder_trace_exponential(EA, EAB, B, n, ds, 2, h, step, etahat[2:h])
 
     # anchor: zeroth moment of eta_n equals trace(B^n)/n!; the fit reads the
-    # quotient F / (is)^n on its band before the taper
+    # quotient F / (is)^n on its band before the taper, and regresses on the
+    # offsets u = s / ds, so that its columns are of one size at any ds
     eta0 = float(np.trace(np.linalg.matrix_power(B, n)).real) / math.factorial(n)
-    sf = ds * np.arange(2, min(h, 3 + FIT_BAND_WIDTHS))
-    ef = etahat[2:2 + len(sf)] / sf ** n * (-1j) ** n
-    cr, *_ = np.linalg.lstsq(np.stack([sf ** 2, sf ** 4], axis=1), ef.real - eta0, rcond=None)
-    ci, *_ = np.linalg.lstsq(np.stack([sf, sf ** 3], axis=1), ef.imag, rcond=None)
-    sq = ds * np.arange(2)
-    etahat[:2] = (eta0 + cr[0] * sq ** 2 + cr[1] * sq ** 4) + 1j * (
-        ci[0] * sq + ci[1] * sq ** 3
-    )
+    u = np.arange(2.0, min(h, 3 + FIT_BAND_WIDTHS))
+    ef = etahat[2:2 + len(u)] / (ds * u) ** n * (-1j) ** n
+    cr, *_ = np.linalg.lstsq(np.stack([u ** 2, u ** 4], axis=1), ef.real - eta0, rcond=None)
+    ci, *_ = np.linalg.lstsq(np.stack([u, u ** 3], axis=1), ef.imag, rcond=None)
+    # the fit at u = 0 and u = 1
+    etahat[0] = eta0
+    etahat[1] = eta0 + cr[0] + cr[1] + 1j * (ci[0] + ci[1])
 
     _divide_and_taper(etahat, n, ds, params.s_max)
     # the quadrature weight ds and 1/(2 pi), in place
@@ -611,7 +630,7 @@ def higher_ssf_fourier(
         params=asdict(params),
         seed=None if seed is None else int(seed),
     )
-    if imag_l1 > 1e-6 * max(grid.l1_norm, 1e-12):
+    if imag_l1 > 1e-6 * grid.l1_norm:
         raise InversionQualityError(f"imaginary residue {imag_l1:.3e} exceeds 1e-6 "
                                     f"of the L1 mass {grid.l1_norm:.3e}")
     return grid
@@ -747,8 +766,9 @@ def save_ssf(ssf: SSFGrid, csv_path, sidecar_path) -> None:
 
 
 def load_ssf(csv_path, sidecar_path) -> SSFGrid:
-    """Read a grid written by :func:`save_ssf`; a CSV with no samples, or a row
-    that is not two numbers, raises ParameterError."""
+    """Read a grid written by :func:`save_ssf`; a CSV with no samples, a row
+    that is not two numbers, or a sidecar that is not a JSON object raises
+    ParameterError."""
     samples = []
     for lineno, row in enumerate(Path(csv_path).read_text().strip().splitlines()[1:], start=2):
         try:
@@ -760,7 +780,13 @@ def load_ssf(csv_path, sidecar_path) -> SSFGrid:
     if not samples:
         raise ParameterError(f"{csv_path}: no samples after the header on line 1")
     t, v = np.array(samples).T.copy()
-    meta = json.loads(Path(sidecar_path).read_text())
+    try:
+        meta = json.loads(Path(sidecar_path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ParameterError(f"{sidecar_path}: not JSON: {exc}") from None
+    if not isinstance(meta, dict):
+        raise ParameterError(f"{sidecar_path}: expected a JSON object, "
+                             f"got a {type(meta).__name__}")
     return SSFGrid(
         order=int(meta.get("n", 0)),
         t_grid=t,

@@ -81,6 +81,15 @@ def test_confluent_block_gives_scaled_derivative(n):
         assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
 
 
+def test_fourier_sup_past_the_largest_float_is_inf():
+    # sup |f^(j)| = |s|^j: at s = 1e20 it passes the largest float at j = 16,
+    # which is declared as inf, not raised as an OverflowError
+    f = fourier(1e20)
+    assert f.sup_abs_deriv(15, (0.0, 1.0)) == 1e20 ** 15
+    assert f.sup_abs_deriv(16, (0.0, 1.0)) == math.inf
+    assert f.eval(1, 0.0) == 1e20j
+
+
 def test_gaussian_dd2_matches_high_precision_oracle():
     import mpmath as mp
 

@@ -159,6 +159,12 @@ def test_non_hermitian_rejected():
         eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(DimensionMismatchError):
         require_hermitian(np.ones((2, 3)))
+    # the check is relative to ||M||, at any scale; the zero matrix passes
+    for scale in (1e-13, 2.0 ** -40):
+        with pytest.raises(DimensionMismatchError, match="not Hermitian"):
+            eig_hermitian(scale * np.array([[0.0, 1.0], [0.0, 0.0]]))
+        assert require_hermitian(scale * np.eye(2)).shape == (2, 2)
+    assert not require_hermitian(np.zeros((2, 2))).any()
 
 
 def test_apply_identity_function_recovers_matrix():

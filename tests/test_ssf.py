@@ -71,13 +71,13 @@ def _fcalc(f, M):
 
 
 def test_auto_order1_window_covers_a_narrow_hull_away_from_zero():
-    # span 0.07 at 1.3: the grid sits about the hull's centre c, so the
-    # order-1 window 24000 / max(span, 1) covers the centred padded hull
-    # c +- (span / 2 + 0.2) whatever the hull's distance from 0, and the
-    # recovery meets the suite's order-1 gate
+    # span 0.07 at 1.3: the grid sits about the hull's centre c and is sized
+    # by the hull's width W = span, so the order-1 window 24000 / span covers
+    # the centred padded hull c +- (span / 2 + 0.2 span) whatever the hull's
+    # distance from 0, and the recovery meets the suite's order-1 gate
     lam, b = 1.3649923, -0.07042378
     params = FourierParams.auto(np.array([[lam]]), np.array([[b]]), 1)
-    c, t_abs = lam + b / 2, -b / 2 + 0.2
+    c, t_abs = lam + b / 2, 0.7 * -b
     assert (params.num_s // 2) * math.pi / params.s_max >= t_abs
     grid = higher_ssf_fourier(np.array([[lam]]), np.array([[b]]), 1)
     dt = math.pi / params.s_max
@@ -89,7 +89,8 @@ def test_auto_order1_window_covers_a_narrow_hull_away_from_zero():
 
 
 # Inputs whose hull is narrow, far from 0, of zero width or at 1e-12 scale:
-# each sized its grid from the hull's distance to 0 or from its raw width
+# a grid sized from the hull's distance to 0, from its raw width, or from a
+# width with a unit of length runs short or too coarse on one of them
 _SCALE12 = np.random.default_rng(1).normal(size=(2, 3, 3))
 _NARROW_HULLS = {
     "5/0.002 n=2": (np.array([[5.0]]), np.array([[0.002]]), 2),
@@ -99,9 +100,10 @@ _NARROW_HULLS = {
     "0.4I/0 n=4": (0.4 * np.eye(3), np.zeros((3, 3)), 4),
     "0/0 n=2": (np.zeros((2, 2)), np.zeros((2, 2)), 2),
     "0/0 n=3": (np.zeros((2, 2)), np.zeros((2, 2)), 3),
-    "1e-12 n=2": (1e-12 * (_SCALE12[0] + _SCALE12[0].T),
-                  1e-12 * (_SCALE12[1] + _SCALE12[1].T), 2),
 }
+_NARROW_HULLS.update({f"1e-12 n={n}": (1e-12 * (_SCALE12[0] + _SCALE12[0].T),
+                                       1e-12 * (_SCALE12[1] + _SCALE12[1].T), n)
+                      for n in (1, 2, 3)})
 
 
 @pytest.mark.parametrize("case", list(_NARROW_HULLS))
@@ -112,12 +114,8 @@ def test_narrow_zero_width_and_tiny_hulls_recover(case):
     want = float(np.trace(np.linalg.matrix_power(B, n)).real) / math.factorial(n)
     if not B.any():
         assert not grid.values.any()  # eta is exactly 0 for B = 0
-    elif case.startswith("1e-12"):
-        # the t-step is 1e9 times the hull's width, so the moments hold only
-        # in absolute terms
-        assert grid.moment(0) == pytest.approx(want, abs=1e-4 * (1 + abs(want)))
     else:
-        assert grid.moment(0) == pytest.approx(want, rel=1e-4)
+        assert grid.moment(0) == pytest.approx(want, rel=1e-4, abs=0)  # relative at any scale
 
 
 # Bound on |eta(A + cI, B)(t + c) - eta(A, B)(t)|: C_SHIFT eps (1 + |c|)
@@ -147,6 +145,26 @@ def test_fourier_density_is_translation_covariant(d, n):
         bound = C_SHIFT * eps * (1 + abs(c)) * FourierParams(**grid.params).ds ** (2 - n) * peak
         err = np.abs(shifted.values - grid.values).max()
         assert err <= bound, (c, err / bound)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("d", [4, 16])
+def test_fourier_density_is_scale_covariant(d, n):
+    # eta_n(aA, aB)(at) = a^(n-1) eta_n(A, B)(t): the grid is sized by the
+    # hull's width and the fit is in grid offsets, so the recovery has no
+    # unit of length; a power-of-two a rescales every step exactly (bit for
+    # bit, measured), any other a to its rounding (at most 1.1e-11 max|eta|)
+    A, B = generate_ensemble(ExperimentConfig(seed=7, dimension=d, order=n))
+    grid = higher_ssf_fourier(A, B, n)
+    eps, peak = np.finfo(float).eps, np.abs(grid.values).max()
+    for a, rel in ((2.0 ** -40, 16 * eps), (2.0 ** -20, 16 * eps), (2.0 ** 10, 16 * eps),
+                   (1e-3, 1e-10), (1e-12, 1e-10)):
+        scaled = higher_ssf_fourier(a * A, a * B, n)
+        assert scaled.params["num_s"] == grid.params["num_s"]
+        np.testing.assert_allclose(scaled.t_grid, a * grid.t_grid, rtol=0,
+                                   atol=16 * eps * a * np.abs(grid.t_grid).max())
+        err = np.abs(scaled.values - a ** (n - 1) * grid.values).max()
+        assert err <= rel * a ** (n - 1) * peak, (a, err / (a ** (n - 1) * peak))
 
 
 def test_fourier_params_validation():
@@ -441,19 +459,25 @@ def test_serialization_roundtrip_and_determinism(tmp_path):
         counting_pairing(loaded, exponential())
 
 
-@pytest.mark.parametrize("rows,line", [([], "no samples after the header"),
-                                      (["0.5,1.0", "0.7"], "line 3"),
-                                      (["0.5,1.0", "0.7,one"], "line 3")],
-                         ids=["header_only", "one_column", "not_a_number"])
-def test_load_ssf_names_the_file_and_line_of_a_bad_csv(tmp_path, rows, line):
-    # a ParameterError, not a raw IndexError or ValueError, even where the
-    # sidecar gives the support
+_SIDECAR = '{"n": 2, "support": [0, 1]}'
+
+
+@pytest.mark.parametrize("rows,sidecar,match,bad", [
+    ([], _SIDECAR, "no samples after the header", "eta.csv"),
+    (["0.5,1.0", "0.7"], _SIDECAR, "line 3", "eta.csv"),
+    (["0.5,1.0", "0.7,one"], _SIDECAR, "line 3", "eta.csv"),
+    (["0.5,1.0"], '{"n": 2,', "not JSON", "eta.json"),
+    (["0.5,1.0"], "[1, 2]", "expected a JSON object, got a list", "eta.json"),
+], ids=["header_only", "one_column", "not_a_number", "truncated_sidecar", "list_sidecar"])
+def test_load_ssf_names_the_file_and_line_of_a_bad_csv(tmp_path, rows, sidecar, match, bad):
+    # a ParameterError naming the bad file, not a raw IndexError, ValueError,
+    # JSONDecodeError or AttributeError, even where the sidecar gives the support
     csv = tmp_path / "eta.csv"
     csv.write_text("\n".join(["t,value"] + rows) + "\n")
-    (tmp_path / "eta.json").write_text('{"n": 2, "support": [0, 1]}')
-    with pytest.raises(ParameterError, match=line) as info:
+    (tmp_path / "eta.json").write_text(sidecar)
+    with pytest.raises(ParameterError, match=match) as info:
         load_ssf(csv, tmp_path / "eta.json")
-    assert str(csv) in str(info.value)
+    assert str(tmp_path / bad) in str(info.value)
 
 
 def test_numpy_scalar_arguments_write_the_sidecar_of_python_scalars(tmp_path):
@@ -680,11 +704,11 @@ def _fourier_whole_array(A, B, n):
     etahat[2:h] /= s ** n
     etahat[2:h] *= (-1j) ** n
     eta0 = float(np.trace(np.linalg.matrix_power(B, n)).real) / math.factorial(n)
-    sf, ef = s[:7], etahat[2:9]
-    cr = np.linalg.lstsq(np.stack([sf ** 2, sf ** 4], axis=1), ef.real - eta0, rcond=None)[0]
-    ci = np.linalg.lstsq(np.stack([sf, sf ** 3], axis=1), ef.imag, rcond=None)[0]
-    sq = np.array([0.0, ds])
-    etahat[:2] = eta0 + cr[0] * sq ** 2 + cr[1] * sq ** 4 + 1j * (ci[0] * sq + ci[1] * sq ** 3)
+    u, ef = np.arange(2.0, 9.0), etahat[2:9]  # the fit in the offsets u = s / ds
+    cr = np.linalg.lstsq(np.stack([u ** 2, u ** 4], axis=1), ef.real - eta0, rcond=None)[0]
+    ci = np.linalg.lstsq(np.stack([u, u ** 3], axis=1), ef.imag, rcond=None)[0]
+    uq = np.array([0.0, 1.0])
+    etahat[:2] = eta0 + cr[0] * uq ** 2 + cr[1] * uq ** 4 + 1j * (ci[0] * uq + ci[1] * uq ** 3)
     cut = 0.5 * p.s_max
     taper = np.where(s > cut, 0.5 * (1.0 + np.cos(np.pi * (s - cut) / (p.s_max - cut))), 1.0)
     etahat[2:h] *= taper
