@@ -35,9 +35,9 @@ _EXPORTS = {
         "NumericalError", "OrderLimitError", "ParameterError", "ToleranceError",
     ),
     "families": (
-        "AdmissibilityReport", "FunctionFamily", "NodeList", "bump", "classify",
-        "divided_difference", "divided_difference_tensor", "exponential", "family_from_spec",
-        "fourier", "gaussian", "monomial", "recip_plus", "runge",
+        "AdmissibilityReport", "FunctionFamily", "bump", "classify", "divided_difference",
+        "divided_difference_tensor", "exponential", "family_from_spec", "fourier", "gaussian",
+        "monomial", "recip_plus", "runge",
     ),
     "harness": ("ExperimentConfig", "Report", "generate_ensemble", "run_suite"),
     "kernels": ("MOIOperands", "projection_trace_weights"),

@@ -13,10 +13,11 @@ that f^(j) is evaluated once per distinct node and order, and the table once
 per distinct multiset of nodes.
 :func:`divided_difference_tensor` backs the operator integrals; it merges no
 nodes, and is accurate at any node gap (its docstring states the rule and the
-bound).  :func:`divided_difference` runs a table of its own for one tuple
-after merging nodes closer than :func:`merge_tolerance`; it is the tests'
-independent oracle, accurate away from that tolerance, and shares no code
-with the kernel.
+bound).  :func:`divided_difference` is the tests' independent oracle, the
+definition run on one tuple: it merges neighbouring nodes closer than
+1e-7 (1 + max |node|) into their mean, takes f^(m)(x)/m! on a block of m+1
+merged nodes and difference quotients elsewhere, and shares no code with the
+kernel.  It is accurate where the nodes are either merged or well apart.
 """
 
 from __future__ import annotations
@@ -33,12 +34,10 @@ from .kernels import _distinct_nodes, _index_rows, _indexed_divided_differences
 
 __all__ = [
     "FunctionFamily",
-    "NodeList",
     "AdmissibilityReport",
     "divided_difference",
     "divided_difference_tensor",
     "classify",
-    "merge_tolerance",
     "monomial",
     "exponential",
     "fourier",
@@ -56,12 +55,6 @@ __all__ = [
 #   None         - no declared factorization
 KERNEL_CONTINUOUS = "continuous"
 KERNEL_BOUNDED = "bounded"
-
-
-def merge_tolerance(nodes) -> float:
-    """Default node-merge tolerance: 1e-7 * (1 + max |node|)."""
-    m = float(np.max(np.abs(nodes))) if len(nodes) else 0.0
-    return 1e-7 * (1.0 + m)
 
 
 class FunctionFamily:
@@ -139,72 +132,39 @@ class FunctionFamily:
         return float(np.max(np.abs(self._evaluator(k, grid))))
 
 
-@dataclass
-class NodeList:
-    """Interpolation nodes with tolerance-based multiplicity structure."""
-
-    nodes: Tuple[float, ...]
-
-    def __init__(self, nodes: Sequence[float]):
-        vals = tuple(float(x) for x in nodes)
-        if not vals:
-            raise ParameterError("NodeList needs at least one node")
-        self.nodes = vals
-
-    def __len__(self):
-        return len(self.nodes)
-
-    def merged(self, tol: Optional[float] = None) -> Tuple[np.ndarray, np.ndarray]:
-        """Sorted representatives and multiplicities after merging.
-
-        Single-linkage: adjacent sorted nodes with gap <= tol join a block;
-        the representative is the block mean.
-        """
-        if tol is None:
-            tol = merge_tolerance(self.nodes)
-        z = np.sort(np.asarray(self.nodes, dtype=float))
-        reps = []
-        mults = []
-        start = 0
-        for i in range(1, len(z) + 1):
-            if i == len(z) or z[i] - z[i - 1] > tol:
-                reps.append(float(np.mean(z[start:i])))
-                mults.append(i - start)
-                start = i
-        return np.asarray(reps), np.asarray(mults, dtype=int)
-
-    def expanded(self) -> np.ndarray:
-        """Sorted node vector with the blocks merged at :func:`merge_tolerance`
-        replaced by their representative."""
-        reps, mults = self.merged()
-        return np.repeat(reps, mults)
-
-
 def divided_difference(f: FunctionFamily, nodes) -> complex:
-    """n-th order divided difference of f on len(nodes) = n+1 nodes.
+    """n-th order divided difference f^[n] of f on len(nodes) = n+1 nodes.
 
-    Symmetric in the node order.  A block of m+1 coincident nodes, or of
-    nodes merged within :func:`merge_tolerance`, contributes the confluent
-    value f^(m)(x)/m!.
+    The nodes are sorted, and neighbours closer than 1e-7 (1 + max |node|)
+    merge, by single linkage, into one block that takes the block's mean.  A
+    block of m+1 nodes contributes the confluent value f^(m)(x)/m!, and the
+    Newton table of difference quotients does the rest.  Symmetric in the
+    node order.
     """
-    nl = nodes if isinstance(nodes, NodeList) else NodeList(nodes)
-    order = len(nl) - 1
+    z = sorted(float(x) for x in nodes)
+    if not z:
+        raise ParameterError("a divided difference needs at least one node")
+    order = len(z) - 1
     if order > f.max_order:
         raise OrderLimitError(
             f"divided difference of order {order} needs derivatives the family "
             f"{f.family_id!r} does not provide (max_order={f.max_order})"
         )
-    z = nl.expanded()
-    n = len(z)
-    col = np.array([f._evaluator(0, np.asarray(x)) for x in z], dtype=complex)
-    for j in range(1, n):
-        nxt = np.empty(n - j, dtype=complex)
-        for i in range(n - j):
-            if z[i + j] == z[i]:
-                nxt[i] = complex(f._evaluator(j, np.asarray(z[i]))) / math.factorial(j)
-            else:
-                nxt[i] = (col[i + 1] - col[i]) / (z[i + j] - z[i])
-        col = nxt
+    tol = 1e-7 * (1.0 + max(abs(z[0]), abs(z[-1])))
+    blocks = [[z[0]]]
+    for a, b in zip(z, z[1:]):
+        if b - a > tol:
+            blocks.append([b])
+        else:
+            blocks[-1].append(b)
+    x = []
+    for block in blocks:
+        # a lone node is its own mean; + 0.0 turns -0.0 into 0.0, as np.mean does
+        x += [float(np.mean(block)) if len(block) > 1 else block[0] + 0.0] * len(block)
+    col = list(np.asarray(f.eval(0, x), dtype=complex))
+    for j in range(1, len(x)):
+        col = [complex(f.eval(j, x[i])) / math.factorial(j) if x[i + j] == x[i]
+               else (col[i + 1] - col[i]) / (x[i + j] - x[i]) for i in range(len(x) - j)]
     return complex(col[0])
 
 
@@ -349,12 +309,18 @@ def fourier(s: float, max_order: int = 16) -> FunctionFamily:
     """f(x) = exp(i s x), the bounded complex exponential with frequency s.
 
     max_order 16 puts tau at eps^(1/17)/|s|, as in the Fourier sweep's family.
-    sup |f^(j)| = |s|^j is declared, as inf where it is past the largest float.
+    sup |f^(j)| = |s|^j is declared, as inf where it is past the largest float;
+    f^(j) itself raises ParameterError there.
     """
     s = float(s)
 
     def ev(j, x):
-        return (1j * s) ** j * np.exp(1j * s * x)
+        try:
+            coef = (1j * s) ** j
+        except OverflowError:
+            raise ParameterError(f"f^(j) = (i s)^j exp(i s x) of fourier with s = {s!r} "
+                                 f"is past the largest float at j = {j}") from None
+        return coef * np.exp(1j * s * x)
 
     return FunctionFamily(
         "fourier",

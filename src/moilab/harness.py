@@ -305,15 +305,14 @@ def _brute_force_moi(f, eigsystems, args) -> np.ndarray:
     It shares no code with the contraction kernel or its table."""
     d = eigsystems[0].dim
     n = len(args)
+    # proj[s][i] = v v*, for eigenvector v of eigen-index i in slot s
+    proj = [[np.outer(v, v.conj()) for v in E.basis.T] for E in eigsystems]
     out = np.zeros((d, d), dtype=complex)
     for idx in itertools.product(range(d), repeat=n + 1):
-        nodes = tuple(eigsystems[s].eigenvalues[idx[s]] for s in range(n + 1))
-        w = divided_difference(f, nodes)
-        v = eigsystems[0].basis[:, idx[0]]
-        acc = np.outer(v, v.conj())
+        w = divided_difference(f, [E.eigenvalues[i] for E, i in zip(eigsystems, idx)])
+        acc = proj[0][idx[0]]
         for k in range(n):
-            u = eigsystems[k + 1].basis[:, idx[k + 1]]
-            acc = acc @ args[k] @ np.outer(u, u.conj())
+            acc = acc @ args[k] @ proj[k + 1][idx[k + 1]]
         out += w * acc
     return out
 

@@ -235,7 +235,8 @@ def _contract(symbol: Symbol, ops: MOIOperands, nodes) -> Tuple[np.ndarray, int]
     """V_0 inner V_n* with inner contracted chunk by chunk over i_0.
 
     ``nodes[k][i]`` is the node of eigen-index i in slot k.  Returns the value
-    and the number of symbol values computed.
+    and the number of symbol values computed.  A symbol value that is not
+    finite raises :class:`ParameterError`.
     """
     d, n = ops.dim, ops.n_args
     step = _chunk_rows(d, n)
@@ -248,6 +249,9 @@ def _contract(symbol: Symbol, ops: MOIOperands, nodes) -> Tuple[np.ndarray, int]
         rows = np.arange(lo, min(lo + step, d))
         phi = symbol.tensor([nodes[0][rows], *nodes[1:]])
         evaluations += phi.size
+        if not np.all(np.isfinite(phi)):
+            raise ParameterError(f"{type(symbol).__name__} values are not finite: "
+                                 f"f overflows on the spectra")
         if n == 0:
             inner[rows, rows] = phi
         else:

@@ -45,7 +45,7 @@ def require_hermitian(A) -> np.ndarray:
     if not np.all(np.isfinite(M.view(float))):
         raise ParameterError("matrix has non-finite entries")
     if np.linalg.norm(M - M.conj().T) > 1e-12 * np.linalg.norm(M):
-        raise DimensionMismatchError("matrix is not Hermitian within tolerance")
+        raise ParameterError("matrix is not Hermitian within tolerance")
     return M.copy()
 
 

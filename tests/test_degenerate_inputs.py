@@ -17,8 +17,8 @@ _X = np.random.default_rng(1).normal(size=(2, 3, 3))
 _SCALE = 2.0 ** -40
 
 
-def _chain_traces(A, B):
-    report = diagonal_symbol_trace(A, B, n=2, f=gaussian())
+def _chain_traces(A, B, f=gaussian()):
+    report = diagonal_symbol_trace(A, B, n=2, f=f)
     return np.array([report.restricted_trace, report.full_trace])
 
 
@@ -30,6 +30,14 @@ ENTRY_POINTS = {
     "diagonal_symbol_trace": _chain_traces,
     "krein_ssf": lambda A, B: krein_ssf(A, B).values,
     "counting_pairing": lambda A, B: np.array(counting_pairing(krein_ssf(A, B), exponential())),
+}
+
+# the entry points above that take f, with exp, which overflows past 709:
+# only the "exp_overflow" class runs them
+EXP_ENTRY_POINTS = {
+    "gateaux_derivative_exp": lambda A, B: gateaux_derivative(exponential(), A, B, 2),
+    "taylor_remainder_exp": lambda A, B: taylor_remainder(exponential(), A, B, 2),
+    "diagonal_symbol_trace_exp": lambda A, B: _chain_traces(A, B, exponential()),
 }
 
 # The power of a by which an entry point's values scale as (A, B) -> (aA, aB),
@@ -49,6 +57,10 @@ INPUT_CLASSES = {
         (1e-12 * (_X[0] + _X[0].T), 1e-12 * (_X[1] + _X[1].T)),
         (np.array([[5.0]]), np.array([[0.002]])),
     ],
+    # one eigenvalue, with B = 0 once
+    "d1": [(np.array([[0.3]]), np.array([[-0.7]])), (np.array([[-2.0]]), np.zeros((1, 1)))],
+    # A = cI with B != 0: every slot of the first-order chain has one eigenvalue
+    "scalar_identity": [(0.7 * np.eye(3), _X[1] + _X[1].T), (-2.0 * np.eye(2), np.diag([0.5, -0.25]))],
     # a nilpotent far below norm 1, which a Hermitian check with a unit passes
     "tiny_nilpotent": [(1e-13 * np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros((2, 2)))],
     # a generic pair rescaled by 2^-40; the values are checked against the
@@ -67,16 +79,23 @@ INPUT_CLASSES = {
 EXPECTED = {
     "empty": (DimensionMismatchError, "nonempty square matrix"),
     "degenerate_hull": None,
-    "tiny_nilpotent": (DimensionMismatchError, "not Hermitian"),
+    "d1": None,
+    "scalar_identity": None,
+    "tiny_nilpotent": (ParameterError, "not Hermitian"),
     "rescaled": None,
-    "exp_overflow": {"counting_pairing": (ParameterError, "not finite")},
+    "exp_overflow": {
+        "counting_pairing": (ParameterError, "not finite"),
+        **{entry: (ParameterError, "not finite: f overflows") for entry in EXP_ENTRY_POINTS},
+    },
 }
 
+CELLS = [(entry, input_class) for input_class in INPUT_CLASSES for entry in ENTRY_POINTS]
+CELLS += [(entry, "exp_overflow") for entry in EXP_ENTRY_POINTS]
 
-@pytest.mark.parametrize("input_class", list(INPUT_CLASSES))
-@pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+
+@pytest.mark.parametrize("entry, input_class", CELLS)
 def test_entry_point_on_degenerate_input(entry, input_class):
-    call, outcome = ENTRY_POINTS[entry], EXPECTED[input_class]
+    call, outcome = {**ENTRY_POINTS, **EXP_ENTRY_POINTS}[entry], EXPECTED[input_class]
     if isinstance(outcome, dict):
         outcome = outcome.get(entry)
     for A, B in INPUT_CLASSES[input_class]:
@@ -89,6 +108,10 @@ def test_entry_point_on_degenerate_input(entry, input_class):
         assert np.all(np.isfinite(out)), (entry, A, B)
         if not B.any():
             assert not np.any(out), (entry, A)
+        if entry == "gateaux_derivative" and input_class in ("d1", "scalar_identity"):
+            # A = cI: every divided difference is f''(c)/2, and the derivative f''(c) B^2
+            want = gaussian().eval(2, A[0, 0]) * B @ B
+            assert np.abs(out - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
         if input_class == "rescaled" and entry in HOMOGENEOUS:
             want = _SCALE ** HOMOGENEOUS[entry] * call(A / _SCALE, B / _SCALE)
             err = np.abs(out - want).max()

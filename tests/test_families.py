@@ -13,7 +13,6 @@ from moilab import kernels
 from moilab.errors import OrderLimitError, ParameterError
 from moilab.families import (
     FunctionFamily,
-    NodeList,
     bump,
     classify,
     divided_difference,
@@ -90,6 +89,14 @@ def test_fourier_sup_past_the_largest_float_is_inf():
     assert f.eval(1, 0.0) == 1e20j
 
 
+def test_fourier_derivative_past_the_largest_float_raises():
+    # f^(16) = (i s)^16 exp(i s x) at s = 1e20 is past the largest float: a
+    # typed error that names s and j, not the Python power's OverflowError
+    with pytest.raises(ParameterError, match=r"s = 1e\+20 .* j = 16"):
+        fourier(1e20).eval(16, 0.0)
+    assert fourier(1e20).eval(15, 0.0) == (1e20j) ** 15
+
+
 def test_gaussian_dd2_matches_high_precision_oracle():
     import mpmath as mp
 
@@ -121,17 +128,24 @@ def test_permutation_symmetry_generated_nodes(nodes):
     assert rotated == pytest.approx(base, rel=1e-9, abs=1e-12)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(st.lists(st.floats(min_value=-50.0, max_value=50.0), min_size=1, max_size=8))
-def test_nodelist_merge_invariant(nodes):
-    from moilab.families import merge_tolerance
+@st.composite
+def _permuted_node_tuples(draw):
+    """A node tuple with repeated and near-repeated nodes, and a permutation of it.
+    Offsets of 1e-12 and 1e-9 fall below the merge gap 1e-7 (1 + max |node|);
+    1e-6 and 1e-4 do not."""
+    nodes = []
+    for x in draw(st.lists(st.floats(min_value=-3.0, max_value=3.0), min_size=1, max_size=3)):
+        for _ in range(draw(st.integers(1, 2))):
+            nodes.append(x + draw(st.sampled_from([0.0, 1e-12, -1e-9, 1e-6, -1e-4])))
+    return nodes, draw(st.permutations(nodes))
 
-    nl = NodeList(nodes)
-    tol = merge_tolerance(nodes)
-    reps, mults = nl.merged(tol)
-    assert int(np.sum(mults)) == len(nodes)
-    if len(reps) > 1:
-        assert np.all(np.diff(reps) > tol)
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_permuted_node_tuples(), st.sampled_from([gaussian(), runge(), fourier(0.7)]))
+def test_divided_difference_bit_equal_under_permutation(pair, f):
+    nodes, perm = pair
+    got, want = divided_difference(f, perm), divided_difference(f, nodes)
+    assert np.array(got).tobytes() == np.array(want).tobytes(), (nodes, perm, got, want)
 
 
 @pytest.mark.parametrize("fam", [gaussian(), runge(), exponential(), fourier(0.7)])
@@ -180,17 +194,21 @@ def test_order_above_max_order_raises():
         divided_difference(f, (0.0, 0.5, 1.0, 1.5))
 
 
-def test_nodelist_merging_structure():
-    nl = NodeList([1.0, 1.0 + 1e-10, 5.0, 4.9999999999])
-    reps, mults = nl.merged(tol=1e-6)
-    assert len(reps) == 2
-    assert mults.tolist() == [2, 2]
-    assert np.all(np.diff(reps) > 1e-6)
+def test_merged_blocks_take_the_confluent_value():
+    # gaps of 1e-10 fall below the merge gap 1e-7 (1 + 5): each pair becomes
+    # a doubled node at its mean, and f[a, a, b, b] is the Hermite value
+    f = gaussian()
+    got = divided_difference(f, [1.0, 1.0 + 1e-10, 5.0, 4.9999999999])
+    a, b = float(np.mean([1.0, 1.0 + 1e-10])), float(np.mean([4.9999999999, 5.0]))
+    assert got == divided_difference(f, [a, b, a, b])
+    fab = (f.eval(0, b) - f.eval(0, a)) / (b - a)
+    faab, fabb = (fab - f.eval(1, a)) / (b - a), (f.eval(1, b) - fab) / (b - a)
+    assert got.real == pytest.approx((fabb - faab) / (b - a), rel=1e-12)
 
 
-def test_nodelist_requires_nodes():
-    with pytest.raises(ParameterError):
-        NodeList([])
+def test_divided_difference_requires_nodes():
+    with pytest.raises(ParameterError, match="at least one node"):
+        divided_difference(gaussian(), [])
 
 
 def test_tensor_identity_function():

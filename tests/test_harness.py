@@ -7,6 +7,7 @@ import re
 import resource
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,39 @@ from moilab.harness import (
 )
 from moilab.matrix_io import save_matrix_csv, save_matrix_json
 from moilab.rng import SplitMix64
+
+
+def _used_globals(func, seen):
+    """The modules of the globals that func uses, its nested code included,
+    and, through the moilab functions among them, of theirs."""
+    codes, names = [func.__code__], set()
+    while codes:
+        code = codes.pop()
+        names.update(code.co_names)
+        codes += [c for c in code.co_consts if isinstance(c, types.CodeType)]
+    modules = set()
+    for name in names & func.__globals__.keys():
+        obj = func.__globals__[name]
+        module = obj.__name__ if isinstance(obj, types.ModuleType) else getattr(obj, "__module__", None)
+        modules.add(module)
+        if isinstance(obj, types.FunctionType) and module.startswith("moilab") and obj not in seen:
+            seen.add(obj)
+            modules |= _used_globals(obj, seen)
+    return modules
+
+
+def test_oracles_share_no_code_with_the_formulas_they_check():
+    # the brute-force projection sum, the scalar divided difference and the
+    # finite-difference derivative reach nothing in the MOI kernel or module
+    from moilab.families import divided_difference, divided_difference_tensor
+    from moilab.taylor import finite_difference_oracle, gateaux_derivative
+
+    for oracle in (harness._brute_force_moi, divided_difference, finite_difference_oracle):
+        modules = _used_globals(oracle, set())
+        assert not modules & {"moilab.kernels", "moilab.moi"}, (oracle.__name__, sorted(modules))
+    # the walk does see them where they are used
+    assert "moilab.kernels" in _used_globals(divided_difference_tensor, set())
+    assert {"moilab.kernels", "moilab.moi"} <= _used_globals(gateaux_derivative, set())
 
 
 def test_splitmix_reference_values():

@@ -155,13 +155,14 @@ def test_eig_hermitian_matches_jacobi_oracle(kind):
 
 
 def test_non_hermitian_rejected():
-    with pytest.raises(DimensionMismatchError):
+    # a square matrix that is not Hermitian has the right shape: a ParameterError
+    with pytest.raises(ParameterError, match="not Hermitian"):
         eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(DimensionMismatchError):
         require_hermitian(np.ones((2, 3)))
     # the check is relative to ||M||, at any scale; the zero matrix passes
     for scale in (1e-13, 2.0 ** -40):
-        with pytest.raises(DimensionMismatchError, match="not Hermitian"):
+        with pytest.raises(ParameterError, match="not Hermitian"):
             eig_hermitian(scale * np.array([[0.0, 1.0], [0.0, 0.0]]))
         assert require_hermitian(scale * np.eye(2)).shape == (2, 2)
     assert not require_hermitian(np.zeros((2, 2))).any()
