@@ -421,11 +421,13 @@ def runge(max_order: int = 8) -> FunctionFamily:
     """f(x) = 1/(1+x^2), with derivatives from the complex partial fractions."""
 
     def ev(j, x):
+        # on a 1-d array: numpy's complex power rounds a 0-d input differently
         xc = np.asarray(x, dtype=complex)
+        x1 = np.atleast_1d(xc)
         val = ((-1.0) ** j * math.factorial(j) / (2j)) * (
-            (xc - 1j) ** (-(j + 1)) - (xc + 1j) ** (-(j + 1))
+            (x1 - 1j) ** (-(j + 1)) - (x1 + 1j) ** (-(j + 1))
         )
-        return val.real
+        return val.real.reshape(xc.shape)
 
     return FunctionFamily(
         "runge",

@@ -84,7 +84,9 @@ def eig_hermitian(A) -> EigenSystem:
     Raises
     ------
     DimensionMismatchError
-        If the input is not Hermitian.
+        If the input is not a nonempty square matrix.
+    ParameterError
+        If it has entries that are not finite, or is not Hermitian.
     NumericalError
         If LAPACK does not converge, or the reconstruction residual exceeds
         1e-10 ||A||_F, or the unitarity of the basis exceeds its contract.
@@ -105,8 +107,14 @@ def eig_hermitian(A) -> EigenSystem:
 
 
 def apply_callable(g, E: EigenSystem) -> np.ndarray:
-    """basis @ diag(g(eigenvalues)) @ basis* for a plain scalar callable."""
+    """basis @ diag(g(eigenvalues)) @ basis* for a plain scalar callable.
+
+    Values that are not finite, as where f overflows on the spectrum, raise
+    :class:`ParameterError` before the product turns them into NaN.
+    """
     vals = np.asarray(g(E.eigenvalues), dtype=complex)
+    if not np.all(np.isfinite(vals)):
+        raise ParameterError("function values are not finite: f overflows on the spectrum")
     return (E.basis * vals) @ E.basis.conj().T
 
 

@@ -476,6 +476,16 @@ def test_derivative_evaluators_match_mpmath_at_every_order(fam):
             assert np.abs(got - want).max() <= bound, (j, np.abs(got - want).max() / bound)
 
 
+@pytest.mark.parametrize("fam", _ALL_FAMILIES, ids=lambda f: f.family_id)
+def test_scalar_evaluation_is_bit_equal_to_array_evaluation(fam):
+    # a kernel table and an oracle may evaluate f in different shapes
+    xs = np.random.default_rng(5).uniform(-3.0, 3.0, 200)
+    for j in range(fam.max_order + 1):
+        whole = fam.eval(j, xs)
+        moved = [x for x, w in zip(xs, whole) if fam.eval(j, x) != w]
+        assert not moved, (j, len(moved))
+
+
 def test_recip_plus_matches_reciprocal_on_positive_axis():
     f = recip_plus()
     x = np.linspace(0.0, 5.0, 11)

@@ -776,15 +776,19 @@ def test_fourier_grid_with_no_power_of_two_split(tmp_path):
 
 
 def test_fourier_d32_order3_memory_regression():
-    A, B = pair(23, 32)
-    tracemalloc.start()
-    try:
-        grid = higher_ssf_fourier(A, B, 3)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert np.all(np.isfinite(grid.values))
-    assert peak < 3.5 * 2 ** 20, peak / 2 ** 20
+    # and the seed-7 draws at d = 32 and d = 64, under the same bound
+    draws = {"pair(23, 32)": pair(23, 32)}
+    for d in (32, 64):
+        draws[f"seed 7, d={d}"] = generate_ensemble(ExperimentConfig(seed=7, dimension=d, order=3))
+    for draw, (A, B) in draws.items():
+        tracemalloc.start()
+        try:
+            grid = higher_ssf_fourier(A, B, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.isfinite(grid.values)), draw
+        assert peak < 3.5 * 2 ** 20, (draw, peak / 2 ** 20)
 
 
 # ---------------------------------------------------------------------------

@@ -315,6 +315,19 @@ def test_telescoping_d16_order4_memory_regression():
     assert peak <= 45 * 2 ** 20, peak / 2 ** 20
 
 
+def test_gateaux_d64_order3_memory_regression():
+    # one order-3 derivative on the seed-7 draw at d = 64: about 23 MiB
+    A, B = generate_ensemble(ExperimentConfig(seed=7, dimension=64, order=3))
+    tracemalloc.start()
+    try:
+        D = gateaux_derivative(gaussian(), A, B, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(D))
+    assert peak <= 32 * 2 ** 20, peak / 2 ** 20
+
+
 def test_telescoping_validates_slots():
     A, B = pair(20, 3)
     with pytest.raises(ParameterError):
