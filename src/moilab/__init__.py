@@ -49,14 +49,13 @@ _EXPORTS = {
     "rng": ("SplitMix64",),
     "spectral": ("EigenSystem", "apply_function", "eig_hermitian", "schatten_norm", "trace"),
     "ssf": (
-        "FourierParams", "SSFGrid", "counting_pairing", "diagonal_symbol_trace",
-        "higher_ssf_fourier", "krein_ssf", "load_ssf", "save_ssf", "ssf_l1_report",
-        "verify_trace_formula",
+        "FourierParams", "SSFGrid", "counting_pairing", "higher_ssf_fourier", "krein_ssf",
+        "load_ssf", "save_ssf",
     ),
     "taylor": (
-        "finite_difference_oracle", "gateaux_derivative", "lp_counterexample_demo",
-        "perturbation_first_order", "perturbation_higher_order", "taylor_remainder",
-        "telescoping_check",
+        "diagonal_symbol_trace", "finite_difference_oracle", "gateaux_derivative",
+        "lp_counterexample_demo", "perturbation_first_order", "perturbation_higher_order",
+        "ssf_l1_report", "taylor_remainder", "telescoping_check", "verify_trace_formula",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

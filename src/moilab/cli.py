@@ -91,17 +91,20 @@ def _cmd_ssf(args) -> int:
     if args.order < 1:
         raise ConfigError(f"--order {args.order}: the order must be >= 1")
     A, B = matrix_io.load_hermitian_pair(args.matrix_a, args.matrix_b)
+    given = {"--s-max": args.s_max, "--num-s": args.num_s}
+    flags = " ".join(f"{k} {v!r}" for k, v in given.items() if v is not None)
     if args.method == "counting":
         if args.order != 1:
             raise ConfigError("counting method is first order only")
+        if flags:
+            raise ConfigError(f"{flags}: the counting method takes no Fourier grid")
         grid = krein_ssf(A, B)
+        grid.seed = args.seed
     else:
         # a flag left out is sized from the hull of the call's own eigensolves
         try:
             params = FourierParams(s_max=args.s_max, num_s=args.num_s)
         except ParameterError as exc:
-            given = {"--s-max": args.s_max, "--num-s": args.num_s}
-            flags = " ".join(f"{k} {v!r}" for k, v in given.items() if v is not None)
             raise ConfigError(f"{flags}: {exc}") from None
         grid = higher_ssf_fourier(A, B, n=args.order, params=params, seed=args.seed)
     sidecar = args.sidecar or (args.out + ".json")

@@ -310,8 +310,10 @@ def fourier(s: float, max_order: int = 16) -> FunctionFamily:
 
     max_order 16 puts tau at eps^(1/17)/|s|, as in the Fourier sweep's family.
     sup |f^(j)| = |s|^j is declared, as inf where it is past the largest float;
-    f^(j) itself raises ParameterError there.
+    f^(j) itself raises ParameterError there, as the factory does for a non-finite s.
     """
+    if not math.isfinite(s):  # a TypeError for what is not a real number
+        raise ParameterError(f"fourier needs a finite frequency s, got {s!r}")
     s = float(s)
 
     def ev(j, x):
@@ -387,11 +389,13 @@ def _horner(coef: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def bump(center: float = 0.0, halfwidth: float = 1.0, max_order: int = 6) -> FunctionFamily:
-    """Smooth bump exp(-1/(1-u^2)) on |u| < 1 with u = (x-center)/halfwidth."""
-    if halfwidth <= 0:
-        raise ParameterError("halfwidth must be positive")
-    polys = _bump_numerators(max_order)
+    """Smooth bump exp(-1/(1-u^2)) on |u| < 1 with u = (x-center)/halfwidth,
+    for a finite center and a finite positive halfwidth (else ParameterError)."""
+    if not (math.isfinite(center) and math.isfinite(halfwidth) and halfwidth > 0):
+        raise ParameterError(f"bump needs a finite center and a finite positive halfwidth, "
+                             f"got center = {center!r}, halfwidth = {halfwidth!r}")
     c, w = float(center), float(halfwidth)
+    polys = _bump_numerators(max_order)
 
     def ev(j, x):
         xa = np.asarray(x, dtype=float)

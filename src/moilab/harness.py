@@ -38,18 +38,11 @@ from .moi import (
 )
 from .rng import SplitMix64, _hermitian_from, _is_int, check_draw, gue_like_pair
 from .spectral import apply_function, eig_hermitian, trace
-from .ssf import (
-    _counting,
-    counting_pairing,
-    diagonal_symbol_trace,
-    higher_ssf_fourier,
-    krein_ssf,
-    ssf_l1_report,
-    verify_trace_formula,
-)
+from .ssf import _counting, counting_pairing, higher_ssf_fourier, krein_ssf
 from .taylor import (
     _counterexample_csv,
     _heavy_tail_diagonal,
+    diagonal_symbol_trace,
     finite_difference_oracle,
     gateaux_derivative,
     lp_counterexample_demo,
@@ -57,7 +50,9 @@ from .taylor import (
     perturbation_higher_order,
     relative_deviation,
     remainder_two_path,
+    ssf_l1_report,
     telescoping_check,
+    verify_trace_formula,
 )
 
 __all__ = [

@@ -210,13 +210,13 @@ def _distinct_rows(rows: np.ndarray, n: int):
     in ascending colex rank, and the index of each row into them: one stable
     argsort of the ranks and a compare of neighbours, as :func:`_distinct_nodes`.
 
-    Returns (rows, None) where no two rows are equal, and where the ranks
+    Returns the rows as they are, with the identity index, where the ranks
     could pass int64 (see :func:`_colex_ranks`).
     """
     rows.sort(axis=1)
     k = rows.shape[1]
     if math.comb(n + k - 1, k) > np.iinfo(np.int64).max:
-        return rows, None
+        return rows, np.arange(len(rows))
     rank = _colex_ranks(rows, n)
     order = np.argsort(rank, kind="stable")
     rank = rank[order]
@@ -224,8 +224,6 @@ def _distinct_rows(rows: np.ndarray, n: int):
     new[:1] = True
     np.not_equal(rank[1:], rank[:-1], out=new[1:])
     first = order[new]
-    if len(first) == len(rows):
-        return rows, None
     inverse = np.empty(len(rows), dtype=np.intp)
     inverse[order] = np.cumsum(new) - 1
     return rows[first], inverse
@@ -244,14 +242,13 @@ def _indexed_divided_differences(f: FunctionFamily, nodes: np.ndarray, rows: np.
     a sorted row take the confluent value or the Taylor series depends only
     on that row's spans and tau, so every value has the bits it has when
     each row is run on its own.  Where the ranks could pass int64 (lists
-    of very unequal lengths, see :func:`_colex_ranks`), or where no two rows
-    share a multiset, the rows are run as they are.
+    of very unequal lengths, see :func:`_colex_ranks`), the rows are run as
+    they are.
     """
     rows, inverse = _distinct_rows(rows, len(nodes))
     tau = _near_span(f.max_order, f.scale)
     levels = _table_levels(nodes[rows], np.max(tau), f.max_order)
-    col = _hermite_table(_gathered(f, nodes), tau, rows, levels)
-    return col if inverse is None else col[inverse]
+    return _hermite_table(_gathered(f, nodes), tau, rows, levels)[inverse]
 
 
 # ---------------------------------------------------------------------------

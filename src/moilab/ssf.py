@@ -1,4 +1,4 @@
-"""Spectral shift functions and trace-formula verification.
+"""Spectral shift functions: the counting form, the Fourier recovery, grid files.
 
 Order 1 uses the exact counting form: eta_1(t) counts eigenvalues of A + B
 above t minus eigenvalues of A above t, a piecewise-constant function whose
@@ -33,22 +33,17 @@ reported, checked against a threshold, and discarded.
 
 Working set: the half-grid etahat (num_s / 2 + 1 complex values, 1 MiB at
 order 1's num_s = 2^17) is the only array as long as the s-grid, and nothing
-else outgrows a chunk.  What does not depend on s (the sweep's rows, spans
-and Taylor offsets, and its exponential steps) is made once per call.  The
-sweep builds each chunk's s = k ds from its integer offsets, and every
-block is of at most _BLOCK_ENTRIES = 2^14 complex entries: a chunk's tables
-(one s-point's per_s entries where that is more), a run of s-points of the
-quotient and taper, applied to etahat in place, and a block of the band
-inverse's columns (one column of L where L is more), whose twiddles are made
-for 2^12 entries at a time.  So the suite's order-1 call at num_s = 2^17 peaks
-at about 1.7 MiB under tracemalloc, the d = 4 order-2 call at 0.8 MiB, and the
-order-3 calls at d = 32 and 64 at 0.7 and 1.2 MiB.
+else outgrows a chunk.  The sweep builds each chunk's s = k ds from its
+integer offsets, and every block is of at most _BLOCK_ENTRIES = 2^14 complex
+entries: a chunk's tables (one s-point's per_s entries where that is more), a
+run of s-points of the quotient and taper, applied to etahat in place, and a
+block of the band inverse's columns (one column of L where L is more), whose
+twiddles are made for 2^12 entries at a time.  So the suite's order-1 call at
+num_s = 2^17 peaks at about 1.7 MiB under tracemalloc, the d = 4 order-2 call
+at 0.8 MiB, and the order-3 calls at d = 32 and 64 at 0.7 and 1.2 MiB.
 
 The sweep's divided-difference tables and trace weights come from
-:mod:`moilab.kernels`.  The function catalogue, the operator-integral forms
-and the Taylor module are imported by the two checks that run them
-(:func:`verify_trace_formula` and :func:`diagonal_symbol_trace`) when they
-are called, so a recovery loads neither ``families`` nor ``moi``.
+:mod:`moilab.kernels`, so a recovery loads neither ``families`` nor ``moi``.
 """
 
 from __future__ import annotations
@@ -56,17 +51,13 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 import numpy as np
 
-from .errors import (
-    InversionQualityError,
-    OrderLimitError,
-    ParameterError,
-)
+from .errors import InversionQualityError, ParameterError
 from .kernels import (
     _CHUNK_ENTRIES,
     MOIOperands,
@@ -78,14 +69,7 @@ from .kernels import (
     _table_levels,
     projection_trace_weights,
 )
-from .spectral import (
-    EigenSystem,
-    eig_hermitian,
-    require_hermitian,
-    require_hermitian_pair,
-    schatten_norm,
-    trace,
-)
+from .spectral import EigenSystem, eig_hermitian, require_hermitian_pair
 
 if TYPE_CHECKING:
     from .families import FunctionFamily
@@ -96,11 +80,6 @@ __all__ = [
     "krein_ssf",
     "counting_pairing",
     "higher_ssf_fourier",
-    "verify_trace_formula",
-    "TraceFormulaReport",
-    "diagonal_symbol_trace",
-    "IdentityChainReport",
-    "ssf_l1_report",
     "save_ssf",
     "load_ssf",
 ]
@@ -425,10 +404,8 @@ def _remainder_trace_exponential(
             np.add.at(w01[1], at, W)
             continue
         rows, inverse = _distinct_rows(_index_rows([at] * k), len(nodes))
-        w = W.ravel()
-        if inverse is not None:
-            w = np.zeros(len(rows), dtype=complex)
-            np.add.at(w, inverse, W.ravel())
+        w = np.zeros(len(rows), dtype=complex)
+        np.add.at(w, inverse, W.ravel())
         terms.append((k, rows, w, list(_table_levels(nodes[rows], near_below, M))))
     exp_table = _ExpTable(nodes, ds, min(step, k_hi - k_lo))
     for lo in range(k_lo, k_hi, step):
@@ -551,15 +528,12 @@ def higher_ssf_fourier(
     spectra less their hull's centre c, and the density is sampled at
     t_k = c + k pi / s_max for the -k_hi <= k <= k_hi in the padded hull.
 
-    Memory: etahat, h + 1 complex values, plus blocks of _BLOCK_ENTRIES.  The
-    sweep writes F straight into etahat, a chunk of :func:`_sweep_step`
-    s-points at a time; the fit takes its 7 quotients from a copy, and the
-    quotient and taper then run in place (:func:`_divide_and_taper`), so no
-    other array is as long as the s-grid; the band inverse takes its twiddles
-    for 2^12 (column, t-point) pairs at a time.  etahat is dropped once the
-    band is inverted.  A given grid whose t-step pi / s_max is too fine for h
-    points to cover the padded hull raises a ParameterError ("increase
-    num_s"), however small the step.  seed, None or an integer, is recorded.
+    Memory is the module docstring's working set: the sweep writes F straight
+    into etahat, the fit takes its 7 quotients from a copy, and etahat is
+    dropped once the band is inverted.  A given grid whose t-step pi / s_max
+    is too fine for h points to cover the padded hull raises a ParameterError
+    ("increase num_s"), however small the step.  seed, None or an integer, is
+    recorded.
     """
     if n < 1:
         raise ParameterError("order must be >= 1")
@@ -636,114 +610,6 @@ def higher_ssf_fourier(
     return grid
 
 
-@dataclass
-class TraceFormulaReport:
-    rows: List[dict] = field(default_factory=list)
-    moments: List[dict] = field(default_factory=list)
-
-    def max_function_error(self) -> float:
-        return max((r["rel_error"] for r in self.rows), default=0.0)
-
-    def max_moment_error(self) -> float:
-        return max((m["error"] for m in self.moments), default=0.0)
-
-
-def verify_trace_formula(
-    A, B, n: int, ssf: SSFGrid, test_functions: Sequence[FunctionFamily]
-) -> TraceFormulaReport:
-    """Held-out comparison of remainder traces against the shift pairing.
-
-    Per function: relative error between trace(remainder_n(f)) and the
-    quadrature of f^(n) against the density.  Moment identities for
-    k = 0, 1, 2 compare the k-th grid moment with
-    k!/(n+k)! * trace(remainder_n(x^{n+k})).
-    """
-    from .families import monomial
-    from .taylor import taylor_remainder
-
-    A, B = require_hermitian_pair(A, B)
-    report = TraceFormulaReport()
-    for f in test_functions:
-        if f.max_order < n:
-            raise OrderLimitError(f"test family {f.family_id!r} lacks order {n}")
-        lhs = complex(trace(taylor_remainder(f, A, B, n))).real
-        rhs = ssf.quadrature(np.asarray(f.eval(n, ssf.t_grid)))
-        rel = abs(lhs - rhs) / max(1.0, abs(lhs))
-        report.rows.append(
-            {"family": f.family_id, "remainder_trace": lhs, "pairing": rhs,
-             "rel_error": rel}
-        )
-    for k in (0, 1, 2):
-        mono = monomial(n + k)
-        lhs = ssf.moment(k)
-        rhs = (
-            math.factorial(k) / math.factorial(n + k)
-            * complex(trace(taylor_remainder(mono, A, B, n))).real
-        )
-        err = abs(lhs - rhs) / (1.0 + abs(rhs))
-        report.moments.append({"k": k, "moment": lhs, "remainder_form": rhs, "error": err})
-    return report
-
-
-@dataclass
-class IdentityChainReport:
-    restricted_trace: complex
-    full_trace: complex
-    chain_deviation: float
-    pairing: Optional[float] = None
-    pairing_errors: Optional[Tuple[float, float]] = None
-
-
-def diagonal_symbol_trace(
-    A, B, n: int, f: FunctionFamily, ssf: Optional[SSFGrid] = None
-) -> IdentityChainReport:
-    """Trace identity chain linking the restricted and full symbol forms.
-
-    The restricted symbol phi(l_0..l_{n-1}) = f^[n](l_0,..,l_{n-1},l_0) runs
-    on n operator slots (A, A+B, A, ..) with n-1 arguments and a closing B;
-    the full divided difference runs on n+1 slots with n arguments.  Their
-    traces agree because the first and last slots carry the same spectral
-    projections, so the wrap-around index collapses.  Needs n >= 2: with a
-    single slot the last operator is A + B and the wrap does not close.
-    The report carries their relative deviation for the caller to judge.
-    """
-    from .moi import DiagonalRestrictedSymbol, dd_symbol, moi_projection_sum, moi_trace
-
-    if n < 2:
-        raise ParameterError("the identity chain needs n >= 2")
-    if n > f.max_order:
-        raise OrderLimitError(f"family {f.family_id!r} lacks order {n}")
-    A, B = require_hermitian_pair(A, B)
-    EA = eig_hermitian(A)
-    EAB = eig_hermitian(A + B)
-    sym = dd_symbol(f, n)
-    ops_restricted = MOIOperands([EA, EAB] + [EA] * (n - 2), [B] * (n - 1))
-    lhs1 = moi_trace(DiagonalRestrictedSymbol(sym), ops_restricted, closing=B)
-    ops_full = MOIOperands([EA, EAB] + [EA] * (n - 1), [B] * n)
-    lhs2 = complex(trace(moi_projection_sum(sym, ops_full).value))
-    dev = abs(lhs1 - lhs2) / max(1.0, abs(lhs1), abs(lhs2))
-    report = IdentityChainReport(restricted_trace=lhs1, full_trace=lhs2, chain_deviation=dev)
-    if ssf is not None:
-        pairing = ssf.quadrature(np.asarray(f.eval(n, ssf.t_grid)))
-        report.pairing = pairing
-        report.pairing_errors = (
-            abs(lhs1.real - pairing) / max(1.0, abs(pairing)),
-            abs(lhs2.real - pairing) / max(1.0, abs(pairing)),
-        )
-    return report
-
-
-def ssf_l1_report(B, n: int, ssf: SSFGrid) -> dict:
-    """Pair (l1 mass of the density, n-norm of B to the n-th power) plus ratio."""
-    B = require_hermitian(B)
-    bn = schatten_norm(B, float(n)) ** n
-    ratio = ssf.l1_norm / bn if bn > 0 else 0.0
-    out = {"l1_norm": ssf.l1_norm, "b_norm_pow": bn, "ratio": ratio}
-    if not all(math.isfinite(v) for v in out.values()):
-        raise ParameterError("shift-function report has non-finite entries")
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Serialization: CSV of (t, value) plus a JSON sidecar of metadata
 # ---------------------------------------------------------------------------
@@ -766,17 +632,22 @@ def save_ssf(ssf: SSFGrid, csv_path, sidecar_path) -> None:
 
 
 def load_ssf(csv_path, sidecar_path) -> SSFGrid:
-    """Read a grid written by :func:`save_ssf`; a CSV with no samples, a row
-    that is not two numbers, or a sidecar that is not a JSON object raises
-    ParameterError."""
+    """Read a grid written by :func:`save_ssf`.  A CSV with no samples, a row
+    that is not two finite numbers, a t that does not increase, or a sidecar
+    that is not a JSON object with an integer "n" and a two-number "support"
+    raises ParameterError naming the file (and the line of a CSV row)."""
     samples = []
     for lineno, row in enumerate(Path(csv_path).read_text().strip().splitlines()[1:], start=2):
         try:
             t, v = row.split(",")
-            samples.append((float(t), float(v)))
+            t, v = float(t), float(v)
         except ValueError:
             raise ParameterError(f"{csv_path}: line {lineno}: expected 't,value', "
                                  f"two numbers, got {row!r}") from None
+        if not (math.isfinite(t) and math.isfinite(v)) or samples and t <= samples[-1][0]:
+            raise ParameterError(f"{csv_path}: line {lineno}: expected a finite t and value, "
+                                 f"t above the row before, got {row!r}")
+        samples.append((t, v))
     if not samples:
         raise ParameterError(f"{csv_path}: no samples after the header on line 1")
     t, v = np.array(samples).T.copy()
@@ -787,11 +658,18 @@ def load_ssf(csv_path, sidecar_path) -> SSFGrid:
     if not isinstance(meta, dict):
         raise ParameterError(f"{sidecar_path}: expected a JSON object, "
                              f"got a {type(meta).__name__}")
+    try:
+        order = int(meta.get("n", 0))
+        lo, hi = meta.get("support", (t[0], t[-1]))
+        support = (float(lo), float(hi))
+    except (TypeError, ValueError):
+        raise ParameterError(f'{sidecar_path}: expected an integer "n" and a two-number '
+                             f'"support", got {meta.get("n")!r}, {meta.get("support")!r}') from None
     return SSFGrid(
-        order=int(meta.get("n", 0)),
+        order=order,
         t_grid=t,
         values=v,
-        support=tuple(meta.get("support", (float(t[0]), float(t[-1])))),
+        support=support,
         method=meta.get("method", "unknown"),
         params=meta.get("params"),
         seed=meta.get("seed"),

@@ -1,33 +1,48 @@
 """Directional derivatives of t -> f(A + tB), Taylor remainders, and the
-perturbation identities that tie them together.
+perturbation and trace-formula identities that tie them together.
 
 Every operation here has two faces: a formula built from operator integrals
 and an independent way to check it (finite differences, a second algebraic
 route, or a closed scalar form).  The checks are part of the contracts, not
 just the tests: `taylor_remainder` computes both of its routes and raises if
 they disagree, and the perturbation and telescoping checks return the relative
-residual of their identity for the caller to judge.
+residual of their identity for the caller to judge; so do the trace-formula
+checks against a shift function from :mod:`moilab.ssf`.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import _MEMORY_BUDGET_BYTES, OrderLimitError, ParameterError, ToleranceError
-from .families import FunctionFamily, recip_plus
-from .moi import MOIOperands, MOIResult, dd_symbol, moi_projection_sum, operands
+from .families import FunctionFamily, monomial, recip_plus
+from .moi import (
+    DiagonalRestrictedSymbol,
+    MOIOperands,
+    MOIResult,
+    dd_symbol,
+    moi_projection_sum,
+    moi_trace,
+    operands,
+)
 from .spectral import (
     EigenSystem,
     apply_function,
     eig_hermitian,
+    require_hermitian,
     require_hermitian_pair,
+    schatten_norm,
+    trace,
     weighted_diagonal_norm,
 )
+
+if TYPE_CHECKING:
+    from .ssf import SSFGrid
 
 __all__ = [
     "gateaux_derivative",
@@ -39,6 +54,11 @@ __all__ = [
     "perturbation_first_order",
     "perturbation_higher_order",
     "telescoping_check",
+    "verify_trace_formula",
+    "TraceFormulaReport",
+    "diagonal_symbol_trace",
+    "IdentityChainReport",
+    "ssf_l1_report",
     "lp_counterexample_demo",
     "DivergenceRow",
     "default_fd_step",
@@ -285,6 +305,109 @@ def telescoping_check(f: FunctionFamily, A, B, n: int, t: float, j: int) -> floa
             sym_hi, MOIOperands([Et] * l + [EA] * (n + 1 - l), [B] * n)
         ).value
     return relative_deviation(lhs, t * rhs)
+
+
+@dataclass
+class TraceFormulaReport:
+    rows: List[dict] = field(default_factory=list)
+    moments: List[dict] = field(default_factory=list)
+
+    def max_function_error(self) -> float:
+        return max((r["rel_error"] for r in self.rows), default=0.0)
+
+    def max_moment_error(self) -> float:
+        return max((m["error"] for m in self.moments), default=0.0)
+
+
+def verify_trace_formula(
+    A, B, n: int, ssf: SSFGrid, test_functions: Sequence[FunctionFamily]
+) -> TraceFormulaReport:
+    """Held-out comparison of remainder traces against the shift pairing.
+
+    Per function: relative error between trace(remainder_n(f)) and the
+    quadrature of f^(n) against the density.  Moment identities for
+    k = 0, 1, 2 compare the k-th grid moment with
+    k!/(n+k)! * trace(remainder_n(x^{n+k})).
+    """
+    A, B = require_hermitian_pair(A, B)
+    report = TraceFormulaReport()
+    for f in test_functions:
+        if f.max_order < n:
+            raise OrderLimitError(f"test family {f.family_id!r} lacks order {n}")
+        lhs = complex(trace(taylor_remainder(f, A, B, n))).real
+        rhs = ssf.quadrature(np.asarray(f.eval(n, ssf.t_grid)))
+        rel = abs(lhs - rhs) / max(1.0, abs(lhs))
+        report.rows.append(
+            {"family": f.family_id, "remainder_trace": lhs, "pairing": rhs,
+             "rel_error": rel}
+        )
+    for k in (0, 1, 2):
+        mono = monomial(n + k)
+        lhs = ssf.moment(k)
+        rhs = (
+            math.factorial(k) / math.factorial(n + k)
+            * complex(trace(taylor_remainder(mono, A, B, n))).real
+        )
+        err = abs(lhs - rhs) / (1.0 + abs(rhs))
+        report.moments.append({"k": k, "moment": lhs, "remainder_form": rhs, "error": err})
+    return report
+
+
+@dataclass
+class IdentityChainReport:
+    restricted_trace: complex
+    full_trace: complex
+    chain_deviation: float
+    pairing: Optional[float] = None
+    pairing_errors: Optional[Tuple[float, float]] = None
+
+
+def diagonal_symbol_trace(
+    A, B, n: int, f: FunctionFamily, ssf: Optional[SSFGrid] = None
+) -> IdentityChainReport:
+    """Trace identity chain linking the restricted and full symbol forms.
+
+    The restricted symbol phi(l_0..l_{n-1}) = f^[n](l_0,..,l_{n-1},l_0) runs
+    on n operator slots (A, A+B, A, ..) with n-1 arguments and a closing B;
+    the full divided difference runs on n+1 slots with n arguments.  Their
+    traces agree because the first and last slots carry the same spectral
+    projections, so the wrap-around index collapses.  Needs n >= 2: with a
+    single slot the last operator is A + B and the wrap does not close.
+    The report carries their relative deviation for the caller to judge.
+    """
+    if n < 2:
+        raise ParameterError("the identity chain needs n >= 2")
+    if n > f.max_order:
+        raise OrderLimitError(f"family {f.family_id!r} lacks order {n}")
+    A, B = require_hermitian_pair(A, B)
+    EA = eig_hermitian(A)
+    EAB = eig_hermitian(A + B)
+    sym = dd_symbol(f, n)
+    ops_restricted = MOIOperands([EA, EAB] + [EA] * (n - 2), [B] * (n - 1))
+    lhs1 = moi_trace(DiagonalRestrictedSymbol(sym), ops_restricted, closing=B)
+    ops_full = MOIOperands([EA, EAB] + [EA] * (n - 1), [B] * n)
+    lhs2 = complex(trace(moi_projection_sum(sym, ops_full).value))
+    dev = abs(lhs1 - lhs2) / max(1.0, abs(lhs1), abs(lhs2))
+    report = IdentityChainReport(restricted_trace=lhs1, full_trace=lhs2, chain_deviation=dev)
+    if ssf is not None:
+        pairing = ssf.quadrature(np.asarray(f.eval(n, ssf.t_grid)))
+        report.pairing = pairing
+        report.pairing_errors = (
+            abs(lhs1.real - pairing) / max(1.0, abs(pairing)),
+            abs(lhs2.real - pairing) / max(1.0, abs(pairing)),
+        )
+    return report
+
+
+def ssf_l1_report(B, n: int, ssf: SSFGrid) -> dict:
+    """Pair (l1 mass of the density, n-norm of B to the n-th power) plus ratio."""
+    B = require_hermitian(B)
+    bn = schatten_norm(B, float(n)) ** n
+    ratio = ssf.l1_norm / bn if bn > 0 else 0.0
+    out = {"l1_norm": ssf.l1_norm, "b_norm_pow": bn, "ratio": ratio}
+    if not all(math.isfinite(v) for v in out.values()):
+        raise ParameterError("shift-function report has non-finite entries")
+    return out
 
 
 @dataclass

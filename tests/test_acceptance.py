@@ -32,14 +32,9 @@ from moilab.moi import (
 )
 from moilab.rng import SplitMix64
 from moilab.spectral import apply_function, eig_hermitian, trace
-from moilab.ssf import (
-    counting_pairing,
-    diagonal_symbol_trace,
-    higher_ssf_fourier,
-    krein_ssf,
-    verify_trace_formula,
-)
+from moilab.ssf import counting_pairing, higher_ssf_fourier, krein_ssf
 from moilab.taylor import (
+    diagonal_symbol_trace,
     finite_difference_oracle,
     gateaux_derivative,
     lp_counterexample_demo,
@@ -47,6 +42,7 @@ from moilab.taylor import (
     perturbation_higher_order,
     taylor_remainder,
     telescoping_check,
+    verify_trace_formula,
 )
 from conftest import pair, random_hermitian
 

@@ -12,8 +12,13 @@ import pytest
 
 from moilab.errors import DimensionMismatchError, ParameterError
 from moilab.families import exponential, gaussian
-from moilab.ssf import counting_pairing, diagonal_symbol_trace, higher_ssf_fourier, krein_ssf
-from moilab.taylor import finite_difference_oracle, gateaux_derivative, taylor_remainder
+from moilab.ssf import counting_pairing, higher_ssf_fourier, krein_ssf
+from moilab.taylor import (
+    diagonal_symbol_trace,
+    finite_difference_oracle,
+    gateaux_derivative,
+    taylor_remainder,
+)
 
 _X = np.random.default_rng(1).normal(size=(2, 3, 3))
 _SCALE = 2.0 ** -40

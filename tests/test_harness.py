@@ -1,5 +1,6 @@
 """Configuration, ensembles, suites, reports, and the CLI surface."""
 
+import ast
 import json
 import math
 import os
@@ -338,6 +339,7 @@ def test_cli_config_error_exit_code(tmp_path, monkeypatch, capsys):
     for name, M in bad_b.items():
         save_matrix_csv(tmp_path / name, np.array(M))
     ssf = ["ssf", "--matrix-a", "A.csv", "--matrix-b", "B.csv", "--order", "2", "--out", "e.csv"]
+    counting = [*ssf[:5], "--order", "1", "--method", "counting", "--out", "c.csv"]
     bad_pairs = [["--matrix-a", "A.csv", "--matrix-b", name] for name in bad_b]
     (tmp_path / "ok.json").write_text('{"seed": 1}')
     cases = [
@@ -353,6 +355,8 @@ def test_cli_config_error_exit_code(tmp_path, monkeypatch, capsys):
         ["ssf", *missing, "--order", "2", "--out", "eta.csv"],
         *([*ssf, f"--s-max={v}"] for v in ("nan", "inf", "-inf", "0")),
         [*ssf, "--num-s", "7"],
+        # the counting method has no Fourier grid to size
+        *([*counting, *flag] for flag in (["--s-max", "5"], ["--num-s", "7"], ["--num-s", "8"])),
         ["ssf", "--matrix-a", "A.csv", "--matrix-b", "B.csv", "--order", "0", "--out", "e.csv"],
         *(["ssf", *pair, "--order", "2", "--out", "e.csv"] for pair in bad_pairs),
         *(["deriv", "--k", "1", "--f", "gaussian", *pair] for pair in bad_pairs),
@@ -368,6 +372,13 @@ def test_cli_config_error_exit_code(tmp_path, monkeypatch, capsys):
         [*deriv, "--f", "gaussian", "--params", '{"foo": 1}'],
         [*deriv, "--f", "nosuch"],
         [*deriv, "--f", "fourier", "--params", '{"s": "x"}'],
+        # family parameters that are not finite (JSON as Python reads it) or
+        # not numbers
+        *([*deriv, "--f", "fourier", "--params", f'{{"s": {v}}}']
+          for v in ("NaN", "Infinity", "-Infinity", '"2"')),
+        *([*deriv, "--f", "bump", "--params", p] for p in (
+            '{"halfwidth": NaN}', '{"halfwidth": Infinity}', '{"center": NaN}',
+            '{"center": -Infinity}', '{"halfwidth": "2"}', '{"center": "0.5"}')),
         [*deriv, "--f", "monomial", "--params", '{"k": 1.5}'],
         [*deriv, "--f", "monomial", "--params", '{"k": 100000000}'],
         [*deriv, "--f", "gaussian", "--params", '{"max_order": 100000000}'],
@@ -387,6 +398,10 @@ def test_cli_config_error_exit_code(tmp_path, monkeypatch, capsys):
         # time, so that a loaded machine does not fail it
         assert cpu < 1.0, (argv, cpu)
     assert not (tmp_path / "o_nosuch").exists()  # an unknown suite writes nothing
+    assert not (tmp_path / "c.csv").exists()
+    # the counting method takes --seed, and records it in the sidecar
+    assert cli.main([*counting, "--seed", "11"]) == 0
+    assert json.loads((tmp_path / "c.csv.json").read_text())["seed"] == 11
     # and in a process of its own, once per command
     for argv in (cases[1], [*ssf, "--s-max=nan"], ["deriv", "--f", "gaussian", "--k", "0"]):
         res = _run_cli(argv, cwd=tmp_path)
@@ -468,6 +483,27 @@ def test_cli_deriv_seed_loads_no_check_harness(tmp_path):
         "print(*(m for m in ('moilab.harness', 'moilab.ssf') if m in sys.modules))\n"
     )
     assert _run_child(code, tmp_path).splitlines()[-1] == ""
+
+
+def _imports_in_functions(path: Path) -> list:
+    """'file:line' of each import statement inside a function body of path."""
+    found = set()
+    for fn in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            found.update(f"{path.name}:{node.lineno}" for node in ast.walk(fn)
+                         if isinstance(node, (ast.Import, ast.ImportFrom)))
+    return sorted(found)
+
+
+def test_no_library_module_imports_inside_a_function():
+    # a module's dependencies are all at its top (a TYPE_CHECKING block
+    # there included); only the command module imports per command, so that
+    # each command loads just the modules it runs
+    modules = sorted(Path(moilab.__file__).parent.glob("*.py"))
+    assert "ssf.py" in {path.name for path in modules}
+    assert [hit for path in modules if path.name != "cli.py"
+            for hit in _imports_in_functions(path)] == []
+    assert _imports_in_functions(Path(cli.__file__))  # the check sees what it looks for
 
 
 def test_import_kernels_loads_only_errors_and_spectral(tmp_path):

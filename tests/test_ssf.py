@@ -21,15 +21,17 @@ from moilab.ssf import (
     MAX_NUM_S,
     FourierParams,
     counting_pairing,
-    diagonal_symbol_trace,
     higher_ssf_fourier,
     krein_ssf,
     load_ssf,
     save_ssf,
+)
+from moilab.taylor import (
+    diagonal_symbol_trace,
     ssf_l1_report,
+    taylor_remainder,
     verify_trace_formula,
 )
-from moilab.taylor import taylor_remainder
 from conftest import pair
 
 
@@ -468,10 +470,22 @@ _SIDECAR = '{"n": 2, "support": [0, 1]}'
     (["0.5,1.0", "0.7,one"], _SIDECAR, "line 3", "eta.csv"),
     (["0.5,1.0"], '{"n": 2,', "not JSON", "eta.json"),
     (["0.5,1.0"], "[1, 2]", "expected a JSON object, got a list", "eta.json"),
-], ids=["header_only", "one_column", "not_a_number", "truncated_sidecar", "list_sidecar"])
+    (["0.0,1.0", "nan,2.0", "-1.0,inf"], _SIDECAR, "line 3: .* got 'nan,2.0'", "eta.csv"),
+    (["0.0,1.0", "1.0,-inf"], _SIDECAR, "line 3: .* got '1.0,-inf'", "eta.csv"),
+    (["0.0,1.0", "-1.0,2.0"], _SIDECAR, "line 3: .* got '-1.0,2.0'", "eta.csv"),
+    (["0.0,1.0", "0.0,2.0"], _SIDECAR, "line 3: .* got '0.0,2.0'", "eta.csv"),
+    (["0.5,1.0"], '{"n": "x"}', "integer \"n\" .* got 'x', None", "eta.json"),
+    (["0.5,1.0"], '{"n": null}', "integer \"n\" .* got None, None", "eta.json"),
+    (["0.5,1.0"], '{"support": 5}', "two-number \"support\", got None, 5", "eta.json"),
+    (["0.5,1.0"], '{"support": [0, 1, 2]}', "got None, \\[0, 1, 2\\]", "eta.json"),
+], ids=["header_only", "one_column", "not_a_number", "truncated_sidecar", "list_sidecar",
+        "nan_t", "infinite_value", "decreasing_t", "repeated_t", "string_n", "null_n",
+        "scalar_support", "three_support"])
 def test_load_ssf_names_the_file_and_line_of_a_bad_csv(tmp_path, rows, sidecar, match, bad):
     # a ParameterError naming the bad file, not a raw IndexError, ValueError,
-    # JSONDecodeError or AttributeError, even where the sidecar gives the support
+    # TypeError, JSONDecodeError or AttributeError, even where the sidecar
+    # gives the support; rows that are not finite or do not increase in t
+    # are refused, not loaded into an l1_norm of nan
     csv = tmp_path / "eta.csv"
     csv.write_text("\n".join(["t,value"] + rows) + "\n")
     (tmp_path / "eta.json").write_text(sidecar)
