@@ -633,9 +633,10 @@ def save_ssf(ssf: SSFGrid, csv_path, sidecar_path) -> None:
 
 def load_ssf(csv_path, sidecar_path) -> SSFGrid:
     """Read a grid written by :func:`save_ssf`.  A CSV with no samples, a row
-    that is not two finite numbers, a t that does not increase, or a sidecar
-    that is not a JSON object with an integer "n" and a two-number "support"
-    raises ParameterError naming the file (and the line of a CSV row)."""
+    that is not two finite numbers or whose t falls, or a sidecar that is not a
+    JSON object with an integer "n" and a two-number "support" raises
+    ParameterError naming the file (and the line of a CSV row).  A repeated t
+    loads: the grid of a hull narrower than its step in ulps repeats points."""
     samples = []
     for lineno, row in enumerate(Path(csv_path).read_text().strip().splitlines()[1:], start=2):
         try:
@@ -644,9 +645,9 @@ def load_ssf(csv_path, sidecar_path) -> SSFGrid:
         except ValueError:
             raise ParameterError(f"{csv_path}: line {lineno}: expected 't,value', "
                                  f"two numbers, got {row!r}") from None
-        if not (math.isfinite(t) and math.isfinite(v)) or samples and t <= samples[-1][0]:
+        if not (math.isfinite(t) and math.isfinite(v)) or samples and t < samples[-1][0]:
             raise ParameterError(f"{csv_path}: line {lineno}: expected a finite t and value, "
-                                 f"t above the row before, got {row!r}")
+                                 f"t not below the row before, got {row!r}")
         samples.append((t, v))
     if not samples:
         raise ParameterError(f"{csv_path}: no samples after the header on line 1")
@@ -658,13 +659,16 @@ def load_ssf(csv_path, sidecar_path) -> SSFGrid:
     if not isinstance(meta, dict):
         raise ParameterError(f"{sidecar_path}: expected a JSON object, "
                              f"got a {type(meta).__name__}")
+    order, support = meta.get("n", 0), meta.get("support", (t[0], t[-1]))
     try:
-        order = int(meta.get("n", 0))
-        lo, hi = meta.get("support", (t[0], t[-1]))
+        lo, hi = support
         support = (float(lo), float(hi))
+        valid = isinstance(order, numbers.Integral) and not isinstance(order, bool)
     except (TypeError, ValueError):
+        valid = False
+    if not valid:
         raise ParameterError(f'{sidecar_path}: expected an integer "n" and a two-number '
-                             f'"support", got {meta.get("n")!r}, {meta.get("support")!r}') from None
+                             f'"support", got {meta.get("n")!r}, {meta.get("support")!r}')
     return SSFGrid(
         order=order,
         t_grid=t,

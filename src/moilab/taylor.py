@@ -424,15 +424,6 @@ class DivergenceRow:
 _COUNTEREXAMPLE_BYTES_PER_ATOM = 10 * 8
 
 
-def _check_counterexample_budget(dims: Sequence[int]) -> None:
-    """Raise ParameterError when the largest of dims exceeds the memory budget."""
-    if max(dims, default=0) * _COUNTEREXAMPLE_BYTES_PER_ATOM > _MEMORY_BUDGET_BYTES:
-        raise ParameterError(
-            f"dims[-1] = {max(dims)} needs more than the {_MEMORY_BUDGET_BYTES >> 20} MiB "
-            f"memory budget holds ({_COUNTEREXAMPLE_BYTES_PER_ATOM} bytes per atom)"
-        )
-
-
 def _heavy_tail_diagonal(d: int, p: float) -> np.ndarray:
     """The counterexample's heavy-tail diagonal (k/d)^(-1/(1.5 p)), k = 1..d."""
     return (np.arange(1, d + 1, dtype=float) / d) ** (-1.0 / (1.5 * p))
@@ -460,7 +451,11 @@ def lp_counterexample_demo(p: float, dims: Sequence[int]) -> List[DivergenceRow]
         raise ParameterError("demo needs 1 < p < inf")
     if list(dims) != sorted(set(int(d) for d in dims)) or any(d < 1 for d in dims):
         raise ParameterError(f"dims must be strictly increasing and positive, got {list(dims)}")
-    _check_counterexample_budget(dims)
+    if max(dims, default=0) * _COUNTEREXAMPLE_BYTES_PER_ATOM > _MEMORY_BUDGET_BYTES:
+        raise ParameterError(
+            f"dims[-1] = {max(dims)} needs more than the {_MEMORY_BUDGET_BYTES >> 20} MiB "
+            f"memory budget holds ({_COUNTEREXAMPLE_BYTES_PER_ATOM} bytes per atom)"
+        )
     f = recip_plus()
     rows: List[DivergenceRow] = []
     for d in dims:

@@ -473,25 +473,44 @@ _SIDECAR = '{"n": 2, "support": [0, 1]}'
     (["0.0,1.0", "nan,2.0", "-1.0,inf"], _SIDECAR, "line 3: .* got 'nan,2.0'", "eta.csv"),
     (["0.0,1.0", "1.0,-inf"], _SIDECAR, "line 3: .* got '1.0,-inf'", "eta.csv"),
     (["0.0,1.0", "-1.0,2.0"], _SIDECAR, "line 3: .* got '-1.0,2.0'", "eta.csv"),
-    (["0.0,1.0", "0.0,2.0"], _SIDECAR, "line 3: .* got '0.0,2.0'", "eta.csv"),
     (["0.5,1.0"], '{"n": "x"}', "integer \"n\" .* got 'x', None", "eta.json"),
     (["0.5,1.0"], '{"n": null}', "integer \"n\" .* got None, None", "eta.json"),
+    (["0.5,1.0"], '{"n": 2.7}', "integer \"n\" .* got 2.7, None", "eta.json"),
+    (["0.5,1.0"], '{"n": true}', "integer \"n\" .* got True, None", "eta.json"),
     (["0.5,1.0"], '{"support": 5}', "two-number \"support\", got None, 5", "eta.json"),
     (["0.5,1.0"], '{"support": [0, 1, 2]}', "got None, \\[0, 1, 2\\]", "eta.json"),
 ], ids=["header_only", "one_column", "not_a_number", "truncated_sidecar", "list_sidecar",
-        "nan_t", "infinite_value", "decreasing_t", "repeated_t", "string_n", "null_n",
-        "scalar_support", "three_support"])
+        "nan_t", "infinite_value", "decreasing_t", "string_n", "null_n", "float_n",
+        "bool_n", "scalar_support", "three_support"])
 def test_load_ssf_names_the_file_and_line_of_a_bad_csv(tmp_path, rows, sidecar, match, bad):
     # a ParameterError naming the bad file, not a raw IndexError, ValueError,
     # TypeError, JSONDecodeError or AttributeError, even where the sidecar
-    # gives the support; rows that are not finite or do not increase in t
-    # are refused, not loaded into an l1_norm of nan
+    # gives the support; rows that are not finite or fall in t are refused,
+    # not loaded into an l1_norm of nan
     csv = tmp_path / "eta.csv"
     csv.write_text("\n".join(["t,value"] + rows) + "\n")
     (tmp_path / "eta.json").write_text(sidecar)
     with pytest.raises(ParameterError, match=match) as info:
         load_ssf(csv, tmp_path / "eta.json")
     assert str(tmp_path / bad) in str(info.value)
+
+
+@pytest.mark.parametrize("A,B", [(0.4 * np.eye(3), np.zeros((3, 3))),
+                                 (np.array([[1000.0]]), np.array([[1e-13]]))],
+                         ids=["0.4I/0", "1000/1e-13"])
+def test_grids_of_a_hull_narrower_than_their_step_load_back(tmp_path, A, B):
+    # the grid steps by less than an ulp of the hull's centre, so neighbouring
+    # points round to one float: a repeated t loads, a falling one does not
+    for grid in (krein_ssf(A, B), higher_ssf_fourier(A, B, 2)):
+        assert (np.diff(grid.t_grid) == 0).any()
+        save_ssf(grid, tmp_path / "eta.csv", tmp_path / "eta.json")
+        loaded = load_ssf(tmp_path / "eta.csv", tmp_path / "eta.json")
+        assert np.array_equal(loaded.t_grid, grid.t_grid)
+        assert np.array_equal(loaded.values, grid.values)
+        assert loaded.l1_norm == grid.l1_norm
+    csv = tmp_path / "eta.csv"
+    csv.write_text("t,value\n0.0,1.0\n0.0,2.0\n1.0,0.0\n")
+    assert load_ssf(csv, tmp_path / "eta.json").l1_norm == 1.0
 
 
 def test_numpy_scalar_arguments_write_the_sidecar_of_python_scalars(tmp_path):
